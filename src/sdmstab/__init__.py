@@ -26,13 +26,11 @@ from .polynomial import (
 from .transfer import (
     DCoeffs,
     SdmDesign,
-    TransferModel,
     b_from_g,
     char_poly,
     d_coeffs,
     g_from_b,
     ntf_series,
-    transfer_model,
 )
 from .winding import (
     CharacteristicPoints,
@@ -48,7 +46,6 @@ from .winding import (
 from .boundary import (
     DegenerateBoundaryError,
     StabilityInterval,
-    StabilityQuery,
     StabilityReport,
     ZeroPointCandidate,
     bisect_boundary,
@@ -90,13 +87,11 @@ __all__ = [
     "remainder_chain",
     "DCoeffs",
     "SdmDesign",
-    "TransferModel",
     "b_from_g",
     "char_poly",
     "d_coeffs",
     "g_from_b",
     "ntf_series",
-    "transfer_model",
     "CharacteristicPoints",
     "RootCountResult",
     "SelfIntersection",
@@ -108,7 +103,6 @@ __all__ = [
     "winding_oracle",
     "DegenerateBoundaryError",
     "StabilityInterval",
-    "StabilityQuery",
     "StabilityReport",
     "ZeroPointCandidate",
     "bisect_boundary",

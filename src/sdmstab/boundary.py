@@ -4,10 +4,12 @@ For a design with feedback-difference coefficients ``b`` of order ``n``, the
 characteristic polynomial ``F(z; a) = a*(z-1)**n + D(z)`` is stable exactly
 when all roots stay inside the unit circle.  Stability flips only where a
 root crosses the circle: either at ``z = -1`` (the closed-form lower bound)
-or at an interior angle, located by eliminating ``x = cos(phi)`` between the
-real and imaginary unit-circle profiles through a remainder chain carried
-symbolically in ``a``.  Two numeric oracles (a direct crossing-parameter
-scan and eigenvalue bisection) cross-check every boundary value.
+or at an interior angle.  Both unit-circle profiles of ``F`` are linear in
+``a``, so eliminating ``a`` between them (the paper's elimination with the
+variable order swapped) leaves one event polynomial in ``x = cos(phi)``,
+of degree at most two; its real roots are the interior boundary events.
+Two numeric oracles (a direct crossing-parameter scan and eigenvalue
+bisection) stay public to cross-check every boundary value.
 """
 
 from __future__ import annotations
@@ -18,13 +20,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .polynomial import Poly, all_roots, cheb_expand, chebyshev_t, chebyshev_u, poly_rem
-from .transfer import DCoeffs, MAX_ORDER, char_poly, d_coeffs
+from .polynomial import Poly, all_roots, cheb_expand, chebyshev_u
+from .transfer import DCoeffs, MAX_ORDER, char_poly
 from .winding import count_inside_e1, count_inside_eig
 
 __all__ = [
     "DegenerateBoundaryError",
-    "StabilityQuery",
     "ZeroPointCandidate",
     "StabilityInterval",
     "StabilityReport",
@@ -43,38 +44,25 @@ __all__ = [
 class DegenerateBoundaryError(ValueError):
     """The boundary equation degenerates to a continuum.
 
-    Happens when the terminal remainder vanishes identically in ``a`` (for
-    example reciprocal-symmetric designs, which pin a root pair to the unit
-    circle for a whole range of ``a``); there is no isolated candidate list.
+    Happens when the event polynomial vanishes identically: the design is
+    reciprocal-symmetric, so ``F`` is self-reciprocal for every ``a`` and
+    pins a root pair to the unit circle over a whole range of ``a``; there
+    is no isolated candidate list.
     """
-
-
-@dataclass(frozen=True)
-class StabilityQuery:
-    """Inputs for a stability question: coefficients, order, optional probe."""
-
-    b: tuple[float, ...]
-    n: int
-    a_probe: float | None = None
-
-    def __post_init__(self):
-        _check_design(self.b, self.n)
-        if self.a_probe is not None and self.a_probe < 0.0:
-            raise ValueError("a_probe must be nonnegative")
 
 
 @dataclass(frozen=True)
 class ZeroPointCandidate:
     """Value of ``a`` at which the contour image may pass through the origin.
 
-    ``x`` is the associated ``cos(phi)``; ``valid`` requires ``|x| < 1``, a
-    non-degenerate chain, and a confirmed root of ``F(z; a)`` on the circle.
+    ``x`` is the associated ``cos(phi)``; ``valid`` requires ``|x| < 1`` and
+    a confirmed root of ``F(z; a)`` on the circle.
     """
 
     a: float
     x: float
     valid: bool
-    source: str  # remainder_chain | closed_form_3 | crossing_param
+    source: str  # remainder_chain | crossing_param
 
 
 @dataclass(frozen=True)
@@ -114,220 +102,60 @@ def i_min(b: Sequence[float], n: int) -> float:
     return -alt / 2.0**n
 
 
-# --- symbolic-in-a remainder chain -------------------------------------------
+# --- boundary events ----------------------------------------------------------
 #
-# Chain elements are polynomials in x whose coefficients are rational
-# functions of a, carried as numerator polynomials over one shared
-# denominator.  Remainder steps use fraction-free elimination: each step
-# multiplies the running remainder by the divisor's leading numerator, so
-# the shared denominator is a product of those leading coefficients.  It is
-# kept in factored form: expanding it invites catastrophic cancellation when
-# evaluated, while the factors themselves stay well conditioned, and a
-# near-zero factor is precisely the degree-collapse (vanishing divisor lead)
-# the candidate filter must detect.
-
-_ZERO = np.zeros(0)
-
-
-def _ap_trim(c: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(c)[0]
-    return c[: nz[-1] + 1] if nz.size else _ZERO
-
-
-def _ap_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.size == 0 or b.size == 0:
-        return _ZERO
-    return np.convolve(a, b)
-
-
-def _ap_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    m = max(a.size, b.size)
-    out = np.zeros(m)
-    out[: a.size] += a
-    out[: b.size] -= b
-    return out
+# On the unit circle the image ``F(z; a)/z**n`` has real part ``r0`` and
+# imaginary part ``sin(phi)*r1`` with, in ``x = cos(phi)``,
+#
+#     r0 = p0(x) + a*q0(x)      (cheb_expand, cosine kind)
+#     r1 = p1(x) + a*q1(x)      (cheb_expand, sine kind)
+#
+# where ``p`` carries ``b`` and ``q`` the binomials of ``(z-1)**n``.  Both
+# are linear in ``a``, so eliminating ``a`` leaves the single polynomial
+# ``E = p0*q1 - p1*q0``: a root of ``F`` sits at ``e^{i phi}`` for a real
+# ``a`` exactly when ``E(cos(phi)) = 0``.  ``E`` has structural degree
+# ``n-1`` and the structural factor ``(1-x)**(n//2)``, since it is
+# proportional to ``sin(phi/2)**n * S(phi) / sin(phi)`` with
+#
+#     S(phi) = sum_k b_k * sin((n/2 - k)*phi - n*pi/2).
+#
+# Dividing ``S`` by ``sin(phi)`` (even n) or ``cos(phi/2)`` (odd n) gives
+# the deflated event polynomial ``R = sum_k b_k * K_k(x)``, of degree at
+# most ``(n-1)//2``, with ``E = c_n * (1-x)**(n//2) * R`` for a constant
+# ``c_n``.  Each ``K_k`` is ``+-U_j`` (even n) or ``U_j - U_{j-1}`` (odd n), whose
+# coefficients are small powers of two, so every product ``b_k * K_k`` is
+# exact and ``R`` comes out correctly rounded: it vanishes identically
+# exactly when ``F`` is self-reciprocal for every ``a``.
 
 
-def _ap_eval(c: np.ndarray, a: float) -> float:
-    acc = 0.0
-    for v in c[::-1]:
-        acc = acc * a + v
-    return float(acc)
-
-
-def _ap_eval_abs(c: np.ndarray, a: float) -> float:
-    """Sum of term magnitudes: the natural scale of the Horner evaluation."""
-    acc = 0.0
-    for v in np.abs(c)[::-1]:
-        acc = acc * abs(a) + v
-    return float(acc)
-
-
-class _SymPoly:
-    """Polynomial in x with shared-denominator rational-in-a coefficients."""
-
-    __slots__ = ("nums", "den_factors", "den_scalar")
-
-    def __init__(
-        self,
-        nums: list[np.ndarray],
-        den_factors: list[np.ndarray] | None = None,
-        den_scalar: float = 1.0,
-    ):
-        self.nums = nums
-        self.den_factors = den_factors or []
-        self.den_scalar = den_scalar
-        self._cleanup()
-
-    def _cleanup(self) -> None:
-        # Normalize scale and strip structural zeros (exact cancellations of
-        # the elimination, ~1e-16 relative after rounding).  Interior entries
-        # are never rounded away: truncation noise gets amplified by later
-        # fraction-free steps far beyond its original size.
-        scale = max((abs(c).max() if c.size else 0.0 for c in self.nums), default=0.0)
-        if scale == 0.0:
-            self.nums = []
-            return
-        cleaned = []
-        for c in self.nums:
-            c = c / scale
-            keep = c.size
-            while keep > 0 and abs(c[keep - 1]) <= 3e-14:
-                keep -= 1
-            cleaned.append(c[:keep])
-        while cleaned and (
-            cleaned[-1].size == 0 or np.abs(cleaned[-1]).max() <= 1e-10
-        ):
-            cleaned.pop()
-        self.nums = cleaned
-        self.den_scalar /= scale
-        factors = []
-        for f in self.den_factors:
-            s = abs(f).max()
-            factors.append(f / s)
-            self.den_scalar *= s
-        self.den_factors = factors
-
-    @property
-    def xdeg(self) -> int:
-        return len(self.nums) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    def den_at(self, a: float) -> float:
-        acc = self.den_scalar
-        for f in self.den_factors:
-            acc *= _ap_eval(f, a)
-        return acc
-
-    def degenerate_at(self, a: float, rtol: float = 1e-8) -> bool:
-        """True when some divisor leading coefficient vanishes at this a."""
-        return any(
-            abs(_ap_eval(f, a)) <= rtol * _ap_eval_abs(f, a) for f in self.den_factors
-        )
-
-    def den_condition(self, a: float) -> float:
-        """Cancellation ratio of the denominator evaluation (1 is perfect)."""
-        cond = 1.0
-        for f in self.den_factors:
-            v = abs(_ap_eval(f, a))
-            cond *= _ap_eval_abs(f, a) / v if v > 0.0 else math.inf
-        return cond
-
-    def coeff_at(self, j: int, a: float) -> float:
-        return _ap_eval(self.nums[j], a) / self.den_at(a)
-
-
-def _sym_rem(a_el: _SymPoly, b_el: _SymPoly) -> _SymPoly:
-    """Remainder of ``a_el`` by ``b_el`` (the divisor's denominator cancels)."""
-    db = b_el.xdeg
-    lead = b_el.nums[-1]
-    r = [c.copy() for c in a_el.nums]
-    steps = 0
-    while len(r) - 1 >= db:
-        top = r[-1]
-        if top.size == 0 or not np.any(top):
-            r.pop()
-            continue
-        shift = len(r) - 1 - db
-        new = []
-        for j in range(len(r) - 1):
-            term = _ap_mul(lead, r[j])
-            k = j - shift
-            if 0 <= k < db:
-                term = _ap_sub(term, _ap_mul(top, b_el.nums[k]))
-            new.append(term)
-        r = new
-        steps += 1
-        while r and (r[-1].size == 0 or not np.any(r[-1])):
-            r.pop()
-    factors = a_el.den_factors + [lead] * steps
-    return _SymPoly(r, factors, a_el.den_scalar)
-
-
-def _sym_profiles(b: tuple[float, ...], n: int) -> tuple[_SymPoly, _SymPoly]:
-    """Real and (sine-reduced) imaginary unit-circle profiles, symbolic in a.
-
-    The k-th image coefficient is ``d_k(a) = b_k + C(n,k) * (-1)**k * a``, a
-    degree-1 polynomial in ``a``.
-    """
-    d_lin = [
-        np.array([b[k - 1], math.comb(n, k) * (-1.0) ** k]) for k in range(1, n + 1)
-    ]
-    r0 = [np.zeros(2) for _ in range(n + 1)]
-    r0[0][1] = 1.0  # the offset term a itself
-    r1 = [np.zeros(2) for _ in range(max(n, 1))]
+def _event_basis(n: int) -> tuple[Poly, ...]:
+    """The ``K_k(x)`` multiplying ``b_k`` in the deflated event polynomial."""
+    basis = []
     for k in range(1, n + 1):
-        for j, c in enumerate(chebyshev_t(k).coeffs):
-            r0[j] = r0[j] + c * d_lin[k - 1]
-        for j, c in enumerate(chebyshev_u(k - 1).coeffs):
-            r1[j] = r1[j] + c * d_lin[k - 1]
-    return _SymPoly(r0), _SymPoly(r1)
+        if n % 2 == 0:
+            f = n // 2 - k  # sin(f*phi) = sin(phi) * U_{f-1}(x)
+            basis.append(Poly() if f == 0 else (1 if f > 0 else -1) * chebyshev_u(abs(f) - 1))
+        else:
+            j = (abs(n - 2 * k) - 1) // 2  # cos((j+1/2)*phi) = cos(phi/2) * K(x)
+            basis.append(chebyshev_u(j) - (chebyshev_u(j - 1) if j else Poly()))
+    return tuple(basis)
+
+
+_EVENT_BASIS = {n: _event_basis(n) for n in range(1, MAX_ORDER + 1)}
+
+
+def _event_poly(b: tuple[float, ...], n: int) -> Poly:
+    basis = _EVENT_BASIS[n]
+    width = max(len(p.coeffs) for p in basis)
+    return Poly(
+        math.fsum(bk * p.coeffs[j] for bk, p in zip(b, basis) if j < len(p.coeffs))
+        for j in range(width)
+    )
 
 
 def _on_circle_distance(b: tuple[float, ...], n: int, a: float) -> float:
     roots = all_roots(char_poly(b, n, a))
     return min(abs(abs(z) - 1.0) for z in roots)
-
-
-def _numeric_terminal(b: tuple[float, ...], n: int, a: float) -> float:
-    """Terminal remainder of the plain numeric chain at one ``a``.
-
-    Pointwise this is well conditioned even where the carried terminal
-    polynomial's coefficient spread is not, so it serves to polish roots.
-    """
-    d = d_coeffs(b, n, a).d
-    cur, prev = cheb_expand(d, kind="sine"), cheb_expand(d, a, "cosine")
-    while True:
-        if cur.is_zero:
-            return 0.0
-        if cur.degree == 0:
-            return cur.coeffs[0]
-        _, rem, _ = poly_rem(prev, cur)
-        prev, cur = cur, rem
-
-
-def _polish_terminal_root(b: tuple[float, ...], n: int, a: float) -> float:
-    """Secant refinement of a terminal-equation root; keeps a on failure."""
-    h = 1e-7 * max(1.0, abs(a))
-    a0, a1 = a, a + h
-    t0, t1 = _numeric_terminal(b, n, a0), _numeric_terminal(b, n, a1)
-    best, tbest = (a0, abs(t0)) if abs(t0) <= abs(t1) else (a1, abs(t1))
-    for _ in range(8):
-        if t1 == t0:
-            break
-        a2 = a1 - t1 * (a1 - a0) / (t1 - t0)
-        if not math.isfinite(a2) or abs(a2 - a) > 1e-3 * max(1.0, abs(a)) or a2 < 0.0:
-            break
-        t2 = _numeric_terminal(b, n, a2)
-        a0, t0, a1, t1 = a1, t1, a2, t2
-        if abs(t2) < tbest:
-            best, tbest = a2, abs(t2)
-        else:
-            break
-    return best
 
 
 # A candidate is confirmed when the characteristic polynomial really does
@@ -338,84 +166,46 @@ ON_CIRCLE_TOL = 1e-7
 def zero_point_candidates(b: Sequence[float], n: int) -> list[ZeroPointCandidate]:
     """Values of ``a`` where the contour image can pass through the origin.
 
-    Runs the remainder chain on the symbolic profiles, equates the terminal
-    degree-0 remainder to zero, and solves for real ``a >= 0``.  Each
-    solution recovers ``x`` from the last linear chain element; candidates
-    failing ``|x| < 1`` or the on-circle confirmation are kept but flagged
-    invalid.  Solutions sitting where a chain leading coefficient vanishes
-    (the degree-collapse case) are artifacts of the elimination and are
-    dropped.  Raises :class:`DegenerateBoundaryError` when the terminal
-    remainder vanishes identically (a continuum, not isolated candidates).
+    This is the paper's elimination between the real and imaginary
+    unit-circle profiles with the variable order swapped: both profiles are
+    linear in ``a``, so eliminating ``a`` instead of ``x = cos(phi)`` leaves
+    one event polynomial in ``x`` (degree at most two once its structural
+    ``(1-x)`` factor is divided out).  Each real root ``x`` gives
+    ``a = -p(x)/q(x)`` from the profile with the larger ``|q(x)|``; roots
+    with ``a < 0`` are dropped.  A candidate is ``valid`` when ``|x| < 1``
+    and ``F(z; a)`` has a root within ``ON_CIRCLE_TOL`` of the unit circle;
+    other candidates are kept but flagged invalid.  Raises
+    :class:`DegenerateBoundaryError` when the event polynomial vanishes
+    identically (a continuum, not isolated candidates).
     """
     b = _check_design(b, n)
-    if n == 1:
-        # A first-order image traces a circle: no self-intersections exist.
-        return []
-    r0, r1 = _sym_profiles(b, n)
-    chain = [r0, r1]
-    while chain[-1].xdeg >= 1:
-        nxt = _sym_rem(chain[-2], chain[-1])
-        chain.append(nxt)
-        if nxt.is_zero:
-            break
-    terminal = chain[-1]
-    if terminal.is_zero:
+    event = _event_poly(b, n)
+    if event.is_zero:
         raise DegenerateBoundaryError(
-            "terminal remainder vanishes identically: the design pins roots "
+            "event polynomial vanishes identically: the design pins roots "
             "to the unit circle over a continuum of a values"
         )
-    eq = Poly(terminal.nums[0])
-    # Strip a negligible leading tail so spurious huge roots do not appear.
-    cs = list(eq.coeffs)
-    top = max(abs(c) for c in cs)
-    while len(cs) > 1 and abs(cs[-1]) < 1e-10 * top:
-        cs.pop()
-    eq = Poly(cs)
-    if eq.degree < 1:
+    if event.degree < 1:
         return []
-
-    linear = chain[-2] if chain[-2].xdeg == 1 else None
-
-    sols: list[float] = []
-    for z in all_roots(eq):
-        if abs(z.imag) > 1e-8 * (1.0 + abs(z.real)):
-            continue
-        a = z.real
-        if a < 0.0:
-            continue
-        if not terminal.degenerate_at(a):
-            # The carried terminal's coefficient spread limits root accuracy;
-            # the pointwise numeric chain does not.
-            a = _polish_terminal_root(b, n, a)
-        if a < 0.0 or any(abs(a - s) <= 1e-9 * max(1.0, abs(s)) for s in sols):
-            continue
-        sols.append(a)
-    sols.sort()
-
+    binom = [math.comb(n, k) * (-1.0) ** k for k in range(1, n + 1)]
+    p0, q0 = cheb_expand(b), cheb_expand(binom, 1.0)
+    p1, q1 = cheb_expand(b, kind="sine"), cheb_expand(binom, kind="sine")
+    # A conjugate pair this close to the axis is a double real root split
+    # by rounding (a tangency of the crossing locus), kept as one root.
+    xs = sorted(
+        {z.real for z in all_roots(event) if abs(z.imag) <= 1e-8 * (1.0 + abs(z.real))}
+    )
     out: list[ZeroPointCandidate] = []
-    for a in sols:
-        if terminal.degenerate_at(a):
-            continue  # leading-coefficient collapse, not a boundary event
-        if linear is None:
-            out.append(ZeroPointCandidate(a=a, x=math.nan, valid=False, source="remainder_chain"))
+    for x in xs:
+        p, q = (p0(x), q0(x)) if abs(q0(x)) >= abs(q1(x)) else (p1(x), q1(x))
+        if q == 0.0:
+            continue  # x = 1: z = 1 is a root of (z-1)**n for every a
+        a = -p / q
+        if not 0.0 <= a < math.inf:
             continue
-        # The shared denominator cancels in the root of the linear element.
-        c1 = _ap_eval(linear.nums[1], a)
-        c0 = _ap_eval(linear.nums[0], a)
-        if c1 == 0.0:
-            out.append(ZeroPointCandidate(a=a, x=math.nan, valid=False, source="remainder_chain"))
-            continue
-        x = -c0 / c1
-        valid = (
-            math.isfinite(x)
-            and abs(x) < 1.0 - 1e-9
-            and _on_circle_distance(b, n, a) <= ON_CIRCLE_TOL
-        )
-        if not valid and terminal.degenerate_at(a, rtol=1e-4):
-            # a noise-displaced copy of a degree-collapse root, not a
-            # rejected boundary candidate: not worth listing
-            continue
+        valid = abs(x) < 1.0 and _on_circle_distance(b, n, a) <= ON_CIRCLE_TOL
         out.append(ZeroPointCandidate(a=a, x=x, valid=valid, source="remainder_chain"))
+    out.sort(key=lambda c: c.a)
     return out
 
 
@@ -543,11 +333,12 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
     """Partition ``a > 0`` into stable/unstable intervals with witnesses.
 
     Events are the lower bound (when positive) plus every valid zero-point
-    candidate; each open interval between consecutive events is classified
-    at a witness probe.  The linear-model point ``a = 1`` is preferred as
-    the witness whenever it lies inside an interval.  If ``sum(b) <= 0``
-    the turning point at ``z = 1`` is never positive and every interval is
-    unstable without further search.
+    candidate (none for a reciprocal-symmetric design, whose event
+    polynomial vanishes identically); each open interval between
+    consecutive events is classified at a witness probe.  The linear-model
+    point ``a = 1`` is preferred as the witness whenever it lies inside an
+    interval.  If ``sum(b) <= 0`` the turning point at ``z = 1`` is never
+    positive and every interval is unstable without further search.
     """
     b = _check_design(b, n)
     sum_b = math.fsum(b)
@@ -565,9 +356,9 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
     try:
         candidates = zero_point_candidates(b, n)
     except DegenerateBoundaryError:
-        # Continuum designs have no isolated chain candidates; fall back to
-        # the direct crossing scan for whatever isolated events remain.
-        candidates = crossing_param(b, n)
+        # F is self-reciprocal for every a: there is no isolated interior
+        # event, so the only edge is a_min and the probes decide.
+        candidates = []
 
     events = [c.a for c in candidates if c.valid and c.a > EVENT_TOL]
     if a_min > EVENT_TOL:

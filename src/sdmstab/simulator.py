@@ -23,6 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .transfer import MAX_ORDER
+
 __all__ = [
     "DcInput",
     "SineInput",
@@ -38,7 +40,6 @@ __all__ = [
     "extract_windows",
 ]
 
-MAX_ORDER = 5
 DEFAULT_THRESHOLD = 1e6
 
 
@@ -263,9 +264,17 @@ def _run_generic(g, sample_at, samples, threshold, s0):
 
 
 def _coerce_input(x):
-    if isinstance(x, (DcInput, SineInput)):
-        return x
-    return DcInput(level=float(x))
+    """A validated :class:`DcInput` or :class:`SineInput`; bare numbers are DC."""
+    if not isinstance(x, (DcInput, SineInput)):
+        x = DcInput(level=float(x))
+    if isinstance(x, DcInput):
+        if not math.isfinite(x.level):
+            raise ValueError("DC level must be finite")
+    elif not math.isfinite(x.amplitude):
+        raise ValueError("sine amplitude must be finite")
+    elif not 0.0 < x.period < math.inf:
+        raise ValueError("sine period must be positive and finite")
+    return x
 
 
 def run(
@@ -295,8 +304,6 @@ def run(
         out = _DC_FAST[n](g, x.level, samples, threshold, s0)
     else:
         amp, period = x.amplitude, x.period
-        if not period > 0.0:
-            raise ValueError("sine period must be positive")
         w = 2.0 * math.pi / period
         out = _run_generic(g, lambda k: amp * math.sin(w * k), samples, threshold, s0)
 
@@ -429,6 +436,8 @@ def sweep(
     never diverged.  Grid amplitudes are evenly spaced over
     ``[amp_lo, amp_hi]`` inclusive.
     """
+    if not (math.isfinite(amp_lo) and math.isfinite(amp_hi)):
+        raise ValueError("amp_lo and amp_hi must be finite")
     if not amp_lo < amp_hi:
         raise ValueError("need amp_lo < amp_hi")
     if steps < 2:

@@ -20,13 +20,11 @@ __all__ = [
     "MAX_ORDER",
     "SdmDesign",
     "DCoeffs",
-    "TransferModel",
     "b_from_g",
     "g_from_b",
     "char_poly",
     "d_coeffs",
     "ntf_series",
-    "transfer_model",
 ]
 
 MAX_ORDER = 5
@@ -153,29 +151,6 @@ class SdmDesign:
     def from_b(cls, b: Sequence[float]) -> "SdmDesign":
         b = _as_floats(b, "b")
         return cls(n=len(b), b=b, g=None)
-
-
-@dataclass(frozen=True)
-class TransferModel:
-    """Structural transfer-function record.
-
-    The signal-path numerator is first order but its coefficients are not
-    determined by the feedback topology, so only its degree is carried; pole
-    locations never depend on it.
-    """
-
-    ntf_num: Poly
-    ntf_den: Poly
-    stf_num_degree: int = 1
-
-
-def transfer_model(design: SdmDesign) -> TransferModel:
-    n = design.n
-    return TransferModel(
-        ntf_num=binom_power(n, 1.0),
-        ntf_den=char_poly(design.b, n, 1.0),
-        stf_num_degree=1,
-    )
 
 
 def ntf_series(b: Sequence[float], n: int, terms: int) -> list[float]:

@@ -7,7 +7,6 @@ import pytest
 
 from sdmstab.boundary import (
     DegenerateBoundaryError,
-    StabilityQuery,
     bisect_boundary,
     classify_intervals,
     crossing_param,
@@ -20,6 +19,7 @@ from sdmstab.boundary import (
 )
 from sdmstab.polynomial import Poly, all_roots, binom_power, cheb_expand, poly_rem
 from sdmstab.transfer import DCoeffs, char_poly, d_coeffs
+from test_acceptance import stable_b_sample
 
 B3 = (3.0, -3.0, 1.0)
 
@@ -47,6 +47,18 @@ class TestZeroPointCandidates:
         assert valid[0].x == pytest.approx(0.5, abs=1e-9)
         assert valid[0].source == "remainder_chain"
 
+    def test_a_from_either_profile(self):
+        # The cosine profile's a-term q0 = -2*(x-1)**2*(2x+1) vanishes at
+        # this event (x = -1/2), the sine profile's q1 at the worked one.
+        (cand,) = zero_point_candidates((3.0, -1.0, 1.0), 3)
+        assert cand.valid and cand.x == -0.5
+        assert cand.a == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+    def test_event_root_at_z_equals_one_is_skipped(self):
+        # sum(b) = 0 leaves the event polynomial 2x - 2 with its root at
+        # x = 1, where both profiles lose their a-term.
+        assert zero_point_candidates((1.0, -2.0, 1.0), 3) == []
+
     def test_spurious_root_flagged_invalid(self):
         cands = zero_point_candidates((1.0, 0.5, 0.1), 3)
         assert [c for c in cands if c.valid] == []
@@ -66,44 +78,49 @@ class TestZeroPointCandidates:
         assert [c for c in zero_point_candidates((1.0, -0.5), 2) if c.valid] == []
         assert [c for c in zero_point_candidates((1.0, 0.5), 2) if c.valid] == []
 
-    def test_symbolic_chain_matches_numeric_chain(self):
-        # Evaluating the carried rational coefficients at a fixed a must
-        # reproduce the plain numeric remainder sequence.
-        from sdmstab.boundary import _sym_profiles, _sym_rem
+    def test_event_polynomial_is_the_eliminant_of_a(self):
+        # Eliminating a from r0 = p0 + a*q0 and r1 = p1 + a*q1 gives
+        # E = p0*q1 - p1*q0; the event polynomial is E with its structural
+        # factor (1 - x)**(n // 2) and one constant per order divided out.
+        from sdmstab.boundary import _event_poly
 
-        rng = np.random.default_rng(83)
-        compared = 0
-        for _ in range(60):
-            n = int(rng.integers(2, 6))
-            b = tuple(rng.uniform(-4, 4, n))
-            a = float(rng.uniform(0.05, 4))
-            d = d_coeffs(b, n, a).d
-            num_chain = [
-                cheb_expand(d, a, "cosine"),
-                cheb_expand(d, kind="sine"),
-            ]
-            # Accumulated quotient amplification bounds the numeric side's
-            # own accuracy, exactly as in the division-identity property.
-            num_amp = [1.0, 1.0]
-            sym_chain = list(_sym_profiles(b, n))
-            while sym_chain[-1].xdeg >= 1 and not sym_chain[-1].is_zero:
-                sym_chain.append(_sym_rem(sym_chain[-2], sym_chain[-1]))
-                top, bot = num_chain[-2], num_chain[-1]
-                _, rem, _ = poly_rem(top, bot)
-                num_chain.append(rem)
-                gap = max(top.degree - bot.degree + 1, 0)
-                step = (bot.scale_max() / abs(bot.leading)) ** gap
-                num_amp.append(num_amp[-1] * step * max(1.0, top.scale_max() / max(bot.scale_max(), 1e-30)))
-            for sym, num, amp in zip(sym_chain, num_chain, num_amp):
-                if sym.den_condition(a) > 1e4 or amp > 1e5:
-                    break  # fp cancellation swamps the comparison here
-                vals = [sym.coeff_at(j, a) for j in range(len(sym.nums))]
-                ref = list(num.coeffs) + [0.0] * (len(vals) - len(num.coeffs))
-                scale = max(max((abs(v) for v in ref), default=0.0), 1e-12)
-                for got, want in zip(vals, ref):
-                    assert abs(got - want) <= 1e-6 * scale
-                compared += 1
-        assert compared > 150
+        rng = np.random.default_rng(89)
+        for n in range(1, 6):
+            binom = [math.comb(n, k) * (-1.0) ** k for k in range(1, n + 1)]
+            q0, q1 = cheb_expand(binom, 1.0), cheb_expand(binom, kind="sine")
+            consts = []
+            for _ in range(20):
+                b = tuple(rng.uniform(-4, 4, n))
+                p0, p1 = cheb_expand(b), cheb_expand(b, kind="sine")
+                eliminant = (p0 * q1 - p1 * q0).coeffs
+                deflated = (_event_poly(b, n) * binom_power(n // 2)).coeffs
+                e, r = np.zeros(2 * n), np.zeros(2 * n)
+                e[: len(eliminant)], r[: len(deflated)] = eliminant, deflated
+                c = float(e @ r / (r @ r))
+                tol = 1e-12 * np.abs(e).max()
+                assert np.abs(e - c * r).max() <= tol
+                assert np.abs(e[n:]).max() <= tol  # structural degree n - 1
+                consts.append(c)
+            assert max(consts) - min(consts) <= 1e-12 * abs(consts[0])
+
+    def test_event_polynomial_vanishes_only_on_reciprocal_designs(self):
+        # b_n = 0 and b_k = (-1)**n * b_{n-k} make F self-reciprocal for
+        # every a; the exactly rounded coefficients then cancel to zero.
+        rng = np.random.default_rng(97)
+        for n in range(2, 6):
+            for _ in range(50):
+                b = list(rng.uniform(-4, 4, n))
+                b[n - 1] = 0.0
+                for k in range(n // 2 + 1, n):
+                    b[k - 1] = (-1.0) ** n * b[n - k - 1]
+                b = tuple(b)
+                with pytest.raises(DegenerateBoundaryError):
+                    zero_point_candidates(b, n)
+                rep = classify_intervals(b, n)
+                assert rep.candidates == ()
+                assert all(not iv.stable for iv in rep.intervals)
+                # the smallest departure from symmetry leaves isolated events
+                zero_point_candidates(b[:-1] + (1e-300,), n)
 
     def test_candidates_sit_on_exact_terminal_roots(self):
         # Exact-rational replay of the chain: every reported candidate must
@@ -377,26 +394,12 @@ class TestClassifyIntervals:
             assert iv.stable == all(abs(z) < 1.0 for z in roots)
 
     def test_linear_case_anchor(self):
-        # Build designs whose linear model (a = 1) is stable by construction:
-        # sample pole sets inside the circle, then read off b = B - C.
+        # Designs whose linear model (a = 1) is stable by construction.
         rng = np.random.default_rng(71)
         anchored = 0
         for _ in range(120):
             n = int(rng.integers(1, 6))
-            f = Poly([1.0])
-            left = n
-            while left > 0:
-                if left >= 2 and rng.random() < 0.5:
-                    r = 0.9 * math.sqrt(rng.random())
-                    th = rng.uniform(0.0, math.pi)
-                    f = f * Poly([r * r, -2.0 * r * math.cos(th), 1.0])
-                    left -= 2
-                else:
-                    f = f * Poly([-rng.uniform(-0.9, 0.9), 1.0])
-                    left -= 1
-            diff = f - binom_power(n)
-            asc = list(diff.coeffs) + [0.0] * (n - len(diff.coeffs))
-            b = tuple(asc[n - k] for k in range(1, n + 1))
+            b = stable_b_sample(rng, n)
             try:
                 rep = classify_intervals(b, n)
             except DegenerateBoundaryError:
@@ -407,17 +410,23 @@ class TestClassifyIntervals:
         assert anchored > 100
 
     def test_reciprocal_design_falls_back_to_scan(self):
+        # A continuum design has no isolated events: the only edge is a_min,
+        # and the probes find both sides unstable.
         rep = classify_intervals((1.0, 0.0), 2)
+        assert rep.candidates == ()
+        assert [iv.lo for iv in rep.intervals] == [0.0, 0.25]
         assert all(not iv.stable for iv in rep.intervals)
 
     def test_intervals_correct_throughout_their_extent(self):
         # The verdict must hold across each whole interval, not just at the
         # witness: any missed boundary event would flip some interior probe.
+        # Half the designs have a stable linear model, where stable
+        # intervals (and so falsely-stable ones) are common.
         rng = np.random.default_rng(424242)
         probes = 0
-        for _ in range(300):
+        for i in range(300):
             n = int(rng.integers(1, 6))
-            b = tuple(rng.uniform(-4, 4, n))
+            b = stable_b_sample(rng, n) if i % 2 else tuple(rng.uniform(-4, 4, n))
             rep = classify_intervals(b, n)
             for iv in rep.intervals:
                 hi = iv.lo + 10.0 * max(iv.lo, 1.0) if math.isinf(iv.hi) else iv.hi
@@ -443,18 +452,6 @@ class TestBisectBoundary:
     def test_invalid_bracket(self):
         with pytest.raises(ValueError):
             bisect_boundary(B3, 3, 1.0, 1.5)  # both stable
-
-
-class TestStabilityQuery:
-    def test_valid(self):
-        q = StabilityQuery(b=(3.0, -3.0, 1.0), n=3, a_probe=1.0)
-        assert q.n == 3
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            StabilityQuery(b=(1.0,), n=2)
-        with pytest.raises(ValueError):
-            StabilityQuery(b=(1.0,), n=1, a_probe=-1.0)
 
 
 class TestReportSerialization:

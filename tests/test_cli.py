@@ -203,8 +203,17 @@ class TestMain:
         assert "cannot write" in capsys.readouterr().err
 
     def test_degenerate_bounds_still_reports(self, capsys):
-        # reciprocal-symmetric design: classification falls back internally
+        # reciprocal-symmetric design: the probes decide each side of a_min
         assert main(["bounds", "--b", "1,0"]) == 0
+
+    def test_non_finite_simulator_inputs_exit_2(self, capsys):
+        for extra in (["--dc", "nan"], ["--dc", "inf"],
+                      ["--sine-amp", "inf", "--sine-period", "16"],
+                      ["--sine-amp", "0.1", "--sine-period", "nan"]):
+            assert main(["simulate", "--g", "1,3,3", "--samples", "10", *extra]) == 2
+        assert main(["sweep", "--g", "1", "--amp-lo", "0", "--amp-hi", "inf",
+                     "--samples", "10"]) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_trace_formats(self, capsys):
         code = main(["simulate", "--g", "1,3,3", "--dc", "0.1",

@@ -91,6 +91,17 @@ class TestRun:
         with pytest.raises(ValueError):
             run((1.0,), SineInput(amplitude=0.1, period=0.0), 10)
 
+    def test_non_finite_inputs_rejected(self):
+        nan, inf = float("nan"), float("inf")
+        bad = [DcInput(nan), DcInput(inf), nan, SineInput(inf, 10.0),
+               SineInput(nan, 10.0), SineInput(0.1, inf), SineInput(0.1, nan),
+               SineInput(0.1, -4.0)]
+        for x in bad:
+            with pytest.raises(ValueError):
+                run((1.0,), x, 100)
+            with pytest.raises(ValueError):
+                trace_run((1.0,), x, 100)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             run((), DcInput(0.0), 10)
@@ -194,6 +205,11 @@ class TestSweep:
         assert p.stable == (not res.diverged)
         assert p.max_abs_state == res.max_abs_state
         assert p.first_divergence_sample == res.first_divergence_sample
+
+    def test_non_finite_range_rejected(self):
+        for lo, hi in ((float("nan"), 1.0), (0.0, float("inf")), (-float("inf"), 0.0)):
+            with pytest.raises(ValueError):
+                sweep((1.0,), lo, hi, 4, 100)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from sdmstab.transfer import (
     d_coeffs,
     g_from_b,
     ntf_series,
-    transfer_model,
 )
 
 
@@ -139,11 +138,3 @@ class TestDesignTypes:
             SdmDesign(n=2, b=(1.0,))
         with pytest.raises(ValueError):
             SdmDesign.from_b([])
-
-    def test_transfer_model_structure(self):
-        d = SdmDesign.from_g([1.0, 2.0])
-        tm = transfer_model(d)
-        assert tm.ntf_num == binom_power(2)
-        assert tm.ntf_den == Poly([0.0, 0.0, 1.0])  # z^2, monic degree n
-        assert tm.stf_num_degree == 1
-        assert (tm.ntf_den - tm.ntf_num).degree <= 1  # difference poly order n-1
