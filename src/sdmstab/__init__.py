@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .polynomial import (
     Poly,
-    RemainderChain,
     all_roots,
     binom_power,
     cheb_expand,
@@ -21,7 +20,6 @@ from .polynomial import (
     chebyshev_u,
     poly_rem,
     real_roots_open,
-    remainder_chain,
 )
 from .transfer import (
     DCoeffs,
@@ -76,7 +74,6 @@ from .simulator import (
 __all__ = [
     "__version__",
     "Poly",
-    "RemainderChain",
     "all_roots",
     "binom_power",
     "cheb_expand",
@@ -84,7 +81,6 @@ __all__ = [
     "chebyshev_u",
     "poly_rem",
     "real_roots_open",
-    "remainder_chain",
     "DCoeffs",
     "SdmDesign",
     "b_from_g",

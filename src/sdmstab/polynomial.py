@@ -8,17 +8,14 @@ Everything here is a pure function on immutable values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
     "Poly",
-    "RemainderChain",
     "binom_power",
     "poly_rem",
-    "remainder_chain",
     "chebyshev_t",
     "chebyshev_u",
     "cheb_expand",
@@ -162,40 +159,12 @@ def poly_rem(num: Poly, den: Poly) -> tuple[Poly, Poly, bool]:
                 r[i + j] -= c * dc[j]
         r[i + dd] = 0.0
     # Cancellation residue at the rounding floor is noise; dropping it keeps
-    # remainder chains from dividing by spurious leading terms.  The floor
+    # Sturm chains from dividing by spurious leading terms.  The floor
     # must stay below discriminant-level signals (a root pair split by s
     # leaves a remainder of order s**2) or close pairs read as double roots.
     tiny = 1e-15 * max(num.scale_max(), den.scale_max())
     rem = [0.0 if abs(c) <= tiny else c for c in r[:dd]]
     return Poly(q), Poly(rem), degenerate
-
-
-@dataclass(frozen=True)
-class RemainderChain:
-    """Euclidean remainder sequence: ``chain[k] = chain[k-2] mod chain[k-1]``."""
-
-    chain: tuple[Poly, ...]
-    degenerate: bool
-
-    @property
-    def terminal(self) -> Poly:
-        return self.chain[-1]
-
-
-def remainder_chain(r0: Poly, r1: Poly) -> RemainderChain:
-    """Run the full remainder sequence from ``r0, r1`` down to degree 0 or zero."""
-    if r0.is_zero or r1.is_zero:
-        raise ValueError("remainder chain requires nonzero starting polynomials")
-    chain = [r0, r1]
-    degenerate = False
-    while chain[-1].degree > 0:
-        _, r, dg = poly_rem(chain[-2], chain[-1])
-        degenerate = degenerate or dg
-        if r.is_zero:
-            chain.append(r)
-            break
-        chain.append(r)
-    return RemainderChain(tuple(chain), degenerate)
 
 
 def _cheb_tables(n: int) -> tuple[list[Poly], list[Poly]]:
@@ -274,16 +243,19 @@ def _sturm_chain(p: Poly) -> list[Poly]:
     return chain
 
 
-def _squarefree(p: Poly) -> Poly:
-    """Strip repeated factors so every remaining real root is simple."""
-    while p.degree > 1:
+def _squarefree(p: Poly) -> tuple[Poly, list[Poly]]:
+    """Strip repeated factors so every remaining real root is simple.
+
+    Returns the square-free part and its Sturm chain, whose last member is
+    the gcd with the derivative that proved it square-free.
+    """
+    while True:
         chain = _sturm_chain(p)
         g = chain[-1]
         if g.degree <= 0:
-            return p
+            return p, chain
         q, _, _ = poly_rem(p, g)
         p = _unit(q)
-    return p
 
 
 def _variations(chain: list[Poly], t: float) -> int:
@@ -344,10 +316,9 @@ def real_roots_open(p: Poly, lo: float, hi: float) -> list[float]:
         raise ValueError("cannot isolate roots of the zero polynomial")
     if p.degree < 1 or hi <= lo:
         return []
-    q = _squarefree(_unit(p))
+    q, chain = _squarefree(_unit(p))
     if q.degree < 1:
         return []
-    chain = _sturm_chain(q)
 
     def nudge(t: float, direction: float) -> float:
         # Endpoints must not sit on a root of the square-free part.

@@ -2,10 +2,12 @@
 
 On ``|z| = 1`` the image of a real polynomial ``F`` of degree ``n`` crosses
 the real axis only at the turning points ``W(1)``, ``W(-1)`` and at
-self-intersection points located by a polynomial in ``x = cos(phi)``.  Those
-characteristic points decide, without extracting any roots, whether all
-``n`` roots of ``F`` lie strictly inside the circle; a numeric winding
-integral and a Jury table serve as independent oracles.
+self-intersection points located by a polynomial in ``x = cos(phi)``.  The
+signs of those characteristic points, together with the sign of the
+sine-kind profile between them, give the winding of the image around the
+origin and so the exact number of roots inside the circle, without
+extracting any roots.  A numeric winding integral, eigenvalue extraction
+and a Jury table are kept as independent oracles.
 """
 
 from __future__ import annotations
@@ -67,10 +69,11 @@ class RootCountResult:
     """
 
     inside: int | None
-    method: str  # e1 | winding_oracle | eig_oracle | jury
+    # e1 (exact signed-crossing count) | eig_oracle (root extraction)
+    method: str
     marginal: bool = False
     points: CharacteristicPoints | None = None
-    winding: int | None = None
+    winding: int | None = None  # inside - degree; set on every e1 count
 
 
 def _normalized(f: Poly) -> Poly:
@@ -89,7 +92,12 @@ def characteristic_points(f: Poly) -> CharacteristicPoints:
     cosine/sine basis conversion; self-intersections are the roots of the
     sine-kind polynomial strictly inside (-1, 1).
     """
-    f = _normalized(f)
+    return _contour(_normalized(f))[0]
+
+
+def _contour(f: Poly) -> tuple[CharacteristicPoints, Poly]:
+    """Characteristic points of a normalized ``f`` and its sine-kind profile
+    ``r1``, with ``Im W = -sin(phi) * r1(cos(phi))``."""
     n = f.degree
     a = f.leading
     d = [f.coeffs[n - k] if n - k < len(f.coeffs) else 0.0 for k in range(1, n + 1)]
@@ -98,63 +106,61 @@ def characteristic_points(f: Poly) -> CharacteristicPoints:
     r1 = cheb_expand(d, kind="sine")
     if r1.is_zero:
         # W is the constant a: the image is a single point, no crossings.
-        return CharacteristicPoints(w_plus=w_plus, w_minus=w_minus, selfx=())
+        return CharacteristicPoints(w_plus=w_plus, w_minus=w_minus, selfx=()), r1
     r0 = cheb_expand(d, a=a, kind="cosine")
     xs = real_roots_open(r1, -1.0, 1.0)
     selfx = tuple(SelfIntersection(x=x, re_w=float(r0(x))) for x in xs)
-    return CharacteristicPoints(w_plus=w_plus, w_minus=w_minus, selfx=selfx)
-
-
-def _all_inside_predicate(cp: CharacteristicPoints) -> bool:
-    """True when the contour image cannot enclose the origin.
-
-    Both turning points must sit right of zero, and every maximal run of
-    consecutive self-intersections with ``Re W <= 0`` must have even length:
-    consecutive crossings alternate traversal direction, so an even run's
-    encirclements cancel pairwise while an odd run leaves a net loop around
-    the origin.  (Checking run lengths rather than the total count is what
-    the alternating-loop argument actually requires; fuzzing against root
-    oracles confirms it exactly.)
-    """
-    if cp.w_plus <= 0.0 or cp.w_minus <= 0.0:
-        return False
-    run = 0
-    for pt in cp.selfx:
-        if pt.re_w <= 0.0:
-            run += 1
-        elif run % 2:
-            return False
-        else:
-            run = 0
-    return run % 2 == 0
+    return CharacteristicPoints(w_plus=w_plus, w_minus=w_minus, selfx=selfx), r1
 
 
 def count_inside_e1(f: Poly) -> RootCountResult:
     """Count roots strictly inside ``|z| = 1`` from characteristic points.
 
-    When the all-inside predicate holds the count is the degree; otherwise
-    the exact count falls back to the numeric winding integral.  If any
-    characteristic value is within ``MARGIN`` (relative) of zero a root lies
-    on the contour and the result is flagged marginal with no count.
+    The count is ``n + w`` with ``w`` the signed number of times the image
+    crosses the negative real axis.  With ``s_0 .. s_m`` the signs of the
+    sine-kind profile ``r1`` on the gaps between its sorted roots in
+    ``(-1, 1)`` (``s_0`` next to ``x = -1``), and ``Im W = -sin(phi)*r1``:
+    a self-intersection ``x_i`` with ``Re W < 0`` adds ``s_(i-1) - s_i``
+    (both conjugate halves; 0 at a tangency), ``W(1) < 0`` adds ``s_m`` and
+    ``W(-1) < 0`` adds ``-s_0``.  Each gap sign is read at the gap midpoint,
+    so a root of ``r1`` too close to ``x = +-1`` to be isolated does not
+    flip it.  If any characteristic value is within ``MARGIN`` (relative)
+    of zero, or ``r1`` vanishes at a gap midpoint, the result is flagged
+    marginal with no count.
     """
     f = _normalized(f)
     n = f.degree
-    cp = characteristic_points(f)
-    scale = f.scale_max()
-    tol = MARGIN * scale
+    cp, r1 = _contour(f)
+    tol = MARGIN * f.scale_max()
+    signs = _gap_signs(r1, cp.selfx)
     if (
-        abs(cp.w_plus) < tol
+        signs is None
+        or abs(cp.w_plus) < tol
         or abs(cp.w_minus) < tol
         or any(abs(pt.re_w) < tol for pt in cp.selfx)
     ):
         return RootCountResult(inside=None, method="e1", marginal=True, points=cp)
-    if _all_inside_predicate(cp):
-        return RootCountResult(inside=n, method="e1", points=cp)
-    try:
-        w = winding_oracle(f)
-    except RuntimeError:
-        return RootCountResult(inside=None, method="winding_oracle", marginal=True, points=cp)
-    return RootCountResult(inside=n + w, method="winding_oracle", points=cp, winding=w)
+    w = sum(signs[i] - signs[i + 1] for i, pt in enumerate(cp.selfx) if pt.re_w < 0.0)
+    if cp.w_plus < 0.0:
+        w += signs[-1]
+    if cp.w_minus < 0.0:
+        w -= signs[0]
+    return RootCountResult(inside=n + w, method="e1", points=cp, winding=w)
+
+
+def _gap_signs(r1: Poly, selfx: tuple[SelfIntersection, ...]) -> list[int] | None:
+    """Sign of ``r1`` at the midpoint of each gap between -1, the sorted
+    self-intersections and 1; None when ``r1`` vanishes at a midpoint."""
+    if r1.is_zero:
+        return [0]  # constant image: it crosses nothing
+    edges = [-1.0, *(pt.x for pt in selfx), 1.0]
+    signs = []
+    for lo, hi in zip(edges, edges[1:]):
+        v = r1(0.5 * (lo + hi))
+        if v == 0.0:
+            return None
+        signs.append(1 if v > 0.0 else -1)
+    return signs
 
 
 _ANGLE_CACHE: dict[int, np.ndarray] = {}
@@ -182,6 +188,10 @@ def winding_oracle(f: Poly, samples: int = 4096) -> int:
     if f.is_zero or f.degree < 1:
         raise ValueError("need a polynomial of degree >= 1")
     n = f.degree
+    # A positive scale leaves the winding unchanged and keeps the sampled
+    # products of W values from overflowing on huge coefficients.
+    s = f.scale_max()
+    f = Poly(c / s for c in f.coeffs)
     desc = f.descending()
     m = max(16, int(samples))
     z = _unit_circle(m)

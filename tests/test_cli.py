@@ -206,6 +206,10 @@ class TestMain:
         # reciprocal-symmetric design: the probes decide each side of a_min
         assert main(["bounds", "--b", "1,0"]) == 0
 
+    def test_huge_design_writes_no_warnings(self, capsys):
+        assert main(["bounds", "--b=1e300,-1e300,1e300"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_non_finite_simulator_inputs_exit_2(self, capsys):
         for extra in (["--dc", "nan"], ["--dc", "inf"],
                       ["--sine-amp", "inf", "--sine-period", "16"],

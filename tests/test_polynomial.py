@@ -12,7 +12,6 @@ from sdmstab.polynomial import (
     chebyshev_u,
     poly_rem,
     real_roots_open,
-    remainder_chain,
 )
 
 
@@ -128,32 +127,6 @@ class TestPolyRem:
             assert resid.scale_max() <= 1e-9 * max(p.scale_max(), 1e-30)
             checked += 1
         assert checked > 350
-
-
-class TestRemainderChain:
-    def test_degrees_strictly_decrease(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            r0 = Poly(rng.uniform(-4, 4, 6))
-            r1 = Poly(rng.uniform(-4, 4, 5))
-            if r0.is_zero or r1.is_zero:
-                continue
-            ch = remainder_chain(r0, r1)
-            for a, b in zip(ch.chain[1:], ch.chain[2:]):
-                if not b.is_zero:
-                    assert b.degree < a.degree
-
-    def test_each_link_reconstructs(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            r0 = Poly(rng.uniform(-4, 4, 6))
-            r1 = Poly(rng.uniform(-4, 4, 5))
-            ch = remainder_chain(r0, r1)
-            for k in range(2, len(ch.chain)):
-                quot, rem, _ = poly_rem(ch.chain[k - 2], ch.chain[k - 1])
-                resid = ch.chain[k - 2] - (ch.chain[k - 1] * quot + ch.chain[k])
-                scale = max(ch.chain[k - 2].scale_max(), 1e-30)
-                assert resid.scale_max() <= 1e-9 * scale
 
 
 class TestChebExpand:

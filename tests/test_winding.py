@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from sdmstab.polynomial import Poly, all_roots
+import sdmstab.winding as winding
+from sdmstab.polynomial import BOUNDARY_EXCLUSION, Poly, all_roots
 from sdmstab.transfer import char_poly
 from sdmstab.winding import (
     characteristic_points,
@@ -82,6 +84,21 @@ class TestCharacteristicPoints:
                 assert abs(w.real - pt.re_w) <= 1e-8 * max(1.0, abs(pt.re_w))
 
 
+def _fuzz_corpus():
+    """Random polynomials of degree 1-5 with no root within 1e-6 of the
+    circle, each with its eigenvalue count of roots inside."""
+    rng = np.random.default_rng(41)
+    for _ in range(2000):
+        n = int(rng.integers(1, 6))
+        f = Poly(rng.uniform(-4, 4, n + 1))
+        if f.degree != n:
+            continue
+        roots = all_roots(f)
+        if min(abs(abs(z) - 1.0) for z in roots) < 1e-6:
+            continue
+        yield f, sum(1 for z in roots if abs(z) < 1.0)
+
+
 class TestCountInsideE1:
     def test_fig2_all_inside_despite_failed_sufficient_condition(self):
         res = count_inside_e1(FIG2)
@@ -95,9 +112,11 @@ class TestCountInsideE1:
             assert count_inside_e1(f).inside == n
 
     def test_fallback_count(self):
+        # roots 0.5 and 2: W(1) < 0 is the only crossing left of the origin
         res = count_inside_e1(Poly([1.0, -2.5, 1.0]))
         assert res.inside == 1
-        assert res.method == "winding_oracle"
+        assert res.method == "e1"
+        assert res.winding == -1
 
     def test_marginal_on_circle_root(self):
         res = count_inside_e1(Poly([1.0, -1.0, 1.0]))  # roots exactly on |z|=1
@@ -105,24 +124,53 @@ class TestCountInsideE1:
         assert res.inside is None
 
     def test_oracle_agreement_fuzz(self):
-        rng = np.random.default_rng(41)
         checked = 0
-        for _ in range(2000):
-            n = int(rng.integers(1, 6))
-            f = Poly(rng.uniform(-4, 4, n + 1))
-            if f.degree != n:
-                continue
-            roots = all_roots(f)
-            if min(abs(abs(z) - 1.0) for z in roots) < 1e-6:
-                continue
-            truth = sum(1 for z in roots if abs(z) < 1.0)
+        for f, truth in _fuzz_corpus():
             res = count_inside_e1(f)
             assert not res.marginal
             assert res.inside == truth
-            assert n + winding_oracle(f) == truth
+            assert res.winding == res.inside - f.degree
+            assert f.degree + winding_oracle(f) == truth
             assert count_inside_eig(f).inside == truth
             checked += 1
         assert checked > 1800
+
+    def test_no_oracle_on_the_production_path(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("oracle called by count_inside_e1")
+
+        monkeypatch.setattr(winding, "winding_oracle", refuse)
+        monkeypatch.setattr(winding, "count_inside_eig", refuse)
+        monkeypatch.setattr(winding, "all_roots", refuse)
+        for f, truth in _fuzz_corpus():
+            res = count_inside_e1(f)
+            assert res.method == "e1"
+            assert res.inside == truth
+
+    def test_tangency_contributes_nothing(self):
+        # r1 = -4*(x - 0.5)**2 touches zero at x = 0.5, where Re W = -0.5:
+        # the image grazes the negative real axis without crossing it.
+        f = Poly([-1.0, 2.0, -2.0, 0.5])
+        cp = characteristic_points(f)
+        assert [(pt.x, pt.re_w) for pt in cp.selfx] == [(0.5, -0.5)]
+        assert cp.w_plus < 0.0 < cp.w_minus
+        res = count_inside_e1(f)
+        assert res.winding == -1  # from W(1) alone
+        assert res.inside == count_inside_eig(f).inside == 2
+
+    @pytest.mark.parametrize("edge", [1.0, -1.0])
+    @pytest.mark.parametrize("offset", [0.0, 0.5 * BOUNDARY_EXCLUSION])
+    def test_sine_root_next_to_turning_point(self, edge, offset):
+        # r1 = d1 + 2*x has its root at x = edge -+ offset, too close to the
+        # turning point to be isolated; W(edge) = -0.5 sits beside it.
+        x_root = edge - math.copysign(offset, edge)
+        f = Poly([1.0, -2.0 * x_root, 0.5])
+        cp = characteristic_points(f)
+        assert cp.selfx == ()
+        assert (cp.w_plus if edge > 0 else cp.w_minus) < 0.0
+        res = count_inside_e1(f)
+        assert not res.marginal
+        assert res.inside == count_inside_eig(f).inside == 1
 
 
 class TestWindingOracle:
@@ -138,6 +186,12 @@ class TestWindingOracle:
     def test_root_exactly_on_circle_exhausts_refinement(self):
         with pytest.raises(RuntimeError):
             winding_oracle(Poly([1.0, -1.0, 1.0]))  # roots exactly on |z| = 1
+
+    def test_huge_coefficients_do_not_overflow(self):
+        for f in (1e300 * Poly([1.0, -2.5, 1.0]), Poly([1e300, -1e300, 1e300, 1e300])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert f.degree + winding_oracle(f) == count_inside_eig(f).inside
 
     def test_local_refinement_handles_hugging_roots(self):
         # local arc bisection resolves roots far closer than uniform
