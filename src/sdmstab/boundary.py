@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .polynomial import Poly, all_roots, cheb_expand, chebyshev_u
-from .transfer import DCoeffs, MAX_ORDER, char_poly
+from .transfer import DCoeffs, MAX_ORDER
+from .transfer import _char_poly, _check_coeffs, _check_result, _check_scalar
 from .winding import count_inside_e1, count_inside_eig
 
 __all__ = [
@@ -55,8 +56,8 @@ class DegenerateBoundaryError(ValueError):
 class ZeroPointCandidate:
     """Value of ``a`` at which the contour image may pass through the origin.
 
-    ``x`` is the associated ``cos(phi)``; ``valid`` requires ``|x| < 1`` and
-    a confirmed root of ``F(z; a)`` on the circle.
+    ``x`` is the associated ``cos(phi)``; ``valid`` means ``F(z; a)`` has a
+    root on the unit circle at an interior angle.
     """
 
     a: float
@@ -82,22 +83,13 @@ class StabilityReport:
     intervals: tuple[StabilityInterval, ...]
 
 
-def _check_design(b: Sequence[float], n: int) -> tuple[float, ...]:
-    b = tuple(float(v) for v in b)
-    if not 1 <= n <= MAX_ORDER:
-        raise ValueError(f"order must be in [1, {MAX_ORDER}], got {n}")
-    if len(b) != n:
-        raise ValueError(f"len(b) must equal order {n}, got {len(b)}")
-    return b
-
-
 def i_min(b: Sequence[float], n: int) -> float:
     """Lower stability bound: the ``a`` at which a root crosses at ``z = -1``.
 
     Evaluates ``-sum((-1)**k * b_k) / 2**n`` with an exactly-rounded sum, so
     the value is as accurate as the inputs allow; ``F(-1; a_min) = 0``.
     """
-    b = _check_design(b, n)
+    b = _check_coeffs(b, "b", n)
     alt = math.fsum((-1.0) ** k * b[k - 1] for k in range(1, n + 1))
     return -alt / 2.0**n
 
@@ -154,7 +146,7 @@ def _event_poly(b: tuple[float, ...], n: int) -> Poly:
 
 
 def _on_circle_distance(b: tuple[float, ...], n: int, a: float) -> float:
-    roots = all_roots(char_poly(b, n, a))
+    roots = all_roots(_char_poly(b, n, a))
     return min(abs(abs(z) - 1.0) for z in roots)
 
 
@@ -172,13 +164,13 @@ def zero_point_candidates(b: Sequence[float], n: int) -> list[ZeroPointCandidate
     one event polynomial in ``x`` (degree at most two once its structural
     ``(1-x)`` factor is divided out).  Each real root ``x`` gives
     ``a = -p(x)/q(x)`` from the profile with the larger ``|q(x)|``; roots
-    with ``a < 0`` are dropped.  A candidate is ``valid`` when ``|x| < 1``
-    and ``F(z; a)`` has a root within ``ON_CIRCLE_TOL`` of the unit circle;
-    other candidates are kept but flagged invalid.  Raises
+    with ``a < 0`` are dropped.  A candidate is ``valid`` when ``|x| < 1``:
+    its ``a`` zeroes one profile and leaves the other at ``+-E/q = 0``, so
+    ``F`` has a root on the circle; other candidates are flagged invalid.  Raises
     :class:`DegenerateBoundaryError` when the event polynomial vanishes
     identically (a continuum, not isolated candidates).
     """
-    b = _check_design(b, n)
+    b = _check_coeffs(b, "b", n)
     event = _event_poly(b, n)
     if event.is_zero:
         raise DegenerateBoundaryError(
@@ -203,8 +195,7 @@ def zero_point_candidates(b: Sequence[float], n: int) -> list[ZeroPointCandidate
         a = -p / q
         if not 0.0 <= a < math.inf:
             continue
-        valid = abs(x) < 1.0 and _on_circle_distance(b, n, a) <= ON_CIRCLE_TOL
-        out.append(ZeroPointCandidate(a=a, x=x, valid=valid, source="remainder_chain"))
+        out.append(ZeroPointCandidate(a=a, x=x, valid=abs(x) < 1.0, source="remainder_chain"))
     out.sort(key=lambda c: c.a)
     return out
 
@@ -214,16 +205,21 @@ def i_max_order3(b: Sequence[float]) -> tuple[float, bool]:
 
     The flag reports whether the recovered crossing location
     ``x = -(b2 + 2a) / (2*(b3 - a))`` is a genuine interior self-intersection
-    (``|x| < 1`` and ``b3 != a``).  Raises on a zero denominator.
+    (``|x| < 1`` and ``b3 != a``).  Raises on a zero denominator and when
+    the boundary overflows the float range.
     """
-    b = _check_design(b, 3)
+    b = _check_coeffs(b, "b", 3)
     s = math.fsum(b)
     if s == 0.0:
         raise ValueError("b1 + b2 + b3 must be nonzero")
-    a = (b[0] * b[2] - b[2] ** 2) / s
+    try:
+        a = (b[0] * b[2] - b[2] ** 2) / s
+    except OverflowError:
+        a = math.inf
     if b[2] == a:
         return a, False
     x = -(b[1] + 2.0 * a) / (2.0 * (b[2] - a))
+    _check_result((a, x), "the order-3 boundary")
     return a, abs(x) < 1.0
 
 
@@ -245,14 +241,21 @@ def crossing_value(b: Sequence[float], n: int, phi: float) -> complex:
 
     Solves ``F(e^{i phi}; a) = 0`` for ``a``: the value is a root-crossing
     parameter only where it comes out real and positive.  At ``phi = pi``
-    it reduces exactly to the ``i_min`` formula.
+    it reduces exactly to the ``i_min`` formula.  Raises where the value
+    leaves the float range (``phi`` at or next to 0).
     """
-    b = _check_design(b, n)
+    val = _crossing_value(_check_coeffs(b, "b", n), n, _check_scalar(phi, "phi"))
+    _check_result((val.real, val.imag), "the crossing parameter")
+    return val
+
+
+def _crossing_value(b: Sequence[float], n: int, phi: float) -> complex:
     z = complex(math.cos(phi), math.sin(phi))
     num = 0.0 + 0.0j
     for coeff in b:  # b is already ordered descending in z powers
         num = num * z + coeff
-    return -num / (z - 1.0) ** n
+    den = (z - 1.0) ** n
+    return -num / den if den != 0.0 else complex(math.inf, math.inf)
 
 
 def crossing_param(
@@ -264,12 +267,16 @@ def crossing_param(
     bisects each bracket to 1e-12 in ``phi``, and emits ``(a, x=cos(phi))``
     for every real crossing with ``a > 0``.
     """
-    b = _check_design(b, n)
+    b = _check_coeffs(b, "b", n)
     if phi_grid < 2:
         raise ValueError("phi_grid must be >= 2")
+    # a(phi) is linear in b: work on b scaled by a power of two (exact), whose
+    # values stay in range next to phi = 0, and scale each crossing back.
+    scale = math.ldexp(1.0, math.frexp(max(abs(v) for v in b))[1])
+    bs = [v / scale for v in b]
     phis = np.linspace(0.0, math.pi, phi_grid + 2)[1:-1]
     z = np.exp(1j * phis)
-    vals = -np.polyval(np.asarray(b, dtype=float), z) / (z - 1.0) ** n
+    vals = -np.polyval(np.asarray(bs, dtype=float), z) / (z - 1.0) ** n
     ims = vals.imag
     signs = np.where(ims >= 0.0, 1.0, -1.0)
     # Rounding noise on a structurally-real parameter (reciprocal designs)
@@ -283,7 +290,7 @@ def crossing_param(
         flo = float(ims[i])
         while hi - lo > 1e-12:
             mid = 0.5 * (lo + hi)
-            fm = crossing_value(b, n, mid).imag
+            fm = _crossing_value(bs, n, mid).imag
             if fm == 0.0:
                 lo = hi = mid
                 break
@@ -292,9 +299,10 @@ def crossing_param(
             else:
                 hi = mid
         phi = 0.5 * (lo + hi)
-        a = crossing_value(b, n, phi).real
+        a = _crossing_value(bs, n, phi).real * scale
         if a <= 0.0:
             continue
+        _check_result((a,), "the crossing parameter")
         if any(abs(a - c.a) <= 1e-9 * max(1.0, abs(c.a)) for c in out):
             continue
         valid = _on_circle_distance(b, n, a) <= ON_CIRCLE_TOL
@@ -322,9 +330,10 @@ def _merge_events(values: list[float]) -> list[float]:
 
 def _probe(b: tuple[float, ...], n: int, a: float) -> tuple[bool, int | None]:
     """Stability verdict at one ``a``: criterion count with eigen fallback."""
-    res = count_inside_e1(char_poly(b, n, a))
+    f = _char_poly(b, n, a)
+    res = count_inside_e1(f)
     if res.marginal:
-        eig = count_inside_eig(char_poly(b, n, a))
+        eig = count_inside_eig(f)
         return False, eig.inside  # a marginal probe never certifies stability
     return res.inside == n, res.inside
 
@@ -340,7 +349,7 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
     interval.  If ``sum(b) <= 0`` the turning point at ``z = 1`` is never
     positive and every interval is unstable without further search.
     """
-    b = _check_design(b, n)
+    b = _check_coeffs(b, "b", n)
     sum_b = math.fsum(b)
     a_min = i_min(b, n)
 
@@ -394,20 +403,25 @@ def bisect_boundary(b: Sequence[float], n: int, lo: float, hi: float) -> float:
     """Numeric flip-point search between two ``a`` values of different verdict.
 
     The verdict at each end comes from explicit root moduli; the bracket is
-    bisected to 1e-10.  Raises ``ValueError`` when both ends agree.
+    bisected to 1e-10, or to float resolution where that is coarser.  Raises
+    ``ValueError`` when both ends agree.
     """
-    b = _check_design(b, n)
+    b = _check_coeffs(b, "b", n)
+    lo = _check_scalar(lo, "lo", nonnegative=True)
+    hi = _check_scalar(hi, "hi", nonnegative=True)
     if not lo < hi:
         raise ValueError("need lo < hi")
 
     def stable(a: float) -> bool:
-        return max(abs(z) for z in all_roots(char_poly(b, n, a))) < 1.0
+        return max(abs(z) for z in all_roots(_char_poly(b, n, a))) < 1.0
 
     s_lo, s_hi = stable(lo), stable(hi)
     if s_lo == s_hi:
         raise ValueError("stability verdicts at lo and hi must differ")
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if stable(mid) == s_lo:
             lo = mid
         else:

@@ -205,16 +205,23 @@ def cheb_expand(d: Sequence[float], a: float = 0.0, kind: str = "cosine") -> Pol
     if not 1 <= n <= MAX_CHEB_ORDER:
         raise ValueError(f"need 1..{MAX_CHEB_ORDER} coefficients, got {n}")
     if kind == "cosine":
-        acc = Poly([float(a)])
-        for k in range(1, n + 1):
-            acc = acc + float(d[k - 1]) * _T_TABLE[k]
-        return acc
-    if kind == "sine":
-        acc = Poly()
-        for k in range(1, n + 1):
-            acc = acc + float(d[k - 1]) * _U_TABLE[k - 1]
-        return acc
-    raise ValueError(f"kind must be 'cosine' or 'sine', got {kind!r}")
+        acc, basis = [float(a)], _T_TABLE[1 : n + 1]
+    elif kind == "sine":
+        acc, basis = [], _U_TABLE[:n]
+    else:
+        raise ValueError(f"kind must be 'cosine' or 'sine', got {kind!r}")
+    # The same sums in the same order as adding the scaled basis Polys one at
+    # a time (zero terms skipped, trailing zeros dropped), so the result is
+    # bit-identical; padding with -0.0 is exact, as x + -0.0 == x for every x.
+    for dk, tk in zip(d, basis):
+        while acc and acc[-1] == 0.0:
+            acc.pop()
+        dk = float(dk)
+        if dk != 0.0:
+            acc += [-0.0] * (len(tk.coeffs) - len(acc))
+            for j, c in enumerate(tk.coeffs):
+                acc[j] += dk * c
+    return Poly(acc)
 
 
 # --- real-root isolation ----------------------------------------------------
@@ -368,10 +375,13 @@ def all_roots(p: Poly) -> list[complex]:
 
     Each root gets a short Newton polish (kept only when the residual
     improves); output order is deterministic, sorted by real then imaginary
-    part.  Raises ``ValueError`` for degree < 1.
+    part.  Raises ``ValueError`` for degree < 1, and when a coefficient
+    exceeds the leading one 1e300-fold (the companion matrix would overflow).
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1 to extract roots")
+    if not all(abs(c / p.leading) <= 1e300 for c in p.coeffs):
+        raise ValueError("roots out of float range: the leading coefficient is too small")
     raw = np.roots(p.descending())
     dp = p.derivative()
     out: list[complex] = []

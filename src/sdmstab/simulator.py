@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .transfer import MAX_ORDER
+from .transfer import _check_coeffs, _check_result, _check_scalar
 
 __all__ = [
     "DcInput",
@@ -99,31 +99,14 @@ class WindowReport:
     windows: tuple[Window, ...]
 
 
-def _check_g(g: Sequence[float]) -> tuple[float, ...]:
-    g = tuple(float(v) for v in g)
-    if not 1 <= len(g) <= MAX_ORDER:
-        raise ValueError(f"order must be in [1, {MAX_ORDER}], got {len(g)}")
-    for v in g:
-        if not math.isfinite(v):
-            raise ValueError("g must contain finite values")
-    return g
-
-
-def _check_state(s0, n: int) -> tuple[float, ...]:
-    if s0 is None:
-        return (0.0,) * n
-    s0 = tuple(float(v) for v in s0)
-    if len(s0) != n:
-        raise ValueError(f"initial state must have {n} entries")
-    return s0
-
-
 # --- hot loops ---------------------------------------------------------------
 #
 # DC input dominates both the sweep workload and the long-run timing budget,
 # so every order gets a hand-unrolled loop on local floats.  The generic
-# loop (arbitrary waveforms) uses the same expression shapes, so results
-# are bit-identical across paths.
+# loop (arbitrary waveforms, step records) uses the same expression shapes,
+# so results are bit-identical across paths.  Inputs and threshold are
+# finite, so the first non-finite state is +-inf and exits at once: no loop
+# needs a NaN check.
 
 
 def _dc_order1(g, x, samples, threshold, s0):
@@ -239,7 +222,7 @@ def _dc_order5(g, x, samples, threshold, s0):
 _DC_FAST = {1: _dc_order1, 2: _dc_order2, 3: _dc_order3, 4: _dc_order4, 5: _dc_order5}
 
 
-def _run_generic(g, sample_at, samples, threshold, s0):
+def _run_generic(g, sample_at, samples, threshold, s0, record=None):
     n = len(g)
     s = list(s0)
     v = 1.0 if s[-1] >= 0.0 else -1.0
@@ -252,6 +235,8 @@ def _run_generic(g, sample_at, samples, threshold, s0):
         s[0] = s[0] + (x - g[0] * v)
         v = 1.0 if s[n - 1] >= 0.0 else -1.0
         vsum += v
+        if record is not None:
+            record.append(SimState(s=tuple(s), v=v, k=k))
         grew = False
         for val in s:
             if val > runmax or -val > runmax:
@@ -263,18 +248,41 @@ def _run_generic(g, sample_at, samples, threshold, s0):
     return False, None, runmax, vsum, samples
 
 
-def _coerce_input(x):
-    """A validated :class:`DcInput` or :class:`SineInput`; bare numbers are DC."""
-    if not isinstance(x, (DcInput, SineInput)):
-        x = DcInput(level=float(x))
+def _setup(g, x, samples, threshold, initial_state):
+    """Checked ``(g, x, threshold, s0)`` for :func:`run` and :func:`trace_run`,
+    with ``x`` a :class:`DcInput` or :class:`SineInput`; bare numbers are DC."""
+    g = _check_coeffs(g, "g")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    threshold = _check_scalar(threshold, "threshold", positive=True)
+    if initial_state is None:
+        s0 = (0.0,) * len(g)
+    else:
+        s0 = _check_coeffs(initial_state, "initial_state", len(g))
+    if isinstance(x, SineInput):
+        amp = _check_scalar(x.amplitude, "sine amplitude")
+        x = SineInput(amp, _check_scalar(x.period, "sine period", positive=True))
+    else:
+        x = DcInput(_check_scalar(x.level if isinstance(x, DcInput) else x, "DC level"))
+    return g, x, threshold, s0
+
+
+def _sample_at(x):
     if isinstance(x, DcInput):
-        if not math.isfinite(x.level):
-            raise ValueError("DC level must be finite")
-    elif not math.isfinite(x.amplitude):
-        raise ValueError("sine amplitude must be finite")
-    elif not 0.0 < x.period < math.inf:
-        raise ValueError("sine period must be positive and finite")
-    return x
+        level = x.level
+        return lambda k: level
+    amp, w = x.amplitude, 2.0 * math.pi / x.period
+    return lambda k: amp * math.sin(w * k)
+
+
+def _summary(diverged, first, runmax, vsum, ran) -> SimResult:
+    return SimResult(
+        diverged=diverged,
+        first_divergence_sample=first,
+        max_abs_state=runmax,
+        mean_v=vsum / ran,
+        samples_run=ran,
+    )
 
 
 def run(
@@ -291,30 +299,12 @@ def run(
     magnitude exceeds ``threshold``; the quantizer output of that final
     sample is still counted.  Identical inputs produce identical results.
     """
-    g = _check_g(g)
-    n = len(g)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if not threshold > 0.0:
-        raise ValueError("threshold must be positive")
-    s0 = _check_state(initial_state, n)
-    x = _coerce_input(x)
-
+    g, x, threshold, s0 = _setup(g, x, samples, threshold, initial_state)
     if isinstance(x, DcInput):
-        out = _DC_FAST[n](g, x.level, samples, threshold, s0)
+        out = _DC_FAST[len(g)](g, x.level, samples, threshold, s0)
     else:
-        amp, period = x.amplitude, x.period
-        w = 2.0 * math.pi / period
-        out = _run_generic(g, lambda k: amp * math.sin(w * k), samples, threshold, s0)
-
-    diverged, first, runmax, vsum, ran = out
-    return SimResult(
-        diverged=diverged,
-        first_divergence_sample=first,
-        max_abs_state=runmax,
-        mean_v=vsum / ran,
-        samples_run=ran,
-    )
+        out = _run_generic(g, _sample_at(x), samples, threshold, s0)
+    return _summary(*out)
 
 
 def trace_run(
@@ -325,52 +315,10 @@ def trace_run(
     initial_state: Sequence[float] | None = None,
 ) -> tuple[SimResult, list[SimState]]:
     """Like :func:`run` but records every step; for bounded trace dumps."""
-    g = _check_g(g)
-    n = len(g)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    s0 = _check_state(initial_state, n)
-    x = _coerce_input(x)
-    if isinstance(x, DcInput):
-        level = x.level
-        sample_at = lambda k: level  # noqa: E731
-    else:
-        amp, period = x.amplitude, x.period
-        w = 2.0 * math.pi / period
-        sample_at = lambda k: amp * math.sin(w * k)  # noqa: E731
-
-    s = list(s0)
-    v = 1.0 if s[-1] >= 0.0 else -1.0
-    vsum = 0.0
-    runmax = 0.0
+    g, x, threshold, s0 = _setup(g, x, samples, threshold, initial_state)
     states: list[SimState] = []
-    diverged = False
-    first = None
-    ran = samples
-    for k in range(samples):
-        xk = sample_at(k)
-        for j in range(n - 1, 0, -1):
-            s[j] = s[j] + (s[j - 1] - g[j] * v)
-        s[0] = s[0] + (xk - g[0] * v)
-        v = 1.0 if s[n - 1] >= 0.0 else -1.0
-        vsum += v
-        states.append(SimState(s=tuple(s), v=v, k=k))
-        m = max(abs(val) for val in s)
-        if m > runmax:
-            runmax = m
-        if runmax > threshold:
-            diverged = True
-            first = k
-            ran = k + 1
-            break
-    result = SimResult(
-        diverged=diverged,
-        first_divergence_sample=first,
-        max_abs_state=runmax,
-        mean_v=vsum / ran,
-        samples_run=ran,
-    )
-    return result, states
+    out = _run_generic(g, _sample_at(x), samples, threshold, s0, states)
+    return _summary(*out), states
 
 
 def linearized_impulse(g: Sequence[float], terms: int) -> list[float]:
@@ -380,7 +328,7 @@ def linearized_impulse(g: Sequence[float], terms: int) -> list[float]:
     impulse at zero input; the response must match ``ntf_series`` of the
     derived ``b`` coefficients term by term.
     """
-    g = _check_g(g)
+    g = _check_coeffs(g, "g")
     n = len(g)
     if terms < 1:
         raise ValueError("terms must be >= 1")
@@ -393,6 +341,7 @@ def linearized_impulse(g: Sequence[float], terms: int) -> list[float]:
         s[0] = s[0] + (0.0 - g[0] * v)
         v = s[n - 1] + (1.0 if k == 0 else 0.0)
         out.append(v)
+    _check_result(out, "the impulse response")
     return out
 
 
@@ -407,9 +356,10 @@ def extract_windows(grid) -> tuple[Window, ...]:
     last = None
     for item in grid:
         if hasattr(item, "amplitude"):
-            amp, stable = float(item.amplitude), bool(item.stable)
+            amp, stable = item.amplitude, bool(item.stable)
         else:
-            amp, stable = float(item[0]), bool(item[1])
+            amp, stable = item[0], bool(item[1])
+        amp = _check_scalar(amp, "amplitude")
         if not stable:
             if start is None:
                 start = amp
@@ -436,8 +386,8 @@ def sweep(
     never diverged.  Grid amplitudes are evenly spaced over
     ``[amp_lo, amp_hi]`` inclusive.
     """
-    if not (math.isfinite(amp_lo) and math.isfinite(amp_hi)):
-        raise ValueError("amp_lo and amp_hi must be finite")
+    amp_lo = _check_scalar(amp_lo, "amp_lo")
+    amp_hi = _check_scalar(amp_hi, "amp_hi")
     if not amp_lo < amp_hi:
         raise ValueError("need amp_lo < amp_hi")
     if steps < 2:

@@ -30,17 +30,41 @@ __all__ = [
 MAX_ORDER = 5
 
 
-def _validate_order(n: int) -> None:
-    if not 1 <= n <= MAX_ORDER:
-        raise ValueError(f"order must be in [1, {MAX_ORDER}], got {n}")
+# Input validation for every public entry point of transfer, boundary and
+# simulator; each failure is a ValueError (CLI exit 2).  The cap keeps fsum
+# of MAX_ORDER values and a*(z-1)**n (binomials <= 10) far from overflow; a
+# positive value is at least 1/MAX_MAGNITUDE, so its reciprocal is in range.
+
+MAX_MAGNITUDE = 1e300
 
 
-def _as_floats(seq: Sequence[float], name: str) -> tuple[float, ...]:
-    vals = tuple(float(v) for v in seq)
-    for v in vals:
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must contain finite values")
+def _check_scalar(v: float, name: str, *, nonnegative=False, positive=False) -> float:
+    """``v`` as a float, finite with ``|v| <= MAX_MAGNITUDE``."""
+    v = float(v)
+    if not math.isfinite(v) or abs(v) > MAX_MAGNITUDE:
+        raise ValueError(f"{name} must be finite with magnitude <= {MAX_MAGNITUDE:g}, got {v!r}")
+    if nonnegative and v < 0.0:
+        raise ValueError(f"{name} must be nonnegative, got {v!r}")
+    if positive and v < 1.0 / MAX_MAGNITUDE:
+        raise ValueError(f"{name} must be positive (>= {1.0 / MAX_MAGNITUDE:g}), got {v!r}")
+    return v
+
+
+def _check_coeffs(seq: Sequence[float], name: str, n: int | None = None) -> tuple[float, ...]:
+    """``seq`` as 1..MAX_ORDER checked scalars; exactly ``n`` of them when given."""
+    vals = tuple(_check_scalar(v, name) for v in seq)
+    order = len(vals) if n is None else n
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
+    if len(vals) != order:
+        raise ValueError(f"len({name}) must equal order {order}, got {len(vals)}")
     return vals
+
+
+def _check_result(vals: Sequence[float], name: str) -> None:
+    """Refuse a computed value that left the float range."""
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"{name} overflows the float range for this input")
 
 
 def b_from_g(g: Sequence[float]) -> tuple[float, ...]:
@@ -51,9 +75,8 @@ def b_from_g(g: Sequence[float]) -> tuple[float, ...]:
     returned with ``b[k-1]`` multiplying ``z**(n-k)``, zero-padded when the
     degree drops.
     """
-    g = _as_floats(g, "g")
+    g = _check_coeffs(g, "g")
     n = len(g)
-    _validate_order(n)
     d = Poly()
     for j, gj in enumerate(g):
         d = d + gj * binom_power(j, 1.0)
@@ -67,10 +90,9 @@ def g_from_b(b: Sequence[float]) -> tuple[float, ...]:
     Repeated synthetic division by ``(z - 1)`` peels off one cascade
     coefficient per step.
     """
-    b = _as_floats(b, "b")
+    b = _check_coeffs(b, "b")
     n = len(b)
-    _validate_order(n)
-    d_poly = char_poly(b, n, 0.0)
+    d_poly = _char_poly(b, n, 0.0)
     shift = Poly([-1.0, 1.0])
     out = []
     for _ in range(n):
@@ -86,13 +108,12 @@ def char_poly(b: Sequence[float], n: int, a: float) -> Poly:
     At ``a = 1`` this is the linear-model denominator ``B(z)``; at ``a = 0``
     it degenerates to ``D(z)``.
     """
-    b = _as_floats(b, "b")
-    _validate_order(n)
-    if len(b) != n:
-        raise ValueError(f"len(b) must equal order {n}, got {len(b)}")
-    a = float(a)
-    if a < 0.0:
-        raise ValueError("the integrator magnitude a must be nonnegative")
+    b = _check_coeffs(b, "b", n)
+    return _char_poly(b, n, _check_scalar(a, "the integrator magnitude a", nonnegative=True))
+
+
+def _char_poly(b: tuple[float, ...], n: int, a: float) -> Poly:
+    """:func:`char_poly` for an already checked ``b``; ``a`` may exceed the cap."""
     f = a * binom_power(n, 1.0)
     asc = [0.0] * (n + 1)
     for k in range(1, n + 1):
@@ -118,11 +139,8 @@ def d_coeffs(b: Sequence[float], n: int, a: float) -> DCoeffs:
     Satisfies ``char_poly(b, n, a) == a*z**n + sum(d[k-1] * z**(n-k))``
     exactly (the binomials are exact integers).
     """
-    b = _as_floats(b, "b")
-    _validate_order(n)
-    if len(b) != n:
-        raise ValueError(f"len(b) must equal order {n}, got {len(b)}")
-    a = float(a)
+    b = _check_coeffs(b, "b", n)
+    a = _check_scalar(a, "the integrator magnitude a", nonnegative=True)
     d = tuple(b[k - 1] + math.comb(n, k) * (-1.0) ** k * a for k in range(1, n + 1))
     return DCoeffs(d=d, a=a)
 
@@ -136,21 +154,19 @@ class SdmDesign:
     g: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        _validate_order(self.n)
-        if len(self.b) != self.n:
-            raise ValueError("len(b) must equal the order")
-        if self.g is not None and len(self.g) != self.n:
-            raise ValueError("len(g) must equal the order")
+        object.__setattr__(self, "b", _check_coeffs(self.b, "b", self.n))
+        if self.g is not None:
+            object.__setattr__(self, "g", _check_coeffs(self.g, "g", self.n))
 
     @classmethod
     def from_g(cls, g: Sequence[float]) -> "SdmDesign":
-        g = _as_floats(g, "g")
+        g = tuple(g)
         return cls(n=len(g), b=b_from_g(g), g=g)
 
     @classmethod
     def from_b(cls, b: Sequence[float]) -> "SdmDesign":
-        b = _as_floats(b, "b")
-        return cls(n=len(b), b=b, g=None)
+        b = tuple(b)
+        return cls(n=len(b), b=b)
 
 
 def ntf_series(b: Sequence[float], n: int, terms: int) -> list[float]:
@@ -158,9 +174,10 @@ def ntf_series(b: Sequence[float], n: int, terms: int) -> list[float]:
 
     ``B`` is monic by construction so the leading coefficient is always 1.
     """
+    b = _check_coeffs(b, "b", n)
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    bden = char_poly(b, n, 1.0)
+    bden = _char_poly(b, n, 1.0)
     cnum = binom_power(n, 1.0)
     beta = [float(v) for v in bden.descending()]  # beta[0] = 1
     cdesc = [float(v) for v in cnum.descending()]
@@ -170,4 +187,5 @@ def ntf_series(b: Sequence[float], n: int, terms: int) -> list[float]:
         for i in range(1, min(m, n) + 1):
             acc -= beta[i] * h[m - i]
         h[m] = acc
+    _check_result(h, "the impulse response")
     return h

@@ -183,7 +183,8 @@ def winding_oracle(f: Poly, samples: int = 4096) -> int:
     locally until every sub-jump is small, within a total evaluation budget
     of ``MAX_WINDING_SAMPLES``.  The count of roots inside the circle equals
     ``deg F + winding``.  Raises ``RuntimeError`` when the budget runs out
-    (a root is effectively on the contour).
+    or an arc can no longer be halved (a root is effectively on the
+    contour).
     """
     if f.is_zero or f.degree < 1:
         raise ValueError("need a polynomial of degree >= 1")
@@ -224,12 +225,12 @@ def winding_oracle(f: Poly, samples: int = 4096) -> int:
         if abs(d) < 0.5 * np.pi:
             total += float(d)
             continue
-        if budget <= 0:
+        pm = 0.5 * (pa + pb)
+        if budget <= 0 or not pa < pm < pb:
             raise RuntimeError(
                 "winding refinement exhausted: a root is too close to |z| = 1"
             )
         budget -= 1
-        pm = 0.5 * (pa + pb)
         wm = w_at(pm)
         stack.append((pa, wa, pm, wm))
         stack.append((pm, wm, pb, wb))

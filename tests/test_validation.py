@@ -1,0 +1,220 @@
+"""Every public numeric entry point either returns a result with no NaN in
+it or raises ``ValueError``, whatever floats it is given; the CLI exits 0, 1
+or 2 without a traceback.  Warnings fail the suite (``filterwarnings``)."""
+
+import contextlib
+import dataclasses
+import io
+import json
+import math
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from sdmstab import boundary, simulator, transfer
+from sdmstab.cli import main
+from sdmstab.polynomial import Poly
+
+nan, inf = math.nan, math.inf
+
+FUZZ = settings(
+    derandomize=True,
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+# Ordinary, huge (up to and beyond the 1e300 cap), tiny, infinite and NaN.
+EDGES = (0.0, -0.0, 1.0, -1.0, 5e-324, 1e-300, 1e300, -1e300, 1.5e300, 1e308,
+         -1e308, inf, -inf, nan)
+ordinary = st.floats(-4.0, 4.0)
+floats = st.one_of(
+    ordinary,
+    ordinary,
+    ordinary,
+    st.sampled_from(EDGES),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+# Mostly nonnegative, for magnitudes, thresholds and periods.
+magnitudes = st.one_of(st.floats(0.0, 4.0), st.floats(1.0, 1e6), floats)
+
+
+def designs():
+    """``(b, n)`` with ``n`` usually, but not always, equal to ``len(b)``."""
+    return st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.lists(floats, min_size=n, max_size=n).map(tuple),
+            st.sampled_from((n, n, n, n + 1)),
+        )
+    )
+
+
+def no_nan(obj):
+    """Fail on a NaN anywhere inside a (possibly nested) result."""
+    if isinstance(obj, float):
+        assert not math.isnan(obj)
+    elif isinstance(obj, complex):
+        no_nan((obj.real, obj.imag))
+    elif isinstance(obj, Poly):
+        no_nan(obj.coeffs)
+    elif dataclasses.is_dataclass(obj):
+        no_nan(dataclasses.astuple(obj))
+    elif isinstance(obj, dict):
+        no_nan(list(obj.values()))
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            no_nan(item)
+
+
+def result_or_value_error(fn, *args, **kwargs):
+    try:
+        out = fn(*args, **kwargs)
+    except ValueError:
+        return None
+    no_nan(out)
+    return out
+
+
+# --- transfer ---------------------------------------------------------------
+
+
+@FUZZ
+@given(designs(), magnitudes, st.integers(1, 12))
+def test_transfer_functions(design, a, terms):
+    b, n = design
+    result_or_value_error(transfer.b_from_g, b)
+    result_or_value_error(transfer.g_from_b, b)
+    result_or_value_error(transfer.char_poly, b, n, a)
+    result_or_value_error(transfer.d_coeffs, b, n, a)
+    result_or_value_error(transfer.ntf_series, b, n, terms)
+    result_or_value_error(transfer.SdmDesign, n=n, b=b)
+    result_or_value_error(transfer.SdmDesign, n=len(b), b=b, g=b)
+    result_or_value_error(transfer.SdmDesign.from_b, b)
+    result_or_value_error(transfer.SdmDesign.from_g, b)
+
+
+# --- boundary ---------------------------------------------------------------
+
+
+@FUZZ
+@given(designs(), floats, floats, floats)
+def test_boundary_functions(design, phi, lo, hi):
+    b, n = design
+    result_or_value_error(boundary.i_min, b, n)
+    result_or_value_error(boundary.zero_point_candidates, b, n)
+    result_or_value_error(boundary.i_max_order3, b)
+    result_or_value_error(boundary.crossing_value, b, n, phi)
+    result_or_value_error(boundary.crossing_param, b, n, 64)
+    report = result_or_value_error(boundary.classify_intervals, b, n)
+    if report is not None:
+        no_nan(boundary.report_to_dict(report))
+        for iv in report.intervals[1:]:  # brackets around each reported edge
+            result_or_value_error(boundary.bisect_boundary, b, n, 0.5 * iv.lo, 2.0 * iv.lo)
+    result_or_value_error(boundary.bisect_boundary, b, n, lo, hi)
+    if len(b) == 5:
+        result_or_value_error(boundary.t2_order5, transfer.DCoeffs(d=b, a=phi))
+
+
+# --- simulator --------------------------------------------------------------
+
+
+@FUZZ
+@given(designs(), floats, magnitudes, magnitudes, st.none() | st.lists(floats, max_size=6))
+def test_simulator_functions(design, level, period, threshold, state):
+    g, _ = design
+    for x in (level, simulator.DcInput(level), simulator.SineInput(level, period)):
+        result_or_value_error(simulator.run, g, x, 40, threshold, state)
+        result_or_value_error(simulator.trace_run, g, x, 40, threshold, state)
+    result_or_value_error(simulator.linearized_impulse, g, 32)
+    result_or_value_error(simulator.sweep, g, -abs(level), period, 3, 40, threshold)
+    result_or_value_error(simulator.extract_windows, [(level, False), (period, True)])
+
+
+# --- CLI ----------------------------------------------------------------------
+
+
+def cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def csv_arg(vals):
+    return ",".join(repr(v) for v in vals)
+
+
+@FUZZ
+@given(
+    st.sampled_from(("bounds", "check", "contour", "from-g", "simulate", "sweep")),
+    st.sampled_from(("--b", "--g")),
+    designs(),
+    magnitudes,
+    magnitudes,
+    st.booleans(),
+)
+def test_cli_commands(command, kind, design, x, y, trace):
+    coeffs, _ = design
+    if command == "from-g":
+        kind = "--g"
+    argv = [command, f"{kind}={csv_arg(coeffs)}", "--format", "json"]
+    if command in ("check", "contour"):
+        argv += [f"--i-abs={x!r}"]
+    if command == "contour":
+        argv += ["--samples", "8"]
+    if command == "simulate":
+        argv += ["--samples", "30", f"--threshold={y!r}"]
+        argv += [f"--sine-amp={x!r}", f"--sine-period={y!r}"] if trace else [f"--dc={x!r}"]
+        argv += ["--trace-len", "5"] if trace else []
+    if command == "sweep":
+        argv += [f"--amp-lo={x!r}", f"--amp-hi={y!r}", "--amp-steps", "3", "--samples", "30"]
+    code, out, err = cli(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        no_nan(json.loads(out))
+
+
+# --- regressions: each of these once gave a NaN, a "stable" verdict, a
+# non-ValueError exception or no answer at all ---------------------------------
+
+
+REGRESSIONS = {
+    "i_min-nan": lambda: boundary.i_min((nan, 1.0, 1.0), 3),
+    "i_max_order3-nan": lambda: boundary.i_max_order3((nan, 1.0, 1.0)),
+    "i_max_order3-overflow": lambda: boundary.i_max_order3((1e300, 1.0, 1e300)),
+    "crossing_value-nan-phi": lambda: boundary.crossing_value((1.0, 1.0), 2, nan),
+    "crossing_value-nan-b": lambda: boundary.crossing_value((nan, 1.0), 2, 1.0),
+    "crossing_value-at-z=1": lambda: boundary.crossing_value((1.0,), 1, 0.0),
+    "crossing_param-nan": lambda: boundary.crossing_param((nan, 1.0), 2),
+    "SdmDesign-nan": lambda: transfer.SdmDesign(n=1, b=(nan,)),
+    "d_coeffs-nan-a": lambda: transfer.d_coeffs((1.0,), 1, nan),
+    "ntf_series-overflow": lambda: transfer.ntf_series((1e100, 1e100), 2, 8),
+    "linearized_impulse-overflow": lambda: simulator.linearized_impulse((1e300,) * 3, 16),
+    "run-nan-state": lambda: simulator.run((1.0,), 0.0, 10, initial_state=(nan,)),
+    "trace_run-nan-state": lambda: simulator.trace_run((1.0,), 0.0, 10, initial_state=(nan,)),
+    "trace_run-negative-threshold": lambda: simulator.trace_run((1.0,), 0.0, 10, threshold=-1.0),
+    "trace_run-nan-threshold": lambda: simulator.trace_run((1.0,), 0.0, 10, threshold=nan),
+    "run-subnormal-period": lambda: simulator.run((1.0,), simulator.SineInput(0.5, 5e-324), 1),
+}
+
+
+@pytest.mark.parametrize("call", REGRESSIONS.values(), ids=REGRESSIONS.keys())
+def test_defect_now_raises_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_huge_design_exits_2():
+    code, out, err = cli(["bounds", "--b=1e308,1e308,1e308"])
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_bisection_stops_at_float_resolution():
+    # The flip sits near 1.3e20, where one ulp is far wider than 1e-10.
+    b = (2.5e20, -2.25e20, 0.7e20)
+    assert boundary.bisect_boundary(b, 3, 1e20, 1e21) == pytest.approx(1.3263157894736843e20)
