@@ -7,9 +7,10 @@ root crosses the circle: either at ``z = -1`` (the closed-form lower bound)
 or at an interior angle.  Both unit-circle profiles of ``F`` are linear in
 ``a``, so eliminating ``a`` between them (the paper's elimination with the
 variable order swapped) leaves one event polynomial in ``x = cos(phi)``,
-of degree at most two; its real roots are the interior boundary events.
-Two numeric oracles (a direct crossing-parameter scan and eigenvalue
-bisection) stay public to cross-check every boundary value.
+of degree at most two; its real roots, from a closed-form solve, are the
+interior boundary events.  Two numeric oracles (a direct crossing-parameter
+scan and eigenvalue bisection) stay public to cross-check every boundary
+value; only those two import numpy.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .polynomial import Poly, all_roots, cheb_expand, chebyshev_u
 from .transfer import DCoeffs, MAX_ORDER
@@ -145,6 +144,50 @@ def _event_poly(b: tuple[float, ...], n: int) -> Poly:
     )
 
 
+def _ldexp(t: float, k: int) -> float:
+    try:
+        return math.ldexp(t, k)
+    except OverflowError:
+        return math.copysign(math.inf, t)
+
+
+def _event_roots(event: Poly) -> list[float]:
+    """Finite real roots of an event polynomial of degree 1 or 2, ascending.
+
+    A conjugate pair this close to the axis, ``|Im| <= 1e-8*(1+|Re|)``, is a
+    double real root split by rounding (a tangency of the crossing locus)
+    and is kept as one root.  The quadratic is solved in ``x = 2**k * t``
+    with ``2**k`` near ``sqrt(|c0/c2|)`` and the coefficients scaled by
+    powers of two (exact), so nothing overflows or underflows that matters;
+    roots that still leave the float range lie far outside ``(-1, 1)`` and
+    are dropped.
+    """
+    c = event.coeffs
+    if len(c) == 2:
+        xs = [-c[0] / c[1]]
+    elif c[0] == 0.0:
+        xs = [0.0, -c[1] / c[2]]
+    else:
+        c0, c1, c2 = c
+        e0, e2 = math.frexp(c0)[1], math.frexp(c2)[1]
+        if c1 != 0.0 and e0 + e2 - 2 * math.frexp(c1)[1] < -62:
+            # |4*c0*c2/c1**2| < 2**-58: the square root rounds to |c1| and the
+            # cancellation-free formula reduces to these two quotients.
+            xs = [-c1 / c2, -c0 / c1]
+        else:
+            k = (e0 - e2) // 2
+            cc, bb, aa = math.ldexp(c0, -e0), math.ldexp(c1, k - e0), math.ldexp(c2, 2 * k - e0)
+            disc = bb * bb - 4.0 * aa * cc
+            if disc < 0.0:
+                re = _ldexp(-bb / (2.0 * aa), k)
+                im = _ldexp(math.sqrt(-disc) / (2.0 * abs(aa)), k)
+                xs = [re] if abs(im) <= 1e-8 * (1.0 + abs(re)) else []
+            else:
+                q = -0.5 * (bb + math.copysign(math.sqrt(disc), bb))
+                xs = [_ldexp(q / aa, k), _ldexp(cc / q, k)]
+    return sorted({x for x in xs if math.isfinite(x)})
+
+
 def _on_circle_distance(b: tuple[float, ...], n: int, a: float) -> float:
     roots = all_roots(_char_poly(b, n, a))
     return min(abs(abs(z) - 1.0) for z in roots)
@@ -182,13 +225,8 @@ def zero_point_candidates(b: Sequence[float], n: int) -> list[ZeroPointCandidate
     binom = [math.comb(n, k) * (-1.0) ** k for k in range(1, n + 1)]
     p0, q0 = cheb_expand(b), cheb_expand(binom, 1.0)
     p1, q1 = cheb_expand(b, kind="sine"), cheb_expand(binom, kind="sine")
-    # A conjugate pair this close to the axis is a double real root split
-    # by rounding (a tangency of the crossing locus), kept as one root.
-    xs = sorted(
-        {z.real for z in all_roots(event) if abs(z.imag) <= 1e-8 * (1.0 + abs(z.real))}
-    )
     out: list[ZeroPointCandidate] = []
-    for x in xs:
+    for x in _event_roots(event):
         p, q = (p0(x), q0(x)) if abs(q0(x)) >= abs(q1(x)) else (p1(x), q1(x))
         if q == 0.0:
             continue  # x = 1: z = 1 is a root of (z-1)**n for every a
@@ -267,6 +305,8 @@ def crossing_param(
     bisects each bracket to 1e-12 in ``phi``, and emits ``(a, x=cos(phi))``
     for every real crossing with ``a > 0``.
     """
+    import numpy as np
+
     b = _check_coeffs(b, "b", n)
     if phi_grid < 2:
         raise ValueError("phi_grid must be >= 2")

@@ -2,15 +2,18 @@
 Chebyshev trig-to-polynomial conversion, and root finding.
 
 Polynomials are stored in ascending powers: ``coeffs[k]`` multiplies ``z**k``.
-Everything here is a pure function on immutable values.
+Everything here is a pure function on immutable values.  numpy is imported
+only inside ``Poly.descending`` and ``all_roots``, the eigenvalue oracle, so
+importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Poly",
@@ -71,8 +74,8 @@ class Poly:
         return max((abs(c) for c in self.coeffs), default=0.0)
 
     def __call__(self, z):
-        """Horner evaluation; works for real, complex and numpy arguments."""
-        acc = 0.0 * z if isinstance(z, np.ndarray) else 0.0
+        """Horner evaluation at a real or complex point."""
+        acc = 0.0
         for c in reversed(self.coeffs):
             acc = acc * z + c
         return acc
@@ -118,6 +121,8 @@ class Poly:
 
     def descending(self) -> np.ndarray:
         """Coefficients in descending powers (numpy convention)."""
+        import numpy as np
+
         if self.is_zero:
             return np.array([0.0])
         return np.asarray(self.coeffs[::-1], dtype=float)
@@ -237,7 +242,14 @@ BOUNDARY_EXCLUSION = 1e-9
 
 def _unit(p: Poly) -> Poly:
     s = p.scale_max()
-    return p if s == 0.0 else (1.0 / s) * p
+    if s == 0.0:
+        return p
+    inv = 1.0 / s
+    if inv == math.inf:
+        # s < 2**-1024: scale each coefficient by a power of two (exact).
+        e = math.frexp(s)[1]
+        return Poly(math.ldexp(c, -e) for c in p.coeffs)
+    return inv * p
 
 
 def _sturm_chain(p: Poly) -> list[Poly]:
@@ -382,6 +394,8 @@ def all_roots(p: Poly) -> list[complex]:
         raise ValueError("need degree >= 1 to extract roots")
     if not all(abs(c / p.leading) <= 1e300 for c in p.coeffs):
         raise ValueError("roots out of float range: the leading coefficient is too small")
+    import numpy as np
+
     raw = np.roots(p.descending())
     dp = p.derivative()
     out: list[complex] = []

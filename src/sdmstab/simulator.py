@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .transfer import _check_coeffs, _check_result, _check_scalar
 
 __all__ = [
@@ -372,6 +370,23 @@ def extract_windows(grid) -> tuple[Window, ...]:
     return tuple(windows)
 
 
+def _linspace(lo: float, hi: float, steps: int) -> list[float]:
+    """``[float(v) for v in numpy.linspace(lo, hi, steps)]``, bit for bit.
+
+    The same operations in the same order, including numpy's branch for a
+    step that underflows to zero; ``steps >= 2``.
+    """
+    div = steps - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0.0:
+        grid = [(i / div) * delta + lo for i in range(div)]
+    else:
+        grid = [i * step + lo for i in range(div)]
+    grid.append(hi)
+    return grid
+
+
 def sweep(
     g: Sequence[float],
     amp_lo: float,
@@ -392,13 +407,12 @@ def sweep(
         raise ValueError("need amp_lo < amp_hi")
     if steps < 2:
         raise ValueError("steps must be >= 2")
-    amplitudes = np.linspace(amp_lo, amp_hi, steps)
     grid: list[GridPoint] = []
-    for amp in amplitudes:
-        res = run(g, DcInput(level=float(amp)), samples, threshold)
+    for amp in _linspace(amp_lo, amp_hi, steps):
+        res = run(g, DcInput(level=amp), samples, threshold)
         grid.append(
             GridPoint(
-                amplitude=float(amp),
+                amplitude=amp,
                 stable=not res.diverged,
                 max_abs_state=res.max_abs_state,
                 first_divergence_sample=res.first_divergence_sample,

@@ -179,8 +179,8 @@ def ntf_series(b: Sequence[float], n: int, terms: int) -> list[float]:
         raise ValueError("terms must be >= 1")
     bden = _char_poly(b, n, 1.0)
     cnum = binom_power(n, 1.0)
-    beta = [float(v) for v in bden.descending()]  # beta[0] = 1
-    cdesc = [float(v) for v in cnum.descending()]
+    beta = bden.coeffs[::-1]  # descending powers, beta[0] = 1
+    cdesc = cnum.coeffs[::-1]
     h = [0.0] * terms
     for m in range(terms):
         acc = cdesc[m] if m < len(cdesc) else 0.0

@@ -7,17 +7,20 @@ signs of those characteristic points, together with the sign of the
 sine-kind profile between them, give the winding of the image around the
 origin and so the exact number of roots inside the circle, without
 extracting any roots.  A numeric winding integral, eigenvalue extraction
-and a Jury table are kept as independent oracles.
+and a Jury table are kept as independent oracles.  numpy is imported only
+inside the winding integral, the eigenvalue oracle and ``contour_table``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .polynomial import Poly, all_roots, cheb_expand, real_roots_open
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SelfIntersection",
@@ -167,6 +170,8 @@ _ANGLE_CACHE: dict[int, np.ndarray] = {}
 
 
 def _unit_circle(n: int) -> np.ndarray:
+    import numpy as np
+
     z = _ANGLE_CACHE.get(n)
     if z is None:
         phi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
@@ -186,6 +191,8 @@ def winding_oracle(f: Poly, samples: int = 4096) -> int:
     or an arc can no longer be halved (a root is effectively on the
     contour).
     """
+    import numpy as np
+
     if f.is_zero or f.degree < 1:
         raise ValueError("need a polynomial of degree >= 1")
     n = f.degree
@@ -289,6 +296,8 @@ def jury_stable(f: Poly) -> str:
 
 def contour_table(f: Poly, samples: int) -> list[tuple[float, float, float]]:
     """Sampled contour image rows ``(phi, Re W, Im W)`` at uniform angles."""
+    import numpy as np
+
     if samples < 1:
         raise ValueError("samples must be >= 1")
     f = _normalized(f)

@@ -1,5 +1,7 @@
+import decimal
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -102,6 +104,39 @@ class TestZeroPointCandidates:
                 assert np.abs(e[n:]).max() <= tol  # structural degree n - 1
                 consts.append(c)
             assert max(consts) - min(consts) <= 1e-12 * abs(consts[0])
+
+    def test_event_roots_match_a_60_digit_solve(self):
+        # The float closed-form solve against the same formulas carried out
+        # in 60-digit decimal arithmetic with an unbounded exponent, on event
+        # polynomials whose coefficients span the whole float range.
+        from sdmstab.boundary import _event_roots
+
+        ctx = decimal.Context(prec=60, Emax=10**6, Emin=-(10**6))
+
+        def exact_roots(c):
+            if len(c) == 2:
+                return [ctx.divide(-c[0], c[1])]
+            cc, bb, aa = c
+            disc = ctx.subtract(ctx.multiply(bb, bb), ctx.multiply(4 * aa, cc))
+            if disc < 0:  # a conjugate pair: one root if it is a tangency
+                re = ctx.divide(-bb, 2 * aa)
+                im = ctx.divide(ctx.sqrt(-disc), 2 * abs(aa))
+                return [re] if im <= ctx.multiply(decimal.Decimal("1e-8"), 1 + abs(re)) else []
+            q = ctx.multiply(decimal.Decimal("-0.5"), bb + ctx.sqrt(disc).copy_sign(bb))
+            return [ctx.divide(q, aa), ctx.divide(cc, q)] if q else [decimal.Decimal(0)]
+
+        rng = random.Random(61)
+        for _ in range(3000):
+            degree = rng.choice((1, 2, 2, 2))
+            c = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320, 300) for _ in range(degree + 1)]
+            if rng.random() < 0.2:
+                c[rng.randrange(degree)] = 0.0
+            want = exact_roots([ctx.create_decimal(v) for v in c])
+            want = sorted({float(w) for w in want} - {math.inf, -math.inf})
+            got = _event_roots(Poly(c))
+            assert len(got) == len(want), (c, got, want)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-12 * abs(w) + 1e-300, (c, got, want)
 
     def test_event_polynomial_vanishes_only_on_reciprocal_designs(self):
         # b_n = 0 and b_k = (-1)**n * b_{n-k} make F self-reciprocal for

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,20 @@ class TestSweep:
         assert p.stable == (not res.diverged)
         assert p.max_abs_state == res.max_abs_state
         assert p.first_divergence_sample == res.first_divergence_sample
+
+    def test_grid_is_numpy_linspace_bit_for_bit(self):
+        rng = random.Random(83)
+        cases = [(0.0, 1e-323, 5), (-1e-322, 1e-322, 40), (-1e300, 1e300, 7)]
+        for _ in range(60):
+            lo, hi = sorted(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320, 300) for _ in range(2))
+            cases.append((lo, hi, rng.randint(2, 50)))
+        assert (1e-323 - 0.0) / 4 == 0.0  # the first case takes numpy's step == 0 branch
+        for lo, hi, steps in cases:
+            if not lo < hi:
+                continue
+            grid = [p.amplitude for p in sweep((1.0,), lo, hi, steps, 1).grid]
+            want = [float(v) for v in np.linspace(lo, hi, steps)]
+            assert [v.hex() for v in grid] == [v.hex() for v in want], (lo, hi, steps)
 
     def test_non_finite_range_rejected(self):
         for lo, hi in ((float("nan"), 1.0), (0.0, float("inf")), (-float("inf"), 0.0)):

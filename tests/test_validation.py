@@ -218,3 +218,31 @@ def test_bisection_stops_at_float_resolution():
     # The flip sits near 1.3e20, where one ulp is far wider than 1e-10.
     b = (2.5e20, -2.25e20, 0.7e20)
     assert boundary.bisect_boundary(b, 3, 1e20, 1e21) == pytest.approx(1.3263157894736843e20)
+
+
+# --- designs whose coefficients differ by more than 1e300-fold: the event
+# polynomial's solve once refused them ("roots out of float range") -----------
+
+WIDE_DESIGNS = {
+    "order-3": ((-4.426848985272053e99, 2.4635551020868227e270, -1.0753803945023566e-62), 3),
+    "order-5": ((-1.8276155929006336e-205, 8.949011776617805e-246, 1.8061119983006622e235,
+                 6.091094214177903e-06, -1.2259613491527848e-132), 5),
+    "order-5-valid-event": ((5087311096.066319, -4.4394282084740137e-10, -8.949268625847037e192,
+                             1.101563396972606e196, -2.601584464738454e-125), 5),
+}
+
+
+@pytest.mark.parametrize("b, n", WIDE_DESIGNS.values(), ids=WIDE_DESIGNS.keys())
+def test_wide_design_gets_a_report(b, n):
+    rep = boundary.classify_intervals(b, n)  # a warning would fail here
+    assert rep.intervals
+    assert all(math.isfinite(c.a) and math.isfinite(c.x) for c in rep.candidates)
+
+
+def test_wide_design_keeps_its_interior_event():
+    # At this a, 400-digit root extraction puts a root pair on |z| = 1.
+    b, n = WIDE_DESIGNS["order-5-valid-event"]
+    (event,) = boundary.zero_point_candidates(b, n)
+    assert event.valid
+    assert event.a == pytest.approx(1.1033554342194452e196, rel=1e-9)
+    assert event.x == pytest.approx(0.5004062076068632, rel=1e-9)

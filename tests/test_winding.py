@@ -158,6 +158,17 @@ class TestCountInsideE1:
         assert res.winding == -1  # from W(1) alone
         assert res.inside == count_inside_eig(f).inside == 2
 
+    @pytest.mark.parametrize("a", [0.5, 1.5, 3.0])
+    def test_subnormal_coefficients_count_like_scaled_ones(self, a):
+        # Every coefficient lies below 2**-1024, where 1/max overflows;
+        # scaling by 2**600 is exact, so both polynomials have the same roots.
+        tiny = Poly(math.ldexp(c, -1060) for c in char_poly((3.0, -3.0, 1.0), 3, a).coeffs)
+        assert 0.0 < tiny.scale_max() < 2.0**-1024
+        scaled = Poly(math.ldexp(c, 600) for c in tiny.coeffs)
+        res = count_inside_e1(tiny)
+        assert not res.marginal
+        assert res.inside == count_inside_e1(scaled).inside == count_inside_eig(scaled).inside
+
     @pytest.mark.parametrize("edge", [1.0, -1.0])
     @pytest.mark.parametrize("offset", [0.0, 0.5 * BOUNDARY_EXCLUSION])
     def test_sine_root_next_to_turning_point(self, edge, offset):
