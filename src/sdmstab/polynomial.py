@@ -232,9 +232,11 @@ def cheb_expand(d: Sequence[float], a: float = 0.0, kind: str = "cosine") -> Pol
 # --- real-root isolation ----------------------------------------------------
 #
 # Sturm-sequence sign variations isolate every real root in an interval, then
-# bisection plus a short Newton polish refines each to machine accuracy.  This
-# path is deliberately independent of the eigenvalue-based ``all_roots`` so
-# the two can cross-check each other.
+# bisection plus a short Newton polish refines each to machine accuracy.  A
+# polynomial with a root far outside the interval is isolated after a Moebius
+# map that brings that root near a finite point.  This path is deliberately
+# independent of the eigenvalue-based ``all_roots`` so the two can
+# cross-check each other.
 
 # Roots this close to an open-interval endpoint are treated as outside.
 BOUNDARY_EXCLUSION = 1e-9
@@ -325,16 +327,8 @@ def _refine_bisect(p: Poly, lo: float, hi: float) -> float:
     return best
 
 
-def real_roots_open(p: Poly, lo: float, hi: float) -> list[float]:
-    """All real roots of ``p`` strictly inside ``(lo, hi)``, sorted ascending.
-
-    Roots closer than ``BOUNDARY_EXCLUSION`` to an endpoint are excluded, and
-    near-coincident roots are reported once.
-    """
-    if p.is_zero:
-        raise ValueError("cannot isolate roots of the zero polynomial")
-    if p.degree < 1 or hi <= lo:
-        return []
+def _isolate(p: Poly, lo: float, hi: float) -> list[float]:
+    """Roots of ``p`` in ``[lo, hi]`` by Sturm isolation, unsorted."""
     q, chain = _squarefree(_unit(p))
     if q.degree < 1:
         return []
@@ -347,8 +341,8 @@ def real_roots_open(p: Poly, lo: float, hi: float) -> list[float]:
             step *= 2.0
         return t
 
-    a = nudge(lo + BOUNDARY_EXCLUSION, 1.0)
-    b = nudge(hi - BOUNDARY_EXCLUSION, -1.0)
+    a = nudge(lo, 1.0)
+    b = nudge(hi, -1.0)
     if a >= b:
         return []
 
@@ -370,6 +364,74 @@ def real_roots_open(p: Poly, lo: float, hi: float) -> list[float]:
         vm = _variations(chain, mid)
         stack.append((xa, va, mid, vm))
         stack.append((mid, vm, xb, vb))
+    return roots
+
+
+# A leading coefficient whose term is this small (relative to the largest
+# term on the interval) means a root far outside it; the Sturm remainders
+# of such a polynomial cancel catastrophically.
+LEAD_NEGLIGIBLE = 1e-8
+
+
+def _lead_negligible(p: Poly, m: float) -> bool:
+    """Whether ``|c_n| m**n`` is below ``LEAD_NEGLIGIBLE`` times the largest
+    ``|c_k| m**k`` (for ``m != 1`` compared in logarithms, so nothing
+    overflows)."""
+    if m == 1.0:
+        return abs(p.leading) / p.scale_max() < LEAD_NEGLIGIBLE
+    logm = math.log2(m)
+    logs = [math.log2(abs(c)) + k * logm for k, c in enumerate(p.coeffs) if c != 0.0]
+    return logs[-1] < max(logs) + math.log2(LEAD_NEGLIGIBLE)
+
+
+def _far_roots_mapped(p: Poly, lo: float, hi: float) -> list[float]:
+    """Roots of ``p`` in ``[lo, hi]``, isolated in the variable ``u`` of
+    ``x = c + r*u/(1 + s*u/4)``, the Moebius map that sends ``[lo, hi]`` to
+    a bounded interval and ``x = c + 4*s*r`` to ``u = oo``.  Roots far
+    outside ``[lo, hi]`` land near ``u = -4*s``, so the mapped polynomial has
+    no negligible leading coefficient unless ``p`` nearly vanishes at
+    ``c + 4*s*r``; of the two signs ``s`` the one with larger ``|p|`` there
+    is used.
+    """
+    c, r = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
+    p = _unit(p)
+    s = 1.0 if abs(p(c + 4.0 * r)) >= abs(p(c - 4.0 * r)) else -1.0
+    n = p.degree
+    den, num = Poly([1.0, 0.25 * s]), Poly([c, 0.25 * s * c + r])
+    # (1 + s*u/4)**n * p(x(u)) = sum c_k num**k den**(n-k)
+    num_pows, den_pows = [Poly([1.0])], [Poly([1.0])]
+    for _ in range(n):
+        num_pows.append(num_pows[-1] * num)
+        den_pows.append(den_pows[-1] * den)
+    mapped = Poly()
+    for k, ck in enumerate(p.coeffs):
+        mapped = mapped + ck * (num_pows[k] * den_pows[n - k])
+
+    def to_u(x: float) -> float:
+        return (x - c) / (r - 0.25 * s * (x - c))
+
+    us = _isolate(mapped, to_u(lo), to_u(hi))
+    return [c + r * u / (1.0 + 0.25 * s * u) for u in us]
+
+
+def real_roots_open(p: Poly, lo: float, hi: float) -> list[float]:
+    """All real roots of ``p`` strictly inside ``(lo, hi)``, sorted ascending.
+
+    Roots closer than ``BOUNDARY_EXCLUSION`` to an endpoint are excluded, and
+    near-coincident roots are reported once.  A polynomial whose leading
+    term is negligible on the interval has a root far outside it; such a
+    polynomial is isolated after a Moebius map that brings infinity to a
+    finite point (``_far_roots_mapped``).
+    """
+    if p.is_zero:
+        raise ValueError("cannot isolate roots of the zero polynomial")
+    if p.degree < 1 or hi <= lo:
+        return []
+    a, b = lo + BOUNDARY_EXCLUSION, hi - BOUNDARY_EXCLUSION
+    if _lead_negligible(p, max(abs(lo), abs(hi))):
+        roots = _far_roots_mapped(p, a, b) if a < b else []
+    else:
+        roots = _isolate(p, a, b)
 
     roots.sort()
     out: list[float] = []

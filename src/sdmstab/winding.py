@@ -38,6 +38,10 @@ __all__ = [
 # contour passes through the origin: the verdict is refused, not guessed.
 MARGIN = 1e-9
 
+# Coefficient scale below which count_inside_e1 works on a copy scaled up by
+# a power of two: MARGIN * 2**-900 is still a normal float with full precision.
+TINY_SCALE = 2.0**-900
+
 # Adaptive refinement cap for the winding integral.
 MAX_WINDING_SAMPLES = 2**20
 
@@ -129,9 +133,16 @@ def count_inside_e1(f: Poly) -> RootCountResult:
     so a root of ``r1`` too close to ``x = +-1`` to be isolated does not
     flip it.  If any characteristic value is within ``MARGIN`` (relative)
     of zero, or ``r1`` vanishes at a gap midpoint, the result is flagged
-    marginal with no count.
+    marginal with no count.  A polynomial whose coefficients all lie below
+    ``TINY_SCALE`` is first scaled up by a power of two (exact; no root
+    moves), so that neither ``MARGIN * scale`` nor the evaluations lose
+    precision to subnormal rounding.
     """
     f = _normalized(f)
+    s = f.scale_max()
+    if s < TINY_SCALE:
+        e = math.frexp(s)[1]
+        f = Poly(math.ldexp(c, -e) for c in f.coeffs)
     n = f.degree
     cp, r1 = _contour(f)
     tol = MARGIN * f.scale_max()

@@ -1,7 +1,7 @@
-import decimal
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -105,38 +105,60 @@ class TestZeroPointCandidates:
                 consts.append(c)
             assert max(consts) - min(consts) <= 1e-12 * abs(consts[0])
 
-    def test_event_roots_match_a_60_digit_solve(self):
-        # The float closed-form solve against the same formulas carried out
-        # in 60-digit decimal arithmetic with an unbounded exponent, on event
-        # polynomials whose coefficients span the whole float range.
+    def test_event_roots_match_exact_arithmetic(self):
+        # The float closed-form solve checked in rational arithmetic, on
+        # event polynomials whose coefficients span the whole float range.
+        # The number of roots comes from the exact discriminant and the exact
+        # signs at +-(largest float); each real root must be bracketed by an
+        # exact sign change within 1e-12 relative (or two subnormal steps),
+        # unless both roots fall in its bracket, and a tangency root must
+        # sit at the exact vertex.
         from sdmstab.boundary import _event_roots
 
-        ctx = decimal.Context(prec=60, Emax=10**6, Emin=-(10**6))
+        big = Fraction(sys.float_info.max)
 
-        def exact_roots(c):
-            if len(c) == 2:
-                return [ctx.divide(-c[0], c[1])]
-            cc, bb, aa = c
-            disc = ctx.subtract(ctx.multiply(bb, bb), ctx.multiply(4 * aa, cc))
-            if disc < 0:  # a conjugate pair: one root if it is a tangency
-                re = ctx.divide(-bb, 2 * aa)
-                im = ctx.divide(ctx.sqrt(-disc), 2 * abs(aa))
-                return [re] if im <= ctx.multiply(decimal.Decimal("1e-8"), 1 + abs(re)) else []
-            q = ctx.multiply(decimal.Decimal("-0.5"), bb + ctx.sqrt(disc).copy_sign(bb))
-            return [ctx.divide(q, aa), ctx.divide(cc, q)] if q else [decimal.Decimal(0)]
+        def sign(p, x):
+            return (p[0] + p[1] * x + (p[2] * x * x if len(p) == 3 else 0)) > 0
 
+        def near(x, r):
+            return abs(Fraction(x) - r) <= Fraction(1e-12) * abs(r) + Fraction(2.0**-1073)
+
+        # Conjugate pairs +-i*w just inside and outside the tangency rule,
+        # with all coefficients scaled by powers of two.
+        cases = [[e * w * w, 0.0, e] for w in (0.9e-8, 1.1e-8) for e in (1.0, 2.0**600, 2.0**-600)]
         rng = random.Random(61)
         for _ in range(3000):
             degree = rng.choice((1, 2, 2, 2))
             c = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320, 300) for _ in range(degree + 1)]
             if rng.random() < 0.2:
                 c[rng.randrange(degree)] = 0.0
-            want = exact_roots([ctx.create_decimal(v) for v in c])
-            want = sorted({float(w) for w in want} - {math.inf, -math.inf})
+            cases.append(c)
+        for c in cases:
+            degree = len(c) - 1
             got = _event_roots(Poly(c))
-            assert len(got) == len(want), (c, got, want)
-            for g, w in zip(got, want):
-                assert abs(g - w) <= 1e-12 * abs(w) + 1e-300, (c, got, want)
+            p = [Fraction(v) for v in c]
+            assert got == sorted(got) and all(math.isfinite(x) for x in got), (c, got)
+            if degree == 1:
+                r = -p[0] / p[1]
+                assert [near(x, r) for x in got] == ([True] if abs(r) < big else []), (c, got)
+                continue
+            vertex = -p[1] / (2 * p[2])
+            disc = p[1] ** 2 - 4 * p[0] * p[2]
+            if disc <= 0:
+                # one root if the pair is a tangency: |Im| <= 1e-8*(1+|Re|)
+                tangent = -disc / (4 * p[2] ** 2) <= (Fraction(1e-8) * (1 + abs(vertex))) ** 2
+                assert [near(x, vertex) for x in got] == ([True] if tangent else []), (c, got)
+                continue
+            up = p[2] > 0  # the sign of p beyond both roots
+            count = (vertex < big and sign(p, big) == up) + (vertex > -big and sign(p, -big) == up)
+            merged = 0  # both roots inside one bracket: they round to one float
+            for x in got:
+                d = max(abs(Fraction(x)) * Fraction(1e-12), Fraction(2.0**-1073))
+                lo, hi = Fraction(x) - d, Fraction(x) + d
+                both = sign(p, lo) == sign(p, hi) == up and lo < vertex < hi
+                assert both or sign(p, lo) != sign(p, hi), (c, got)
+                merged += both
+            assert len(got) + merged == count, (c, got)
 
     def test_event_polynomial_vanishes_only_on_reciprocal_designs(self):
         # b_n = 0 and b_k = (-1)**n * b_{n-k} make F self-reciprocal for

@@ -225,6 +225,33 @@ class TestRealRootsOpen:
         hugging = 1.0 - 1e-10  # inside the exclusion band: treated as outside
         assert real_roots_open(Poly([-hugging, 1.0]), -1.0, 1.0) == []
 
+    def test_far_root_does_not_hide_interior_roots(self):
+        # A sine-kind profile of an order-5 design whose coefficients span
+        # 1e-125..1e196.  Its leading term is negligible on (-1, 1), since it
+        # carries a root near 5.5e195, and the Sturm remainders of the
+        # unmapped polynomial lost two of the three interior roots.
+        p = Poly([8.9e192, -4.4e196, -3.6e193, 8.8e196, -16.0])
+        want = [-0.707003409229458, 2.0227271034910457e-4, 0.7072102274281998]  # 40-digit solve
+        assert real_roots_open(p, -1.0, 1.0) == pytest.approx(want, rel=1e-12)
+
+    def test_interior_roots_next_to_far_roots(self):
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            inner = sorted(rng.uniform(-0.95, 0.95, int(rng.integers(1, 4))))
+            p = Poly([rng.uniform(0.5, 2.0)])
+            for r in inner:
+                p = p * Poly([-r, 1.0])
+            for _ in range(int(rng.integers(1, 3))):
+                far = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(6.0, 150.0)
+                # a far real root, or a far conjugate pair +-i*far
+                p = p * (Poly([1.0, -1.0 / far]) if rng.random() < 0.7 else Poly([1.0, 0.0, far**-2]))
+            assert real_roots_open(p, -1.0, 1.0) == pytest.approx(inner, abs=1e-9), p
+
+    def test_far_root_on_an_offset_interval(self):
+        p = Poly([-3.0, 1.0]) * Poly([-4.5, 1.0]) * Poly([1.0, -1e-200])
+        assert real_roots_open(p, 2.0, 5.0) == pytest.approx([3.0, 4.5], rel=1e-14)
+        assert real_roots_open(p, -5.0, -2.0) == []
+
     def test_residuals_meet_contract(self):
         rng = np.random.default_rng(13)
         for _ in range(200):

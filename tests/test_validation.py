@@ -7,6 +7,8 @@ import dataclasses
 import io
 import json
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 
 from sdmstab import boundary, simulator, transfer
 from sdmstab.cli import main
-from sdmstab.polynomial import Poly
+from sdmstab.polynomial import Poly, all_roots
+from sdmstab.winding import count_inside_e1
 
 nan, inf = math.nan, math.inf
 
@@ -221,22 +224,82 @@ def test_bisection_stops_at_float_resolution():
 
 
 # --- designs whose coefficients differ by more than 1e300-fold: the event
-# polynomial's solve once refused them ("roots out of float range") -----------
+# polynomial's solve once refused them ("roots out of float range"), and the
+# Sturm isolation lost interior roots of their sine-kind profiles ------------
+
+
+def schur_cohn_inside(coeffs, eps=Fraction(1, 2**40)):
+    """Exact number of roots inside ``|z| = 1`` of ``sum c_k z**k``, or None
+    when a root lies within ``eps`` of the circle.
+
+    The Schur-Cohn table in rational arithmetic counts the roots inside
+    ``|z| < rho`` (the number of negative running products of its leading
+    entries); the counts for ``rho = 1 -+ eps`` must agree.  Shares no code
+    with the package.
+    """
+
+    def count(g):
+        while g and g[-1] == 0:
+            g.pop()
+        prod, neg = Fraction(1), 0
+        for m in range(len(g) - 1, 0, -1):
+            g = [g[0] * g[k] - g[m] * g[m - k] for k in range(m)]
+            if g[0] == 0:
+                return None
+            prod *= g[0]
+            neg += prod < 0
+        return neg
+
+    c = [Fraction(v) for v in coeffs]
+    inner = count([v * (1 - eps) ** k for k, v in enumerate(c)])
+    outer = count([v * (1 + eps) ** k for k, v in enumerate(c)])
+    return inner if inner is not None and inner == outer else None
+
+
+def test_schur_cohn_oracle_matches_root_moduli():
+    rng = random.Random(5)
+    for _ in range(300):
+        c = [rng.uniform(-3.0, 3.0) for _ in range(rng.randint(2, 7))]
+        moduli = [abs(z) for z in all_roots(Poly(c))]
+        if min(abs(m - 1.0) for m in moduli) > 1e-6:
+            assert schur_cohn_inside(c) == sum(m < 1.0 for m in moduli)
+    assert schur_cohn_inside([-1.0, 0.0, 1.0]) is None
+
+
+def assert_witnesses_exact(b, n):
+    """Every interval's witness verdict agrees with the exact count of the
+    same float polynomial.  A probe the criterion finds marginal must not
+    be stable (its count comes from the eigenvalue fallback, which is not
+    held to the oracle); a root on the circle (the oracle undecided even at
+    2**-400) must make the probe marginal."""
+    rep = boundary.classify_intervals(b, n)
+    assert rep.intervals
+    assert all(math.isfinite(c.a) and math.isfinite(c.x) for c in rep.candidates)
+    for iv in rep.intervals:
+        f = transfer._char_poly(b, n, iv.witness_a)  # the polynomial the probe counts
+        want = schur_cohn_inside(f.coeffs)
+        if want is None:
+            want = schur_cohn_inside(f.coeffs, Fraction(1, 2**400))
+        if count_inside_e1(f).marginal:
+            assert not iv.stable, (b, n, iv)
+        else:
+            assert want is not None, (b, n, iv)
+            assert (iv.witness_count, iv.stable) == (want, want == n), (b, n, iv, want)
+
 
 WIDE_DESIGNS = {
     "order-3": ((-4.426848985272053e99, 2.4635551020868227e270, -1.0753803945023566e-62), 3),
     "order-5": ((-1.8276155929006336e-205, 8.949011776617805e-246, 1.8061119983006622e235,
                  6.091094214177903e-06, -1.2259613491527848e-132), 5),
+    # Its report once called (0, 1.10e196) stable with 5 roots inside; 1 is.
     "order-5-valid-event": ((5087311096.066319, -4.4394282084740137e-10, -8.949268625847037e192,
                              1.101563396972606e196, -2.601584464738454e-125), 5),
 }
 
 
 @pytest.mark.parametrize("b, n", WIDE_DESIGNS.values(), ids=WIDE_DESIGNS.keys())
-def test_wide_design_gets_a_report(b, n):
-    rep = boundary.classify_intervals(b, n)  # a warning would fail here
-    assert rep.intervals
-    assert all(math.isfinite(c.a) and math.isfinite(c.x) for c in rep.candidates)
+def test_wide_design_report_matches_exact_count(b, n):
+    assert_witnesses_exact(b, n)  # a warning would fail here
 
 
 def test_wide_design_keeps_its_interior_event():
@@ -246,3 +309,23 @@ def test_wide_design_keeps_its_interior_event():
     assert event.valid
     assert event.a == pytest.approx(1.1033554342194452e196, rel=1e-9)
     assert event.x == pytest.approx(0.5004062076068632, rel=1e-9)
+    rep = boundary.classify_intervals(b, n)
+    assert [(iv.stable, iv.witness_count) for iv in rep.intervals] == [(False, 1), (False, 3)]
+
+
+def test_log_uniform_designs_match_exact_count():
+    # Coefficient magnitudes log-uniform over 1e-320..1e300: many of these
+    # designs were refused, and others got a wrong witness count.
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        b = tuple(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320, 300) for _ in range(n))
+        assert_witnesses_exact(b, n)
+
+
+def test_subnormal_on_circle_check_exits_1():
+    # b and |I| build t*(z**2 - 1), t = 2**-1070: both roots on the circle.
+    t = 2.0**-1070
+    assert transfer.char_poly((2 * t, -2 * t), 2, t) == Poly([-t, 0.0, t])
+    code, out, _ = cli(["check", f"--b={2 * t!r},{-2 * t!r}", f"--i-abs={t!r}"])
+    assert code == 1 and "marginal: True" in out

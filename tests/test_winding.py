@@ -169,6 +169,13 @@ class TestCountInsideE1:
         assert not res.marginal
         assert res.inside == count_inside_e1(scaled).inside == count_inside_eig(scaled).inside
 
+    def test_subnormal_roots_on_circle_are_marginal(self):
+        # t*(z**2 - 1) has its roots at +-1: W(1) = W(-1) = 0 exactly, which
+        # MARGIN * scale once missed because that product underflowed to 0.
+        t = 2.0**-1070
+        assert count_inside_e1(Poly([-1.0, 0.0, 1.0])).marginal
+        assert count_inside_e1(Poly([-t, 0.0, t])).marginal
+
     @pytest.mark.parametrize("edge", [1.0, -1.0])
     @pytest.mark.parametrize("offset", [0.0, 0.5 * BOUNDARY_EXCLUSION])
     def test_sine_root_next_to_turning_point(self, edge, offset):
