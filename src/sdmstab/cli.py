@@ -279,6 +279,7 @@ def _text_lines(payload) -> list[str]:
             f"max_abs_state: {payload.max_abs_state!r}",
             f"mean_v: {payload.mean_v!r}",
             f"samples_run: {payload.samples_run}",
+            f"peak_sample: {payload.peak_sample}",
         ]
     if isinstance(payload, WindowReport):
         lines = []

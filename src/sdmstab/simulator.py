@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .transfer import _check_coeffs, _check_result, _check_scalar
+from .transfer import _check_coeffs, _check_count, _check_result, _check_scalar
 
 __all__ = [
     "DcInput",
@@ -68,6 +68,8 @@ class SimResult:
     ``max_abs_state`` is the largest integrator magnitude over the samples
     actually run (the supplied initial state is not a sample), so
     ``diverged`` holds exactly when it exceeded the threshold.
+    ``peak_sample`` is the sample at which it was last raised, ``None`` when
+    every state stayed zero.
     """
 
     diverged: bool
@@ -75,6 +77,7 @@ class SimResult:
     max_abs_state: float
     mean_v: float
     samples_run: int
+    peak_sample: int | None = None
 
 
 @dataclass(frozen=True)
@@ -97,189 +100,114 @@ class WindowReport:
     windows: tuple[Window, ...]
 
 
-# --- hot loops ---------------------------------------------------------------
+# --- the integrator loop -----------------------------------------------------
 #
-# DC input dominates both the sweep workload and the long-run timing budget,
-# so every order gets a hand-unrolled loop on local floats.  The generic
-# loop (arbitrary waveforms, step records) uses the same expression shapes,
-# so results are bit-identical across paths.  Inputs and threshold are
-# finite, so the first non-finite state is +-inf and exits at once: no loop
-# needs a NaN check.
+# There is one loop definition, ``_TEMPLATE``.  ``_kernel`` expands it into
+# straight-line code for one order, input kind (DC or sine) and trace flag,
+# with every state and gain in a local, compiles it on first use and caches
+# it; nothing is compiled at import.
+#
+# The body splits on the quantizer sign.  ``v`` is +-1, so ``g*v`` is exact
+# and ``a - g*v`` is ``a - g`` or ``a - (-g)``, which IEEE 754 defines as
+# ``a + g``: each branch does the same roundings as the textbook update
+# without its n multiplies.  A DC input's first-stage term ``x -+ g1`` is
+# the same value every sample, so it is computed once.  ``v`` is the sign
+# of the top state at the top of the body, and ``pos`` counts the +1
+# outputs (the branch count, shifted by one sample), so the sum of ``v``
+# over ``ran`` samples is ``2*pos - ran``, exact below 2**53 like the float
+# sum it replaces.  The growth test ``s > runmax or s < lo`` with
+# ``lo = -runmax`` is the textbook ``s > runmax or -s > runmax``.  No state
+# is NaN: inputs are finite, so the first non-finite state is +-inf and
+# exits at once.  Results are bit-identical to the textbook loop, which
+# ``tests/test_simulator.py`` keeps as the reference.
 
-
-def _dc_order1(g, x, samples, threshold, s0):
-    (g1,) = g
-    (s1,) = s0
-    v = 1.0 if s1 >= 0.0 else -1.0
-    vsum = 0.0
-    runmax = 0.0
+_TEMPLATE = """\
+def kernel(g, x, samples, threshold, s0, record):
+    {g} = g
+    {s} = s0
+    {setup}
+    pos = -({top} >= 0.0)
+    runmax = lo = 0.0
+    peak = None
     for k in range(samples):
-        s1 = s1 + (x - g1 * v)
-        v = 1.0 if s1 >= 0.0 else -1.0
-        vsum += v
-        if s1 > runmax or -s1 > runmax:
-            runmax = abs(s1)
+        {sample}
+        if {top} >= 0.0:
+            {minus}
+            pos += 1
+        else:
+            {plus}
+        {record}
+        if {grew}:
+            runmax = {absmax}
+            peak = k
             if runmax > threshold:
-                return True, k, runmax, vsum, k + 1
-    return False, None, runmax, vsum, samples
+                return True, k, runmax, pos + ({top} >= 0.0), k + 1, peak
+            lo = -runmax
+    return False, None, runmax, pos + ({top} >= 0.0), samples, peak
+"""
+
+_KERNELS: dict = {}
 
 
-def _dc_order2(g, x, samples, threshold, s0):
-    g1, g2 = g
-    s1, s2 = s0
-    v = 1.0 if s2 >= 0.0 else -1.0
-    vsum = 0.0
-    runmax = 0.0
-    for k in range(samples):
-        s2 = s2 + (s1 - g2 * v)
-        s1 = s1 + (x - g1 * v)
-        v = 1.0 if s2 >= 0.0 else -1.0
-        vsum += v
-        if s1 > runmax or -s1 > runmax or s2 > runmax or -s2 > runmax:
-            runmax = max(abs(s1), abs(s2))
-            if runmax > threshold:
-                return True, k, runmax, vsum, k + 1
-    return False, None, runmax, vsum, samples
+def _kernel(n: int, sine: bool, trace: bool):
+    """The loop for order ``n``: ``kernel(g, x, samples, threshold, s0,
+    record)`` returns ``(diverged, first, runmax, pos, ran, peak)``.  ``x``
+    is the DC level, or ``(amplitude, 2*pi/period)`` for a sine; a trace
+    kernel passes each :class:`SimState` to ``record``."""
+    key = (n, sine, trace)
+    if key not in _KERNELS:
+        s = [f"s{j}" for j in range(1, n + 1)]
+        states = ", ".join(s) + ","
+
+        def stages(op, x_term):
+            # Stage j reads the pre-update stage j-1, so the top stage goes first.
+            lines = [f"s{j} = s{j} + (s{j - 1} {op} g{j})" for j in range(n, 1, -1)]
+            return "\n            ".join(lines + [f"s1 = s1 + {x_term}"])
+
+        src = _TEMPLATE.format(
+            g=", ".join(f"g{j}" for j in range(1, n + 1)) + ",",
+            s=states,
+            top=s[-1],
+            setup="amp, w = x" if sine else "x_minus, x_plus = x - g1, x + g1",
+            sample="x = amp * sin(w * k)" if sine else "",
+            minus=stages("-", "(x - g1)" if sine else "x_minus"),
+            plus=stages("+", "(x + g1)" if sine else "x_plus"),
+            record=f"record(SimState(({states}), 1.0 if {s[-1]} >= 0.0 else -1.0, k))" if trace else "",
+            grew=" or ".join(f"{sj} > runmax or {sj} < lo" for sj in s),
+            absmax=f"max({', '.join(f'abs({sj})' for sj in s)})" if n > 1 else "abs(s1)",
+        )
+        src = "\n".join(line for line in src.splitlines() if line.strip())
+        scope = {"sin": math.sin, "SimState": SimState}
+        exec(compile(src, f"<sdmstab kernel n={n} sine={sine} trace={trace}>", "exec"), scope)
+        _KERNELS[key] = scope["kernel"]
+    return _KERNELS[key]
 
 
-def _dc_order3(g, x, samples, threshold, s0):
-    g1, g2, g3 = g
-    s1, s2, s3 = s0
-    v = 1.0 if s3 >= 0.0 else -1.0
-    vsum = 0.0
-    runmax = 0.0
-    for k in range(samples):
-        s3 = s3 + (s2 - g3 * v)
-        s2 = s2 + (s1 - g2 * v)
-        s1 = s1 + (x - g1 * v)
-        v = 1.0 if s3 >= 0.0 else -1.0
-        vsum += v
-        if (
-            s1 > runmax or -s1 > runmax
-            or s2 > runmax or -s2 > runmax
-            or s3 > runmax or -s3 > runmax
-        ):
-            runmax = max(abs(s1), abs(s2), abs(s3))
-            if runmax > threshold:
-                return True, k, runmax, vsum, k + 1
-    return False, None, runmax, vsum, samples
-
-
-def _dc_order4(g, x, samples, threshold, s0):
-    g1, g2, g3, g4 = g
-    s1, s2, s3, s4 = s0
-    v = 1.0 if s4 >= 0.0 else -1.0
-    vsum = 0.0
-    runmax = 0.0
-    for k in range(samples):
-        s4 = s4 + (s3 - g4 * v)
-        s3 = s3 + (s2 - g3 * v)
-        s2 = s2 + (s1 - g2 * v)
-        s1 = s1 + (x - g1 * v)
-        v = 1.0 if s4 >= 0.0 else -1.0
-        vsum += v
-        if (
-            s1 > runmax or -s1 > runmax
-            or s2 > runmax or -s2 > runmax
-            or s3 > runmax or -s3 > runmax
-            or s4 > runmax or -s4 > runmax
-        ):
-            runmax = max(abs(s1), abs(s2), abs(s3), abs(s4))
-            if runmax > threshold:
-                return True, k, runmax, vsum, k + 1
-    return False, None, runmax, vsum, samples
-
-
-def _dc_order5(g, x, samples, threshold, s0):
-    g1, g2, g3, g4, g5 = g
-    s1, s2, s3, s4, s5 = s0
-    v = 1.0 if s5 >= 0.0 else -1.0
-    vsum = 0.0
-    runmax = 0.0
-    for k in range(samples):
-        s5 = s5 + (s4 - g5 * v)
-        s4 = s4 + (s3 - g4 * v)
-        s3 = s3 + (s2 - g3 * v)
-        s2 = s2 + (s1 - g2 * v)
-        s1 = s1 + (x - g1 * v)
-        v = 1.0 if s5 >= 0.0 else -1.0
-        vsum += v
-        if (
-            s1 > runmax or -s1 > runmax
-            or s2 > runmax or -s2 > runmax
-            or s3 > runmax or -s3 > runmax
-            or s4 > runmax or -s4 > runmax
-            or s5 > runmax or -s5 > runmax
-        ):
-            runmax = max(abs(s1), abs(s2), abs(s3), abs(s4), abs(s5))
-            if runmax > threshold:
-                return True, k, runmax, vsum, k + 1
-    return False, None, runmax, vsum, samples
-
-
-_DC_FAST = {1: _dc_order1, 2: _dc_order2, 3: _dc_order3, 4: _dc_order4, 5: _dc_order5}
-
-
-def _run_generic(g, sample_at, samples, threshold, s0, record=None):
-    n = len(g)
-    s = list(s0)
-    v = 1.0 if s[-1] >= 0.0 else -1.0
-    vsum = 0.0
-    runmax = 0.0
-    for k in range(samples):
-        x = sample_at(k)
-        for j in range(n - 1, 0, -1):
-            s[j] = s[j] + (s[j - 1] - g[j] * v)
-        s[0] = s[0] + (x - g[0] * v)
-        v = 1.0 if s[n - 1] >= 0.0 else -1.0
-        vsum += v
-        if record is not None:
-            record.append(SimState(s=tuple(s), v=v, k=k))
-        grew = False
-        for val in s:
-            if val > runmax or -val > runmax:
-                grew = True
-        if grew:
-            runmax = max(abs(val) for val in s)
-            if runmax > threshold:
-                return True, k, runmax, vsum, k + 1
-    return False, None, runmax, vsum, samples
-
-
-def _setup(g, x, samples, threshold, initial_state):
-    """Checked ``(g, x, threshold, s0)`` for :func:`run` and :func:`trace_run`,
-    with ``x`` a :class:`DcInput` or :class:`SineInput`; bare numbers are DC."""
+def _simulate(g, x, samples, threshold, initial_state, record=None) -> SimResult:
+    """Check the inputs of :func:`run` or :func:`trace_run` and run the loop;
+    ``x`` is a :class:`DcInput` or :class:`SineInput`, bare numbers are DC."""
     g = _check_coeffs(g, "g")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples = _check_count(samples, "samples")
     threshold = _check_scalar(threshold, "threshold", positive=True)
     if initial_state is None:
         s0 = (0.0,) * len(g)
     else:
         s0 = _check_coeffs(initial_state, "initial_state", len(g))
-    if isinstance(x, SineInput):
+    sine = isinstance(x, SineInput)
+    if sine:
         amp = _check_scalar(x.amplitude, "sine amplitude")
-        x = SineInput(amp, _check_scalar(x.period, "sine period", positive=True))
+        x = (amp, 2.0 * math.pi / _check_scalar(x.period, "sine period", positive=True))
     else:
-        x = DcInput(_check_scalar(x.level if isinstance(x, DcInput) else x, "DC level"))
-    return g, x, threshold, s0
-
-
-def _sample_at(x):
-    if isinstance(x, DcInput):
-        level = x.level
-        return lambda k: level
-    amp, w = x.amplitude, 2.0 * math.pi / x.period
-    return lambda k: amp * math.sin(w * k)
-
-
-def _summary(diverged, first, runmax, vsum, ran) -> SimResult:
+        x = _check_scalar(x.level if isinstance(x, DcInput) else x, "DC level")
+    kernel = _kernel(len(g), sine, record is not None)
+    diverged, first, runmax, pos, ran, peak = kernel(g, x, samples, threshold, s0, record)
     return SimResult(
         diverged=diverged,
         first_divergence_sample=first,
         max_abs_state=runmax,
-        mean_v=vsum / ran,
+        mean_v=float(2 * pos - ran) / ran,
         samples_run=ran,
+        peak_sample=peak,
     )
 
 
@@ -297,12 +225,7 @@ def run(
     magnitude exceeds ``threshold``; the quantizer output of that final
     sample is still counted.  Identical inputs produce identical results.
     """
-    g, x, threshold, s0 = _setup(g, x, samples, threshold, initial_state)
-    if isinstance(x, DcInput):
-        out = _DC_FAST[len(g)](g, x.level, samples, threshold, s0)
-    else:
-        out = _run_generic(g, _sample_at(x), samples, threshold, s0)
-    return _summary(*out)
+    return _simulate(g, x, samples, threshold, initial_state)
 
 
 def trace_run(
@@ -313,10 +236,8 @@ def trace_run(
     initial_state: Sequence[float] | None = None,
 ) -> tuple[SimResult, list[SimState]]:
     """Like :func:`run` but records every step; for bounded trace dumps."""
-    g, x, threshold, s0 = _setup(g, x, samples, threshold, initial_state)
     states: list[SimState] = []
-    out = _run_generic(g, _sample_at(x), samples, threshold, s0, states)
-    return _summary(*out), states
+    return _simulate(g, x, samples, threshold, initial_state, states.append), states
 
 
 def linearized_impulse(g: Sequence[float], terms: int) -> list[float]:
@@ -328,8 +249,7 @@ def linearized_impulse(g: Sequence[float], terms: int) -> list[float]:
     """
     g = _check_coeffs(g, "g")
     n = len(g)
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
+    terms = _check_count(terms, "terms")
     s = [0.0] * n
     v = 0.0
     out: list[float] = []
@@ -405,8 +325,7 @@ def sweep(
     amp_hi = _check_scalar(amp_hi, "amp_hi")
     if not amp_lo < amp_hi:
         raise ValueError("need amp_lo < amp_hi")
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
+    steps = _check_count(steps, "steps", 2)
     grid: list[GridPoint] = []
     for amp in _linspace(amp_lo, amp_hi, steps):
         res = run(g, DcInput(level=amp), samples, threshold)

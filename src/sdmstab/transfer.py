@@ -11,6 +11,7 @@ the integrator-chain topology fixed in :mod:`sdmstab.simulator`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,9 +32,10 @@ MAX_ORDER = 5
 
 
 # Input validation for every public entry point of transfer, boundary and
-# simulator; each failure is a ValueError (CLI exit 2).  The cap keeps fsum
-# of MAX_ORDER values and a*(z-1)**n (binomials <= 10) far from overflow; a
-# positive value is at least 1/MAX_MAGNITUDE, so its reciprocal is in range.
+# simulator, and for every count (samples, steps, terms); each failure is a
+# ValueError (CLI exit 2).  The cap keeps fsum of MAX_ORDER values and
+# a*(z-1)**n (binomials <= 10) far from overflow; a positive value is at
+# least 1/MAX_MAGNITUDE, so its reciprocal is in range.
 
 MAX_MAGNITUDE = 1e300
 
@@ -47,6 +49,19 @@ def _check_scalar(v: float, name: str, *, nonnegative=False, positive=False) -> 
         raise ValueError(f"{name} must be nonnegative, got {v!r}")
     if positive and v < 1.0 / MAX_MAGNITUDE:
         raise ValueError(f"{name} must be positive (>= {1.0 / MAX_MAGNITUDE:g}), got {v!r}")
+    return v
+
+
+def _check_count(v: int, name: str, minimum: int = 1) -> int:
+    """``v`` as an int ``>= minimum``; bools and non-integral values are refused."""
+    if isinstance(v, bool):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    try:
+        v = operator.index(v)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {v!r}") from None
+    if v < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {v}")
     return v
 
 
@@ -175,8 +190,7 @@ def ntf_series(b: Sequence[float], n: int, terms: int) -> list[float]:
     ``B`` is monic by construction so the leading coefficient is always 1.
     """
     b = _check_coeffs(b, "b", n)
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
+    terms = _check_count(terms, "terms")
     bden = _char_poly(b, n, 1.0)
     cnum = binom_power(n, 1.0)
     beta = bden.coeffs[::-1]  # descending powers, beta[0] = 1

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .polynomial import Poly, all_roots, cheb_expand, real_roots_open
+from .transfer import _check_count
 
 if TYPE_CHECKING:
     import numpy as np
@@ -309,8 +310,7 @@ def contour_table(f: Poly, samples: int) -> list[tuple[float, float, float]]:
     """Sampled contour image rows ``(phi, Re W, Im W)`` at uniform angles."""
     import numpy as np
 
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples = _check_count(samples, "samples")
     f = _normalized(f)
     n = f.degree
     phi = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)

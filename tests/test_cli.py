@@ -165,6 +165,14 @@ class TestRender:
                     "max_abs_state:", "first_divergence_sample:"):
             assert key in text
 
+    def test_sim_result_reports_peak_sample(self):
+        argv = ["simulate", "--g=1,3,3", "--sine-amp=0.1", "--sine-period=64", "--samples=2000"]
+        report, _ = execute(parse(argv))
+        want = report.payload.peak_sample
+        assert isinstance(want, int) and 0 <= want < 2000
+        assert json.loads(render(report, "json"))["result"]["peak_sample"] == want
+        assert f"peak_sample: {want}\n" in render(report, "text")
+
     def test_json_round_trips_floats(self):
         report, _ = execute(parse(["bounds", "--b", "3,-3,1"]))
         doc = json.loads(render(report, "json"))

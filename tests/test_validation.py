@@ -10,6 +10,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from sdmstab import boundary, simulator, transfer
 from sdmstab.cli import main
 from sdmstab.polynomial import Poly, all_roots
-from sdmstab.winding import count_inside_e1
+from sdmstab.winding import contour_table, count_inside_e1
 
 nan, inf = math.nan, math.inf
 
@@ -203,6 +204,15 @@ REGRESSIONS = {
     "trace_run-negative-threshold": lambda: simulator.trace_run((1.0,), 0.0, 10, threshold=-1.0),
     "trace_run-nan-threshold": lambda: simulator.trace_run((1.0,), 0.0, 10, threshold=nan),
     "run-subnormal-period": lambda: simulator.run((1.0,), simulator.SineInput(0.5, 5e-324), 1),
+    "run-float-samples": lambda: simulator.run((1.0,), 0.0, 2.5),
+    "run-nan-samples": lambda: simulator.run((1.0,), 0.0, nan),
+    "run-bool-samples": lambda: simulator.run((1.0,), 0.0, True),
+    "trace_run-float-samples": lambda: simulator.trace_run((1.0,), 0.0, 2.5),
+    "sweep-float-steps": lambda: simulator.sweep((1.0,), 0.0, 1.0, 2.5, 10),
+    "sweep-float-samples": lambda: simulator.sweep((1.0,), 0.0, 1.0, 4, 2.5),
+    "linearized_impulse-float-terms": lambda: simulator.linearized_impulse((1.0,), 2.5),
+    "ntf_series-float-terms": lambda: transfer.ntf_series((1.0, 1.0, 1.0), 3, 2.5),
+    "contour_table-float-samples": lambda: contour_table(Poly([1.0, 2.0]), 2.5),
 }
 
 
@@ -210,6 +220,14 @@ REGRESSIONS = {
 def test_defect_now_raises_value_error(call):
     with pytest.raises(ValueError):
         call()
+
+
+def test_counts_accept_index_integers():
+    # Any operator.index integer is a count; the result does not depend on its type.
+    big = 10**3
+    assert simulator.run((1.0,), 0.1, big) == simulator.run((1.0,), 0.1, np.int64(big))
+    assert len(transfer.ntf_series((1.0,), 1, np.int32(5))) == 5
+    assert len(simulator.sweep((1.0,), 0.0, 1.0, np.int16(3), 10).grid) == 3
 
 
 def test_huge_design_exits_2():
