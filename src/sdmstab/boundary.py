@@ -22,7 +22,7 @@ from typing import Sequence
 from .polynomial import Poly, all_roots, cheb_expand, chebyshev_u
 from .transfer import DCoeffs, MAX_ORDER
 from .transfer import _char_poly, _check_coeffs, _check_result, _check_scalar
-from .winding import count_inside_e1, count_inside_eig
+from .winding import count_inside_e1
 
 __all__ = [
     "DegenerateBoundaryError",
@@ -369,12 +369,9 @@ def _merge_events(values: list[float]) -> list[float]:
 
 
 def _probe(b: tuple[float, ...], n: int, a: float) -> tuple[bool, int | None]:
-    """Stability verdict at one ``a``: criterion count with eigen fallback."""
-    f = _char_poly(b, n, a)
-    res = count_inside_e1(f)
-    if res.marginal:
-        eig = count_inside_eig(f)
-        return False, eig.inside  # a marginal probe never certifies stability
+    """Stability verdict at one ``a`` and its root count; a marginal probe
+    (a root within ``2**-30`` of the circle) is unstable with no count."""
+    res = count_inside_e1(_char_poly(b, n, a))
     return res.inside == n, res.inside
 
 

@@ -31,8 +31,8 @@ from .simulator import (
     sweep as sim_sweep,
     trace_run,
 )
-from .transfer import SdmDesign, char_poly, g_from_b, ntf_series
-from .winding import RootCountResult, contour_table, count_inside_e1
+from .transfer import SdmDesign, _check_count, char_poly, g_from_b, ntf_series
+from .winding import RootCountResult, characteristic_points, contour_table, count_inside_e1
 
 __all__ = ["RunConfig", "Report", "parse", "execute", "render", "main"]
 
@@ -171,7 +171,8 @@ def execute(cfg: RunConfig) -> tuple[Report, int]:
         payload: object = classify_intervals(design.b, design.n)
     elif cfg.command == "check":
         inputs["i_abs"] = cfg.i_abs
-        payload = count_inside_e1(char_poly(design.b, design.n, cfg.i_abs))
+        f = char_poly(design.b, design.n, cfg.i_abs)
+        payload = dataclasses.replace(count_inside_e1(f), points=characteristic_points(f))
         if payload.marginal:
             code = 1
     elif cfg.command == "contour":
@@ -197,7 +198,7 @@ def execute(cfg: RunConfig) -> tuple[Report, int]:
         inputs["threshold"] = cfg.threshold
         g = design.g if design.g is not None else g_from_b(design.b)
         inputs["g"] = list(g)
-        if cfg.trace_len > 0:
+        if _check_count(cfg.trace_len, "trace_len", minimum=0) > 0:
             _, states = trace_run(g, signal, min(cfg.trace_len, cfg.samples), cfg.threshold)
             payload = states
         else:

@@ -2,14 +2,20 @@
 Chebyshev trig-to-polynomial conversion, and root finding.
 
 Polynomials are stored in ascending powers: ``coeffs[k]`` multiplies ``z**k``.
-Everything here is a pure function on immutable values.  numpy is imported
-only inside ``Poly.descending`` and ``all_roots``, the eigenvalue oracle, so
-importing this module does not load it.
+Everything here is a pure function on immutable values.  Root counts and
+real-root isolation run on an exact integer core: the float coefficients
+times a power of two are integers, and signed remainder sequences, Sturm
+counts and signs at float points are computed on those in Python ints.
+numpy is imported only inside ``Poly.descending`` and ``all_roots``, the
+eigenvalue oracle, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import struct
+import sys
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -163,13 +169,7 @@ def poly_rem(num: Poly, den: Poly) -> tuple[Poly, Poly, bool]:
             for j in range(dd):
                 r[i + j] -= c * dc[j]
         r[i + dd] = 0.0
-    # Cancellation residue at the rounding floor is noise; dropping it keeps
-    # Sturm chains from dividing by spurious leading terms.  The floor
-    # must stay below discriminant-level signals (a root pair split by s
-    # leaves a remainder of order s**2) or close pairs read as double roots.
-    tiny = 1e-15 * max(num.scale_max(), den.scale_max())
-    rem = [0.0 if abs(c) <= tiny else c for c in r[:dd]]
-    return Poly(q), Poly(rem), degenerate
+    return Poly(q), Poly(r[:dd]), degenerate
 
 
 def _cheb_tables(n: int) -> tuple[list[Poly], list[Poly]]:
@@ -229,216 +229,181 @@ def cheb_expand(d: Sequence[float], a: float = 0.0, kind: str = "cosine") -> Pol
     return Poly(acc)
 
 
-# --- real-root isolation ----------------------------------------------------
+# --- exact integer core -----------------------------------------------------
 #
-# Sturm-sequence sign variations isolate every real root in an interval, then
-# bisection plus a short Newton polish refines each to machine accuracy.  A
-# polynomial with a root far outside the interval is isolated after a Moebius
-# map that brings that root near a finite point.  This path is deliberately
-# independent of the eigenvalue-based ``all_roots`` so the two can
-# cross-check each other.
+# Every float is a dyadic rational, so a float polynomial times one power of
+# two has integer coefficients and the same roots.  On those, signed
+# remainder sequences, Sturm counts and signs at float points are exact in
+# Python ints: no tolerance decides a count.  Integer polynomials are lists
+# in ascending powers.
 
 # Roots this close to an open-interval endpoint are treated as outside.
 BOUNDARY_EXCLUSION = 1e-9
 
 
-def _unit(p: Poly) -> Poly:
-    s = p.scale_max()
-    if s == 0.0:
-        return p
-    inv = 1.0 / s
-    if inv == math.inf:
-        # s < 2**-1024: scale each coefficient by a power of two (exact).
-        e = math.frexp(s)[1]
-        return Poly(math.ldexp(c, -e) for c in p.coeffs)
-    return inv * p
+def _int_coeffs(coeffs: tuple[float, ...]) -> list[int]:
+    """Float coefficients times one common power of two, as ints (exact)."""
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    den = max(d for _, d in ratios)  # every d is a power of two
+    return [num * (den // d) for num, d in ratios]
 
 
-def _sturm_chain(p: Poly) -> list[Poly]:
-    chain = [_unit(p), _unit(p.derivative())]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
-        _, r, _ = poly_rem(chain[-2], chain[-1])
-        if r.is_zero:
-            break
-        chain.append(_unit(-r))
-    return chain
+def _primitive(p: list[int], sign: int = 1) -> list[int]:
+    """``sign * p`` without trailing zeros, divided by its positive content."""
+    while p and p[-1] == 0:
+        p.pop()
+    g = sign * math.gcd(*p)
+    return [c // g for c in p] if g != 1 else p
 
 
-def _squarefree(p: Poly) -> tuple[Poly, list[Poly]]:
-    """Strip repeated factors so every remaining real root is simple.
+def _pdiv(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """``|lc b|**(deg a - deg b + 1) * a = q*b + r``: returns ``(q, r)``.
 
-    Returns the square-free part and its Sturm chain, whose last member is
-    the gcd with the derivative that proved it square-free.
+    The multiplier is positive, so ``r`` has the sign of the true remainder;
+    and it makes ``q`` integral, so every quotient step divides exactly.
     """
+    m, lead = len(b) - 1, b[-1]
+    steps = len(a) - m
+    if steps <= 0:
+        return [], a
+    mul = abs(lead) ** steps
+    r, q = [mul * c for c in a], [0] * steps
+    for i in range(steps - 1, -1, -1):
+        q[i] = t = r[i + m] // lead
+        for j in range(m):
+            r[i + j] -= t * b[j]
+    return q, r[:m]
+
+
+def _derivative(p: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(p) if k > 0]
+
+
+def _sturm(p: list[int], q: list[int]) -> list[list[int]]:
+    """Signed remainder sequence ``sRem(p, q)`` up to positive factors, for
+    ``p`` nonzero and ``q`` without trailing zeros.
+
+    Each member after ``q`` is the primitive part of minus the remainder of
+    the two before it, so sign variations along it are those of the exact
+    signed remainder sequence; the last member is ``gcd(p, q)``.
+    """
+    seq, r = [p], q
+    while r:
+        seq.append(r)
+        r = _primitive(_pdiv(seq[-2], r)[1], -1)
+    return seq
+
+
+def _sign_at(p: list[int], x: float) -> int:
+    """Exact sign of the integer polynomial ``p`` at the float ``x``."""
+    num, den = x.as_integer_ratio()
+    acc, dpow = 0, 1
+    for c in reversed(p):  # den**deg(p) * p(num/den), den > 0
+        acc = acc * num + c * dpow
+        dpow *= den
+    return (acc > 0) - (acc < 0)
+
+
+def _sign_near(p: list[int], x: float, side: int) -> int:
+    """Sign of a nonzero ``p`` just right (``side = 1``) or left (``-1``)
+    of ``x``: that of its first derivative not vanishing at ``x``."""
+    s = 1
     while True:
-        chain = _sturm_chain(p)
-        g = chain[-1]
-        if g.degree <= 0:
-            return p, chain
-        q, _, _ = poly_rem(p, g)
-        p = _unit(q)
+        v = _sign_at(p, x)
+        if v:
+            return s * v
+        p, s = _derivative(p), s * side
 
 
-def _variations(chain: list[Poly], t: float) -> int:
-    count = 0
-    prev = 0.0
-    for q in chain:
-        v = q(t)
-        if abs(v) <= 1e-300:
-            continue
-        if prev != 0.0 and (v > 0.0) != (prev > 0.0):
-            count += 1
-        prev = v
-    return count
+def _sign_changes(values: list[int]) -> int:
+    """Sign changes along ``values``, skipping zeros."""
+    neg = [v < 0 for v in values if v]
+    return sum(map(operator.ne, neg, neg[1:]))
 
 
-def _refine_bisect(p: Poly, lo: float, hi: float) -> float:
-    flo = p(lo)
-    if flo == 0.0:
-        return lo
-    if p(hi) == 0.0:
-        return hi
-    neg = flo < 0.0
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = p(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == neg:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    # Newton polish, kept only while the residual improves.
-    dp = p.derivative()
-    best, fbest = x, abs(p(x))
-    for _ in range(4):
-        d = dp(x)
-        if d == 0.0:
-            break
-        x = x - p(x) / d
-        fx = abs(p(x))
-        if fx < fbest:
-            best, fbest = x, fx
-        else:
-            break
-    return best
+def _cauchy_index(seq: list[list[int]]) -> int:
+    """``Var(-1+) - Var(1-)`` along ``seq``: for ``sRem(p, q)`` the Cauchy
+    index of ``q/p`` on (-1, 1), and for ``sRem(p, p')`` the number of
+    distinct roots of ``p`` there.  A member's value at -1 or 1 has its sign
+    there unless it is 0."""
+    left = [(sum(p[::2]) - sum(p[1::2])) or _sign_near(p, -1.0, 1) for p in seq]
+    right = [sum(p) or _sign_near(p, 1.0, -1) for p in seq]
+    return _sign_changes(left) - _sign_changes(right)
 
 
-def _isolate(p: Poly, lo: float, hi: float) -> list[float]:
-    """Roots of ``p`` in ``[lo, hi]`` by Sturm isolation, unsorted."""
-    q, chain = _squarefree(_unit(p))
-    if q.degree < 1:
-        return []
-
-    def nudge(t: float, direction: float) -> float:
-        # Endpoints must not sit on a root of the square-free part.
-        step = 1e-12 * max(1.0, abs(t))
-        while q(t) == 0.0:
-            t += direction * step
-            step *= 2.0
-        return t
-
-    a = nudge(lo, 1.0)
-    b = nudge(hi, -1.0)
-    if a >= b:
-        return []
-
-    roots: list[float] = []
-    stack = [(a, _variations(chain, a), b, _variations(chain, b))]
-    while stack:
-        xa, va, xb, vb = stack.pop()
-        n_roots = va - vb
-        if n_roots <= 0:
-            continue
-        if n_roots == 1:
-            roots.append(_refine_bisect(q, xa, xb))
-            continue
-        mid = nudge(0.5 * (xa + xb), 1.0)
-        if mid <= xa or mid >= xb:
-            # Interval collapsed to float resolution: treat as one cluster.
-            roots.append(0.5 * (xa + xb))
-            continue
-        vm = _variations(chain, mid)
-        stack.append((xa, va, mid, vm))
-        stack.append((mid, vm, xb, vb))
-    return roots
+def _ordered(x: float) -> int:
+    """Integer key of a float, monotone in its value (adjacent floats differ by 1)."""
+    (bits,) = struct.unpack("<q", struct.pack("<d", x))
+    return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
 
 
-# A leading coefficient whose term is this small (relative to the largest
-# term on the interval) means a root far outside it; the Sturm remainders
-# of such a polynomial cancel catastrophically.
-LEAD_NEGLIGIBLE = 1e-8
+def _unordered(k: int) -> float:
+    (x,) = struct.unpack("<d", struct.pack("<q", abs(k)))
+    return x if k >= 0 else -x
 
 
-def _lead_negligible(p: Poly, m: float) -> bool:
-    """Whether ``|c_n| m**n`` is below ``LEAD_NEGLIGIBLE`` times the largest
-    ``|c_k| m**k`` (for ``m != 1`` compared in logarithms, so nothing
-    overflows)."""
-    if m == 1.0:
-        return abs(p.leading) / p.scale_max() < LEAD_NEGLIGIBLE
-    logm = math.log2(m)
-    logs = [math.log2(abs(c)) + k * logm for k, c in enumerate(p.coeffs) if c != 0.0]
-    return logs[-1] < max(logs) + math.log2(LEAD_NEGLIGIBLE)
-
-
-def _far_roots_mapped(p: Poly, lo: float, hi: float) -> list[float]:
-    """Roots of ``p`` in ``[lo, hi]``, isolated in the variable ``u`` of
-    ``x = c + r*u/(1 + s*u/4)``, the Moebius map that sends ``[lo, hi]`` to
-    a bounded interval and ``x = c + 4*s*r`` to ``u = oo``.  Roots far
-    outside ``[lo, hi]`` land near ``u = -4*s``, so the mapped polynomial has
-    no negligible leading coefficient unless ``p`` nearly vanishes at
-    ``c + 4*s*r``; of the two signs ``s`` the one with larger ``|p|`` there
-    is used.
-    """
-    c, r = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
-    p = _unit(p)
-    s = 1.0 if abs(p(c + 4.0 * r)) >= abs(p(c - 4.0 * r)) else -1.0
-    n = p.degree
-    den, num = Poly([1.0, 0.25 * s]), Poly([c, 0.25 * s * c + r])
-    # (1 + s*u/4)**n * p(x(u)) = sum c_k num**k den**(n-k)
-    num_pows, den_pows = [Poly([1.0])], [Poly([1.0])]
-    for _ in range(n):
-        num_pows.append(num_pows[-1] * num)
-        den_pows.append(den_pows[-1] * den)
-    mapped = Poly()
-    for k, ck in enumerate(p.coeffs):
-        mapped = mapped + ck * (num_pows[k] * den_pows[n - k])
-
-    def to_u(x: float) -> float:
-        return (x - c) / (r - 0.25 * s * (x - c))
-
-    us = _isolate(mapped, to_u(lo), to_u(hi))
-    return [c + r * u / (1.0 + 0.25 * s * u) for u in us]
+def _bisect_simple(q: list[int], ka: int, kb: int) -> float:
+    """The one root of the square-free ``q`` in ``(x_a, x_b]`` (float keys
+    ``ka < kb``), bisected on signs of ``q`` to within one float."""
+    sa = _sign_near(q, _unordered(ka), 1)
+    while kb - ka > 1:
+        km = (ka + kb) // 2
+        s = _sign_at(q, _unordered(km))
+        if s == 0:
+            return _unordered(km)
+        ka, kb = (km, kb) if s == sa else (ka, km)
+    return _unordered(kb)
 
 
 def real_roots_open(p: Poly, lo: float, hi: float) -> list[float]:
     """All real roots of ``p`` strictly inside ``(lo, hi)``, sorted ascending.
 
     Roots closer than ``BOUNDARY_EXCLUSION`` to an endpoint are excluded, and
-    near-coincident roots are reported once.  A polynomial whose leading
-    term is negligible on the interval has a root far outside it; such a
-    polynomial is isolated after a Moebius map that brings infinity to a
-    finite point (``_far_roots_mapped``).
+    near-coincident roots are reported once.  The roots are those of the
+    exact polynomial the float coefficients denote: its square-free part
+    comes from an exact gcd, exact Sturm counts at float points isolate each
+    root, and bisection over the ordered float bit patterns (at most about
+    64 steps) brings it to one float.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    if p.degree < 1 or hi <= lo:
+    # An infinite bound acts as the largest float: no float root lies beyond.
+    a = max(lo + BOUNDARY_EXCLUSION, -sys.float_info.max)
+    b = min(hi - BOUNDARY_EXCLUSION, sys.float_info.max)
+    if p.degree < 1 or not a < b:
         return []
-    a, b = lo + BOUNDARY_EXCLUSION, hi - BOUNDARY_EXCLUSION
-    if _lead_negligible(p, max(abs(lo), abs(hi))):
-        roots = _far_roots_mapped(p, a, b) if a < b else []
-    else:
-        roots = _isolate(p, a, b)
+    c = _int_coeffs(p.coeffs)
+    chain = _sturm(c, _derivative(c))
+    if len(chain[-1]) > 1:  # repeated factors: keep the square-free part
+        c = _primitive(_pdiv(c, chain[-1])[0])
+        chain = _sturm(c, _derivative(c))
+
+    def var(k: int) -> int:
+        x = _unordered(k)
+        return _sign_changes([_sign_at(s, x) for s in chain])
+
+    roots: list[float] = []
+    ka, kb = _ordered(a), _ordered(b)
+    stack = [(ka, var(ka), kb, var(kb))]
+    while stack:  # roots in (x_a, x_b] number va - vb
+        ka, va, kb, vb = stack.pop()
+        if va == vb:
+            continue
+        if va - vb == 1:
+            roots.append(_bisect_simple(c, ka, kb))
+        elif kb - ka == 1:
+            roots.append(_unordered(kb))  # a cluster within one float
+        else:
+            km = (ka + kb) // 2
+            vm = var(km)
+            stack += [(ka, va, km, vm), (km, vm, kb, vb)]
 
     roots.sort()
     out: list[float] = []
     for x in roots:
         if out and abs(x - out[-1]) <= 1e-9:
             continue
-        if x <= lo + BOUNDARY_EXCLUSION or x >= hi - BOUNDARY_EXCLUSION:
+        if x <= a or x >= b:
             continue
         out.append(x)
     return out

@@ -2,22 +2,29 @@
 
 On ``|z| = 1`` the image of a real polynomial ``F`` of degree ``n`` crosses
 the real axis only at the turning points ``W(1)``, ``W(-1)`` and at
-self-intersection points located by a polynomial in ``x = cos(phi)``.  The
-signs of those characteristic points, together with the sign of the
-sine-kind profile between them, give the winding of the image around the
-origin and so the exact number of roots inside the circle, without
-extracting any roots.  A numeric winding integral, eigenvalue extraction
-and a Jury table are kept as independent oracles.  numpy is imported only
-inside the winding integral, the eigenvalue oracle and ``contour_table``.
+self-intersection points, the roots in ``x = cos(phi)`` of the sine-kind
+profile ``r1`` with ``Im W = -sin(phi)*r1``.  The signed crossings of the
+negative real axis give the winding and so the number of roots inside the
+circle.  ``count_inside_e1`` reads that sum without locating the points: it
+is the Cauchy index of ``Re W / r1`` on (-1, 1) plus end terms, decided
+exactly in integers from a signed remainder sequence.  A count is refused
+when a root lies within ``2**-30`` of the circle.  ``characteristic_points``
+locates the points themselves.  A numeric winding integral, eigenvalue
+extraction and a Jury table are kept as independent oracles.  numpy is
+imported only inside the winding integral, the eigenvalue oracle and
+``contour_table``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .polynomial import Poly, all_roots, cheb_expand, real_roots_open
+from .polynomial import MAX_CHEB_ORDER, Poly, all_roots, cheb_expand, chebyshev_t, chebyshev_u
+from .polynomial import _cauchy_index, _derivative, _int_coeffs, _primitive, _sign_near, _sturm
+from .polynomial import real_roots_open
 from .transfer import _check_count
 
 if TYPE_CHECKING:
@@ -35,13 +42,8 @@ __all__ = [
     "contour_table",
 ]
 
-# Characteristic-point magnitudes below this relative threshold mean the
-# contour passes through the origin: the verdict is refused, not guessed.
+# Default refusal distance of the eigenvalue oracle ``count_inside_eig``.
 MARGIN = 1e-9
-
-# Coefficient scale below which count_inside_e1 works on a copy scaled up by
-# a power of two: MARGIN * 2**-900 is still a normal float with full precision.
-TINY_SCALE = 2.0**-900
 
 # Adaptive refinement cap for the winding integral.
 MAX_WINDING_SAMPLES = 2**20
@@ -73,7 +75,8 @@ class RootCountResult:
     """Outcome of a unit-circle root count.
 
     ``inside`` is None when ``marginal`` is set: a root sits too close to the
-    circle for any verdict.
+    circle for any verdict.  No count sets ``points``; the ``check`` command
+    adds them from ``characteristic_points`` for its report.
     """
 
     inside: int | None
@@ -100,82 +103,102 @@ def characteristic_points(f: Poly) -> CharacteristicPoints:
     cosine/sine basis conversion; self-intersections are the roots of the
     sine-kind polynomial strictly inside (-1, 1).
     """
-    return _contour(_normalized(f))[0]
-
-
-def _contour(f: Poly) -> tuple[CharacteristicPoints, Poly]:
-    """Characteristic points of a normalized ``f`` and its sine-kind profile
-    ``r1``, with ``Im W = -sin(phi) * r1(cos(phi))``."""
+    f = _normalized(f)
     n = f.degree
-    a = f.leading
-    d = [f.coeffs[n - k] if n - k < len(f.coeffs) else 0.0 for k in range(1, n + 1)]
+    d = [f.coeffs[n - k] for k in range(1, n + 1)]
     w_plus = float(f(1.0))
     w_minus = float(f(-1.0) * (-1.0) ** n)
     r1 = cheb_expand(d, kind="sine")
     if r1.is_zero:
         # W is the constant a: the image is a single point, no crossings.
-        return CharacteristicPoints(w_plus=w_plus, w_minus=w_minus, selfx=()), r1
-    r0 = cheb_expand(d, a=a, kind="cosine")
+        return CharacteristicPoints(w_plus=w_plus, w_minus=w_minus, selfx=())
+    r0 = cheb_expand(d, a=f.leading, kind="cosine")
     xs = real_roots_open(r1, -1.0, 1.0)
     selfx = tuple(SelfIntersection(x=x, re_w=float(r0(x))) for x in xs)
-    return CharacteristicPoints(w_plus=w_plus, w_minus=w_minus, selfx=selfx), r1
+    return CharacteristicPoints(w_plus=w_plus, w_minus=w_minus, selfx=selfx)
+
+
+# Refusal radius: a count is given only when no root lies within 2**-REFUSE_BITS
+# of the circle.  A dyadic radius keeps both counts exact.
+REFUSE_BITS = 30
+
+
+def _profile_columns(n: int, m: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Integer tables giving each coefficient of ``r0`` and ``r1`` of
+    ``2**(REFUSE_BITS*n) * F(rho*z)``, ``rho = m / 2**REFUSE_BITS``, as a dot
+    product with the coefficients ``(a, d_1, .., d_n)`` of an order-``n``
+    ``F``; ``cos(k*phi) = T_k(x)`` and ``sin(k*phi) = sin(phi)*U_(k-1)(x)``."""
+    t = [chebyshev_t(k).coeffs for k in range(n + 1)]
+    u = [()] + [chebyshev_u(k - 1).coeffs for k in range(1, n + 1)]
+    scale = [m ** (n - k) << (REFUSE_BITS * k) for k in range(n + 1)]
+
+    def col(basis, j):
+        return [int(p[j]) * s if j < len(p) else 0 for p, s in zip(basis, scale)]
+
+    return [col(t, j) for j in range(n + 1)], [col(u, j) for j in range(n)]
+
+
+_COLUMNS = [None] + [
+    [_profile_columns(n, m) for m in ((1 << REFUSE_BITS) - 1, (1 << REFUSE_BITS) + 1)]
+    for n in range(1, MAX_CHEB_ORDER + 1)
+]
+
+
+def _count_exact(
+    coeffs: list[int], t_cols: list[list[int]], u_cols: list[list[int]]
+) -> int | None:
+    """Roots inside ``|z| = 1`` of the polynomial whose profiles the tables
+    make from the integer ``(a, d_1, .., d_n)``, ``a > 0``; None for a root
+    on the circle.  See ``count_inside_e1``."""
+    r0 = [sum(map(operator.mul, coeffs, col)) for col in t_cols]
+    r1 = [sum(map(operator.mul, coeffs, col)) for col in u_cols]
+    while r0[-1] == 0:  # r0 = a when every d_k is 0, else of degree max{k: d_k != 0}
+        r0.pop()
+    w_plus, w_minus = sum(r0), sum(r0[::2]) - sum(r0[1::2])  # W(1), W(-1)
+    if w_plus == 0 or w_minus == 0:
+        return None
+    n = len(t_cols) - 1
+    if not any(r1):
+        return n  # W is constant: the image crosses nothing
+    # deg r1 < deg r0, so sRem(r1, r0) = r1, sRem(r0, -r1).
+    seq = [r1, *_sturm(r0, _primitive(r1, -1))]
+    gcd = seq[-1]
+    if len(gcd) > 1 and _cauchy_index(_sturm(gcd, _derivative(gcd))):
+        return None  # a common root of r0 and r1 in (-1, 1) is on the circle
+    s_0, s_m = _sign_near(r1, -1.0, 1), _sign_near(r1, 1.0, -1)
+    w = (s_0 - s_m) // 2 + _cauchy_index(seq)  # + Ind(r0/r1) on (-1, 1)
+    if w_plus < 0:
+        w += s_m
+    if w_minus < 0:
+        w -= s_0
+    return n + w
 
 
 def count_inside_e1(f: Poly) -> RootCountResult:
     """Count roots strictly inside ``|z| = 1`` from characteristic points.
 
     The count is ``n + w`` with ``w`` the signed number of times the image
-    crosses the negative real axis.  With ``s_0 .. s_m`` the signs of the
-    sine-kind profile ``r1`` on the gaps between its sorted roots in
-    ``(-1, 1)`` (``s_0`` next to ``x = -1``), and ``Im W = -sin(phi)*r1``:
-    a self-intersection ``x_i`` with ``Re W < 0`` adds ``s_(i-1) - s_i``
-    (both conjugate halves; 0 at a tangency), ``W(1) < 0`` adds ``s_m`` and
-    ``W(-1) < 0`` adds ``-s_0``.  Each gap sign is read at the gap midpoint,
-    so a root of ``r1`` too close to ``x = +-1`` to be isolated does not
-    flip it.  If any characteristic value is within ``MARGIN`` (relative)
-    of zero, or ``r1`` vanishes at a gap midpoint, the result is flagged
-    marginal with no count.  A polynomial whose coefficients all lie below
-    ``TINY_SCALE`` is first scaled up by a power of two (exact; no root
-    moves), so that neither ``MARGIN * scale`` nor the evaluations lose
-    precision to subnormal rounding.
+    ``W = F/z**n`` crosses the negative real axis.  With ``Re W = r0(x)``,
+    ``Im W = -sin(phi)*r1(x)`` and ``s_0 .. s_m`` the signs of ``r1`` on the
+    gaps between its roots in (-1, 1), the self-intersections with
+    ``Re W < 0`` add ``(s_0 - s_m)/2 + Ind(r0/r1)``, the Cauchy index of
+    ``r0/r1`` on (-1, 1), which sign variations of the signed remainder
+    sequence of ``(r1, r0)`` at the ends give without isolating any root;
+    ``W(1) < 0`` adds ``s_m`` and ``W(-1) < 0`` adds ``-s_0``.  All of it is
+    exact integer arithmetic on the float coefficients scaled by a power of
+    two.  The count is taken for ``F(rho*z)`` at ``rho = 1 -+ 2**-30``; if the
+    two differ, or either has a root on the circle, a root lies within
+    ``2**-30`` of the circle and the result is marginal with no count.
     """
     f = _normalized(f)
-    s = f.scale_max()
-    if s < TINY_SCALE:
-        e = math.frexp(s)[1]
-        f = Poly(math.ldexp(c, -e) for c in f.coeffs)
-    n = f.degree
-    cp, r1 = _contour(f)
-    tol = MARGIN * f.scale_max()
-    signs = _gap_signs(r1, cp.selfx)
-    if (
-        signs is None
-        or abs(cp.w_plus) < tol
-        or abs(cp.w_minus) < tol
-        or any(abs(pt.re_w) < tol for pt in cp.selfx)
-    ):
-        return RootCountResult(inside=None, method="e1", marginal=True, points=cp)
-    w = sum(signs[i] - signs[i + 1] for i, pt in enumerate(cp.selfx) if pt.re_w < 0.0)
-    if cp.w_plus < 0.0:
-        w += signs[-1]
-    if cp.w_minus < 0.0:
-        w -= signs[0]
-    return RootCountResult(inside=n + w, method="e1", points=cp, winding=w)
-
-
-def _gap_signs(r1: Poly, selfx: tuple[SelfIntersection, ...]) -> list[int] | None:
-    """Sign of ``r1`` at the midpoint of each gap between -1, the sorted
-    self-intersections and 1; None when ``r1`` vanishes at a midpoint."""
-    if r1.is_zero:
-        return [0]  # constant image: it crosses nothing
-    edges = [-1.0, *(pt.x for pt in selfx), 1.0]
-    signs = []
-    for lo, hi in zip(edges, edges[1:]):
-        v = r1(0.5 * (lo + hi))
-        if v == 0.0:
-            return None
-        signs.append(1 if v > 0.0 else -1)
-    return signs
+    if f.degree > MAX_CHEB_ORDER:
+        raise ValueError(f"need degree 1..{MAX_CHEB_ORDER}, got {f.degree}")
+    coeffs = _int_coeffs(f.coeffs)[::-1]
+    counts = {_count_exact(coeffs, t, u) for t, u in _COLUMNS[f.degree]}
+    if len(counts) != 1 or None in counts:
+        return RootCountResult(inside=None, method="e1", marginal=True)
+    (inside,) = counts
+    return RootCountResult(inside=inside, method="e1", winding=inside - f.degree)
 
 
 _ANGLE_CACHE: dict[int, np.ndarray] = {}

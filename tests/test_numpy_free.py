@@ -16,6 +16,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 CLI_ARGVS = [
     ["bounds", "--b=3,-3,1"],
     ["bounds", "--b=1,0.5,0.2,0.1,0.05", "--format", "json"],
+    ["bounds", "--b=1e300,-1e300,1e300"],  # a marginal witness probe
     ["check", "--b=3,-3,1", "--i-abs=1.5"],
     ["from-g", "--g=1,3,3"],
     ["simulate", "--g=1,3,3", "--dc=0.05", "--samples", "2000"],

@@ -13,6 +13,7 @@ from sdmstab.polynomial import (
     poly_rem,
     real_roots_open,
 )
+from sdmstab.transfer import g_from_b
 
 
 def approx_poly(p: Poly, coeffs, tol=1e-12):
@@ -102,6 +103,13 @@ class TestPolyRem:
         with pytest.raises(ValueError):
             poly_rem(Poly([1.0]), Poly())
 
+    def test_small_remainders_are_kept(self):
+        # (x - 1)**2 + 2**-52 * x**2 leaves 2**-52 at x = 1, exactly; a
+        # relative floor on remainders once zeroed it, and with it g1.
+        _, r, _ = poly_rem(Poly([1.0, -2.0, 1.0 + 2**-52]), Poly([-1.0, 1.0]))
+        assert r == Poly([2.0**-52])
+        assert g_from_b((1.0, -2.0, 1.0 + 2**-52)) == (2.0**-52, 0.0, 1.0)
+
     def test_degenerate_leading_flagged(self):
         _, _, degen = poly_rem(Poly([1.0, 1.0, 1.0]), Poly([1.0, 1e-14]))
         assert degen
@@ -185,10 +193,13 @@ class TestRealRootsOpen:
         assert real_roots_open(Poly([1.0, 0.0, 1.0]), -1.0, 1.0) == []
 
     def test_double_root_found_once(self):
-        p = Poly([-0.3, 1.0]) * Poly([-0.3, 1.0])
+        # (x - 0.375)**2 is exact in floats.  The float square of (x - 0.3)
+        # is not a square: its exact roots are the pair 0.3 +- 1.8e-9j.
+        p = Poly([-0.375, 1.0]) * Poly([-0.375, 1.0])
         roots = real_roots_open(p, -1.0, 1.0)
         assert len(roots) == 1
-        assert roots[0] == pytest.approx(0.3, abs=1e-7)
+        assert roots[0] == pytest.approx(0.375, abs=1e-7)
+        assert real_roots_open(Poly([-0.3, 1.0]) * Poly([-0.3, 1.0]), -1.0, 1.0) == []
 
     def test_zero_poly_rejected(self):
         with pytest.raises(ValueError):
@@ -251,6 +262,23 @@ class TestRealRootsOpen:
         p = Poly([-3.0, 1.0]) * Poly([-4.5, 1.0]) * Poly([1.0, -1e-200])
         assert real_roots_open(p, 2.0, 5.0) == pytest.approx([3.0, 4.5], rel=1e-14)
         assert real_roots_open(p, -5.0, -2.0) == []
+
+    def test_root_next_to_a_tiny_root(self):
+        # 4x**3 - 2x + 1e-300: the root at +0.7071 was once lost beside the
+        # root at 5e-301.
+        roots = real_roots_open(Poly([1e-300, -2.0, 0.0, 4.0]), -1.0, 1.0)
+        assert roots == pytest.approx([-math.sqrt(0.5), 5e-301, math.sqrt(0.5)], rel=1e-15)
+
+    def test_narrow_cluster_resolved(self):
+        # The remainder floor of the float Sturm chain once merged this pair.
+        p = Poly([-3.41e205, -2.75e88, 2.27e-218, -1.63e-184, 6.78e227])
+        want = math.sqrt(3.41e205 / 6.78e227) ** 0.5  # the pair +-(-c0/c4)**(1/4)
+        assert real_roots_open(p, -1.0, 1.0) == pytest.approx([-want, want], rel=1e-12)
+
+    def test_wide_and_infinite_intervals(self):
+        want = [-math.sqrt(2.0), math.sqrt(2.0)]
+        for lo, hi in ((-1e308, 1e308), (-math.inf, math.inf)):
+            assert real_roots_open(Poly([-2.0, 0.0, 1.0]), lo, hi) == pytest.approx(want)
 
     def test_residuals_meet_contract(self):
         rng = np.random.default_rng(13)

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sdmstab import boundary, simulator, transfer
-from sdmstab.cli import main
+from sdmstab.cli import execute, main, parse
 from sdmstab.polynomial import Poly, all_roots
 from sdmstab.winding import contour_table, count_inside_e1
 
@@ -213,6 +213,7 @@ REGRESSIONS = {
     "linearized_impulse-float-terms": lambda: simulator.linearized_impulse((1.0,), 2.5),
     "ntf_series-float-terms": lambda: transfer.ntf_series((1.0, 1.0, 1.0), 3, 2.5),
     "contour_table-float-samples": lambda: contour_table(Poly([1.0, 2.0]), 2.5),
+    "simulate-negative-trace-len": lambda: execute(parse(["simulate", "--g=1", "--trace-len=-3"])),
 }
 
 
@@ -286,10 +287,10 @@ def test_schur_cohn_oracle_matches_root_moduli():
 
 def assert_witnesses_exact(b, n):
     """Every interval's witness verdict agrees with the exact count of the
-    same float polynomial.  A probe the criterion finds marginal must not
-    be stable (its count comes from the eigenvalue fallback, which is not
-    held to the oracle); a root on the circle (the oracle undecided even at
-    2**-400) must make the probe marginal."""
+    same float polynomial.  A probe the criterion finds marginal (a root
+    within 2**-30 of the circle) must be unstable with no count; a root on
+    the circle (the oracle undecided even at 2**-400) must make the probe
+    marginal."""
     rep = boundary.classify_intervals(b, n)
     assert rep.intervals
     assert all(math.isfinite(c.a) and math.isfinite(c.x) for c in rep.candidates)
@@ -299,7 +300,7 @@ def assert_witnesses_exact(b, n):
         if want is None:
             want = schur_cohn_inside(f.coeffs, Fraction(1, 2**400))
         if count_inside_e1(f).marginal:
-            assert not iv.stable, (b, n, iv)
+            assert not iv.stable and iv.witness_count is None, (b, n, iv)
         else:
             assert want is not None, (b, n, iv)
             assert (iv.witness_count, iv.stable) == (want, want == n), (b, n, iv, want)
@@ -339,6 +340,38 @@ def test_log_uniform_designs_match_exact_count():
         n = rng.randint(1, 5)
         b = tuple(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320, 300) for _ in range(n))
         assert_witnesses_exact(b, n)
+
+
+@pytest.mark.parametrize("log_uniform", [False, True], ids=["ordinary", "log-uniform"])
+def test_check_count_matches_exact_schur_cohn(log_uniform):
+    # A count is refused exactly when a root lies within 2**-30 of the circle.
+    # Log-uniform probes have magnitudes over 1e-300..1e299.
+    rng = random.Random(8)
+    checked = 0
+    while checked < 2000:
+        n = rng.randint(1, 5)
+        if log_uniform:
+            b = tuple(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300, 299) for _ in range(n))
+            a = 10.0 ** rng.uniform(-300, 299)
+        else:
+            b, a = tuple(rng.uniform(-4.0, 4.0) for _ in range(n)), rng.uniform(0.01, 4.0)
+        try:
+            f = transfer.char_poly(b, n, a)
+        except ValueError:
+            continue  # a coefficient beyond the 1e300 cap
+        res = count_inside_e1(f)
+        assert res.inside == schur_cohn_inside(f.coeffs, Fraction(1, 2**30)), (b, n, a)
+        assert res.marginal == (res.inside is None)
+        checked += 1
+
+
+def test_check_count_beside_a_tiny_self_intersection():
+    # A root of the sine-kind profile at 5e-301 once hid another from the
+    # float isolation, and the check printed "inside: 2".
+    code, out, _ = cli(["check", "--b=1.1503240122765525e-165,-1.4577309830855049e+26,"
+                        "5.8802314636240036e-46,-3.2181115366524337e+272",
+                        "--i-abs=1.1795976698722593e-113"])
+    assert code == 0 and "inside: 0" in out
 
 
 def test_subnormal_on_circle_check_exits_1():

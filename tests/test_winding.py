@@ -176,6 +176,19 @@ class TestCountInsideE1:
         assert count_inside_e1(Poly([-1.0, 0.0, 1.0])).marginal
         assert count_inside_e1(Poly([-t, 0.0, t])).marginal
 
+    def test_interior_root_on_circle_is_detected(self):
+        # At rho = 1, z**2 + 1, z*(z**2 + 1) and (z**2 + 1)*(2z - 1) have roots
+        # at +-i: r0 and r1 share the factor x, whose root 0 lies in (-1, 1).
+        for coeffs in ([1, 0, 1], [0, 1, 0, 1], [-1, 2, -1, 2]):
+            n = len(coeffs) - 1
+            columns = winding._profile_columns(n, 1 << winding.REFUSE_BITS)
+            assert winding._count_exact(coeffs[::-1], *columns) is None
+        assert count_inside_e1(Poly([0.25, 0.0, 1.0])).inside == 2  # at +-i/2
+
+    def test_degree_above_five_rejected(self):
+        with pytest.raises(ValueError):
+            count_inside_e1(Poly([1.0] * 7))
+
     @pytest.mark.parametrize("edge", [1.0, -1.0])
     @pytest.mark.parametrize("offset", [0.0, 0.5 * BOUNDARY_EXCLUSION])
     def test_sine_root_next_to_turning_point(self, edge, offset):
