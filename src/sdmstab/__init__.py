@@ -7,119 +7,79 @@ The analytic side works on the characteristic polynomial
 root count from the contour image, and independent numeric oracles.  The
 behavioral side is a nonlinear time-domain simulator with DC amplitude
 sweeps and instability-window extraction.
+
+``import sdmstab`` loads no submodule: each exported name is looked up in
+``_EXPORTS`` and its module imported on first access (PEP 562), so a
+process pays only for the modules it uses.
 """
 
 __version__ = "0.1.0"
 
-from .polynomial import (
-    Poly,
-    all_roots,
-    binom_power,
-    cheb_expand,
-    chebyshev_t,
-    chebyshev_u,
-    poly_rem,
-    real_roots_open,
-)
-from .transfer import (
-    DCoeffs,
-    SdmDesign,
-    b_from_g,
-    char_poly,
-    d_coeffs,
-    g_from_b,
-    ntf_series,
-)
-from .winding import (
-    CharacteristicPoints,
-    RootCountResult,
-    SelfIntersection,
-    characteristic_points,
-    contour_table,
-    count_inside_e1,
-    count_inside_eig,
-    jury_stable,
-    winding_oracle,
-)
-from .boundary import (
-    DegenerateBoundaryError,
-    StabilityInterval,
-    StabilityReport,
-    ZeroPointCandidate,
-    bisect_boundary,
-    classify_intervals,
-    crossing_param,
-    crossing_value,
-    i_max_order3,
-    i_min,
-    report_to_dict,
-    t2_order5,
-    zero_point_candidates,
-)
-from .simulator import (
-    DcInput,
-    GridPoint,
-    SimResult,
-    SimState,
-    SineInput,
-    Window,
-    WindowReport,
-    extract_windows,
-    linearized_impulse,
-    run,
-    sweep,
-    trace_run,
-)
+# Exported name -> the submodule that defines it.
+_EXPORTS = {
+    "Poly": "polynomial",
+    "all_roots": "polynomial",
+    "binom_power": "polynomial",
+    "cheb_expand": "polynomial",
+    "chebyshev_t": "polynomial",
+    "chebyshev_u": "polynomial",
+    "poly_rem": "polynomial",
+    "real_roots_open": "polynomial",
+    "DCoeffs": "transfer",
+    "SdmDesign": "transfer",
+    "b_from_g": "transfer",
+    "char_poly": "transfer",
+    "d_coeffs": "transfer",
+    "g_from_b": "transfer",
+    "ntf_series": "transfer",
+    "CharacteristicPoints": "winding",
+    "RootCountResult": "winding",
+    "SelfIntersection": "winding",
+    "characteristic_points": "winding",
+    "contour_table": "winding",
+    "count_inside_e1": "winding",
+    "count_inside_eig": "winding",
+    "jury_stable": "winding",
+    "winding_oracle": "winding",
+    "DegenerateBoundaryError": "boundary",
+    "StabilityInterval": "boundary",
+    "StabilityReport": "boundary",
+    "ZeroPointCandidate": "boundary",
+    "bisect_boundary": "boundary",
+    "classify_intervals": "boundary",
+    "crossing_param": "boundary",
+    "crossing_value": "boundary",
+    "i_max_order3": "boundary",
+    "i_min": "boundary",
+    "report_to_dict": "boundary",
+    "t2_order5": "boundary",
+    "zero_point_candidates": "boundary",
+    "DcInput": "simulator",
+    "GridPoint": "simulator",
+    "SimResult": "simulator",
+    "SimState": "simulator",
+    "SineInput": "simulator",
+    "Window": "simulator",
+    "WindowReport": "simulator",
+    "extract_windows": "simulator",
+    "linearized_impulse": "simulator",
+    "run": "simulator",
+    "sweep": "simulator",
+    "trace_run": "simulator",
+}
 
-__all__ = [
-    "__version__",
-    "Poly",
-    "all_roots",
-    "binom_power",
-    "cheb_expand",
-    "chebyshev_t",
-    "chebyshev_u",
-    "poly_rem",
-    "real_roots_open",
-    "DCoeffs",
-    "SdmDesign",
-    "b_from_g",
-    "char_poly",
-    "d_coeffs",
-    "g_from_b",
-    "ntf_series",
-    "CharacteristicPoints",
-    "RootCountResult",
-    "SelfIntersection",
-    "characteristic_points",
-    "contour_table",
-    "count_inside_e1",
-    "count_inside_eig",
-    "jury_stable",
-    "winding_oracle",
-    "DegenerateBoundaryError",
-    "StabilityInterval",
-    "StabilityReport",
-    "ZeroPointCandidate",
-    "bisect_boundary",
-    "classify_intervals",
-    "crossing_param",
-    "crossing_value",
-    "i_max_order3",
-    "i_min",
-    "report_to_dict",
-    "t2_order5",
-    "zero_point_candidates",
-    "DcInput",
-    "GridPoint",
-    "SimResult",
-    "SimState",
-    "SineInput",
-    "Window",
-    "WindowReport",
-    "extract_windows",
-    "linearized_impulse",
-    "run",
-    "sweep",
-    "trace_run",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

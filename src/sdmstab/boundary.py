@@ -16,11 +16,10 @@ value; only those two import numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .polynomial import Poly, all_roots, cheb_expand, chebyshev_u
-from .transfer import DCoeffs, MAX_ORDER
+from .transfer import DCoeffs, MAX_ORDER, record
 from .transfer import _char_poly, _check_coeffs, _check_result, _check_scalar
 from .winding import count_inside_e1
 
@@ -51,7 +50,7 @@ class DegenerateBoundaryError(ValueError):
     """
 
 
-@dataclass(frozen=True)
+@record
 class ZeroPointCandidate:
     """Value of ``a`` at which the contour image may pass through the origin.
 
@@ -65,7 +64,7 @@ class ZeroPointCandidate:
     source: str  # remainder_chain | crossing_param
 
 
-@dataclass(frozen=True)
+@record
 class StabilityInterval:
     lo: float
     hi: float
@@ -74,7 +73,7 @@ class StabilityInterval:
     witness_count: int | None
 
 
-@dataclass(frozen=True)
+@record
 class StabilityReport:
     sum_b: float
     a_min: float

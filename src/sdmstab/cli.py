@@ -5,41 +5,26 @@ Commands: ``bounds``, ``check``, ``contour``, ``from-g``, ``simulate``,
 (``--b``) or cascade coefficients (``--g``), mutually exclusive, with the
 order inferred from the list length.  Exit codes: 0 success, 1 analysis
 refusal (a verdict too close to the unit circle to call), 2 usage errors.
+
+Each command imports the analytic or simulator modules it uses when it
+runs, and ``json`` is imported only for ``--format json``, so one process
+loads only what its command needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
-from dataclasses import dataclass
 
 from . import __version__
-from .boundary import (
-    DegenerateBoundaryError,
-    StabilityReport,
-    classify_intervals,
-    report_to_dict,
-)
-from .simulator import (
-    DcInput,
-    SimResult,
-    SineInput,
-    WindowReport,
-    run as sim_run,
-    sweep as sim_sweep,
-    trace_run,
-)
-from .transfer import SdmDesign, _check_count, char_poly, g_from_b, ntf_series
-from .winding import RootCountResult, characteristic_points, contour_table, count_inside_e1
+from .transfer import SdmDesign, _check_count, char_poly, g_from_b, ntf_series, record
 
-__all__ = ["RunConfig", "Report", "parse", "execute", "render", "main"]
+__all__ = ["RunConfig", "Report", "asdict", "replace", "parse", "execute", "render", "main"]
 
 COMMANDS = ("bounds", "check", "contour", "from-g", "simulate", "sweep")
 
 
-@dataclass(frozen=True)
+@record
 class RunConfig:
     command: str
     b: tuple[float, ...] | None
@@ -58,12 +43,35 @@ class RunConfig:
     trace_len: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class Report:
     command: str
     inputs: dict
     payload: object
     version: str = __version__
+
+
+def asdict(obj):
+    """A record as a dict of its fields, with the records and the tuples and
+    lists of them inside it converted too; other values as they are."""
+    if isinstance(obj, (tuple, list)):
+        return type(obj)(asdict(v) for v in obj)
+    if hasattr(type(obj), "_fields"):
+        return {f: asdict(getattr(obj, f)) for f in obj._fields}
+    return obj
+
+
+def replace(obj, **changes):
+    """A copy of the record ``obj`` with ``changes`` applied, built (and
+    validated) through its ``__init__``."""
+    return type(obj)(**{**{f: getattr(obj, f) for f in obj._fields}, **changes})
+
+
+def _is(obj, module: str, name: str) -> bool:
+    """``isinstance(obj, <module>.<name>)`` for a submodule of this package,
+    without importing it: no instance of its classes exists before it is loaded."""
+    mod = sys.modules.get(f"{__package__}.{module}")
+    return mod is not None and isinstance(obj, getattr(mod, name))
 
 
 def _csv_list(text: str) -> tuple[float, ...]:
@@ -131,9 +139,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def parse(argv) -> RunConfig:
     """Parse and validate argv; raises SystemExit(2) on usage errors."""
-    ns = _build_parser().parse_args(argv)
-    if ns.command == "simulate" and ns.sine_amp is not None and ns.sine_period is None:
-        _build_parser().error("--sine-amp requires --sine-period")
+    parser = _build_parser()
+    ns = parser.parse_args(argv)
+    if ns.command == "simulate":
+        if ns.sine_amp is not None and ns.sine_period is None:
+            parser.error("--sine-amp requires --sine-period")
+        if ns.sine_period is not None and ns.sine_amp is None:
+            parser.error("--sine-period requires --sine-amp")
+        if ns.dc is not None and ns.sine_amp is not None:
+            parser.error("--dc and --sine-amp are mutually exclusive")
     return RunConfig(
         command=ns.command,
         b=getattr(ns, "b", None),
@@ -168,14 +182,20 @@ def execute(cfg: RunConfig) -> tuple[Report, int]:
     code = 0
 
     if cfg.command == "bounds":
+        from .boundary import classify_intervals
+
         payload: object = classify_intervals(design.b, design.n)
     elif cfg.command == "check":
+        from .winding import characteristic_points, count_inside_e1
+
         inputs["i_abs"] = cfg.i_abs
         f = char_poly(design.b, design.n, cfg.i_abs)
-        payload = dataclasses.replace(count_inside_e1(f), points=characteristic_points(f))
+        payload = replace(count_inside_e1(f), points=characteristic_points(f))
         if payload.marginal:
             code = 1
     elif cfg.command == "contour":
+        from .winding import contour_table
+
         inputs["i_abs"] = cfg.i_abs
         inputs["samples"] = cfg.samples
         payload = contour_table(char_poly(design.b, design.n, cfg.i_abs), cfg.samples)
@@ -187,6 +207,8 @@ def execute(cfg: RunConfig) -> tuple[Report, int]:
             "ntf_leading_terms": ntf_series(design.b, design.n, 8),
         }
     elif cfg.command == "simulate":
+        from .simulator import DcInput, SineInput, run, trace_run
+
         if cfg.sine_amp is not None:
             signal = SineInput(amplitude=cfg.sine_amp, period=cfg.sine_period)
             inputs["sine_amp"] = cfg.sine_amp
@@ -202,8 +224,10 @@ def execute(cfg: RunConfig) -> tuple[Report, int]:
             _, states = trace_run(g, signal, min(cfg.trace_len, cfg.samples), cfg.threshold)
             payload = states
         else:
-            payload = sim_run(g, signal, cfg.samples, cfg.threshold)
+            payload = run(g, signal, cfg.samples, cfg.threshold)
     elif cfg.command == "sweep":
+        from .simulator import sweep
+
         inputs.update(
             amp_lo=cfg.amp_lo,
             amp_hi=cfg.amp_hi,
@@ -213,16 +237,18 @@ def execute(cfg: RunConfig) -> tuple[Report, int]:
         )
         g = design.g if design.g is not None else g_from_b(design.b)
         inputs["g"] = list(g)
-        payload = sim_sweep(g, cfg.amp_lo, cfg.amp_hi, cfg.amp_steps, cfg.samples, cfg.threshold)
+        payload = sweep(g, cfg.amp_lo, cfg.amp_hi, cfg.amp_steps, cfg.samples, cfg.threshold)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown command {cfg.command!r}")
     return Report(command=cfg.command, inputs=inputs, payload=payload), code
 
 
 def _payload_dict(payload) -> object:
-    if isinstance(payload, StabilityReport):
+    if _is(payload, "boundary", "StabilityReport"):
+        from .boundary import report_to_dict
+
         return report_to_dict(payload)
-    if isinstance(payload, RootCountResult):
+    if _is(payload, "winding", "RootCountResult"):
         d = {
             "inside": payload.inside,
             "method": payload.method,
@@ -236,17 +262,11 @@ def _payload_dict(payload) -> object:
                 "selfx": [{"x": p.x, "re_w": p.re_w} for p in payload.points.selfx],
             }
         return d
-    if isinstance(payload, (SimResult, WindowReport)):
-        return dataclasses.asdict(payload)
-    if isinstance(payload, list) and payload and isinstance(payload[0], tuple):
-        return [list(row) for row in payload]
-    if isinstance(payload, list) and payload and dataclasses.is_dataclass(payload[0]):
-        return [dataclasses.asdict(p) for p in payload]
-    return payload
+    return asdict(payload)
 
 
 def _text_lines(payload) -> list[str]:
-    if isinstance(payload, StabilityReport):
+    if _is(payload, "boundary", "StabilityReport"):
         lines = [f"sum_b: {payload.sum_b!r}", f"a_min: {payload.a_min!r}"]
         for c in payload.candidates:
             lines.append(
@@ -259,7 +279,7 @@ def _text_lines(payload) -> list[str]:
                 f"witness_a={iv.witness_a!r} witness_count={iv.witness_count}"
             )
         return lines
-    if isinstance(payload, RootCountResult):
+    if _is(payload, "winding", "RootCountResult"):
         lines = [
             f"inside: {payload.inside}",
             f"method: {payload.method}",
@@ -273,7 +293,7 @@ def _text_lines(payload) -> list[str]:
             for p in payload.points.selfx:
                 lines.append(f"selfx: x={p.x!r} re_w={p.re_w!r}")
         return lines
-    if isinstance(payload, SimResult):
+    if _is(payload, "simulator", "SimResult"):
         return [
             f"diverged: {payload.diverged}",
             f"first_divergence_sample: {payload.first_divergence_sample}",
@@ -282,7 +302,7 @@ def _text_lines(payload) -> list[str]:
             f"samples_run: {payload.samples_run}",
             f"peak_sample: {payload.peak_sample}",
         ]
-    if isinstance(payload, WindowReport):
+    if _is(payload, "simulator", "WindowReport"):
         lines = []
         for p in payload.grid:
             lines.append(
@@ -320,7 +340,7 @@ def _csv_text(payload) -> str:
         rows = ["phi,re_w,im_w"]
         rows += [",".join(cell(v) for v in row) for row in payload]
         return "\n".join(rows) + "\n"
-    if isinstance(payload, WindowReport):
+    if _is(payload, "simulator", "WindowReport"):
         rows = ["amplitude,stable,max_abs_state,first_divergence_sample"]
         for p in payload.grid:
             rows.append(
@@ -342,6 +362,8 @@ def _csv_text(payload) -> str:
 def render(report: Report, fmt: str) -> str:
     """Deterministic serialization of a report in the requested format."""
     if fmt == "json":
+        import json
+
         doc = {
             "command": report.command,
             "inputs": report.inputs,
@@ -371,10 +393,10 @@ def main(argv=None) -> int:
         report, code = execute(cfg)
         text = render(report, cfg.format)
         _write_out(cfg.out, text)
-    except DegenerateBoundaryError as exc:
-        print(f"analysis refused: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
+        if _is(exc, "boundary", "DegenerateBoundaryError"):
+            print(f"analysis refused: {exc}", file=sys.stderr)
+            return 1
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

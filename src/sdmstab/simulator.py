@@ -18,10 +18,9 @@ coefficients used by the analytic modules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from .transfer import _check_coeffs, _check_count, _check_result, _check_scalar
+from .transfer import _check_coeffs, _check_count, _check_result, _check_scalar, record
 
 __all__ = [
     "DcInput",
@@ -41,18 +40,18 @@ __all__ = [
 DEFAULT_THRESHOLD = 1e6
 
 
-@dataclass(frozen=True)
+@record
 class DcInput:
     level: float
 
 
-@dataclass(frozen=True)
+@record
 class SineInput:
     amplitude: float
     period: float  # samples per cycle
 
 
-@dataclass(frozen=True)
+@record
 class SimState:
     """One trace row: integrator states, quantizer output, sample index."""
 
@@ -61,7 +60,7 @@ class SimState:
     k: int
 
 
-@dataclass(frozen=True)
+@record
 class SimResult:
     """Trajectory summary.
 
@@ -80,7 +79,7 @@ class SimResult:
     peak_sample: int | None = None
 
 
-@dataclass(frozen=True)
+@record
 class GridPoint:
     amplitude: float
     stable: bool
@@ -88,13 +87,13 @@ class GridPoint:
     first_divergence_sample: int | None
 
 
-@dataclass(frozen=True)
+@record
 class Window:
     lo: float
     hi: float
 
 
-@dataclass(frozen=True)
+@record
 class WindowReport:
     grid: tuple[GridPoint, ...]
     windows: tuple[Window, ...]
@@ -122,7 +121,7 @@ class WindowReport:
 # ``tests/test_simulator.py`` keeps as the reference.
 
 _TEMPLATE = """\
-def kernel(g, x, samples, threshold, s0, record):
+def kernel(g, x, samples, threshold, s0, emit):
     {g} = g
     {s} = s0
     {setup}
@@ -136,7 +135,7 @@ def kernel(g, x, samples, threshold, s0, record):
             pos += 1
         else:
             {plus}
-        {record}
+        {emit}
         if {grew}:
             runmax = {absmax}
             peak = k
@@ -151,9 +150,9 @@ _KERNELS: dict = {}
 
 def _kernel(n: int, sine: bool, trace: bool):
     """The loop for order ``n``: ``kernel(g, x, samples, threshold, s0,
-    record)`` returns ``(diverged, first, runmax, pos, ran, peak)``.  ``x``
+    emit)`` returns ``(diverged, first, runmax, pos, ran, peak)``.  ``x``
     is the DC level, or ``(amplitude, 2*pi/period)`` for a sine; a trace
-    kernel passes each :class:`SimState` to ``record``."""
+    kernel passes each :class:`SimState` to ``emit``."""
     key = (n, sine, trace)
     if key not in _KERNELS:
         s = [f"s{j}" for j in range(1, n + 1)]
@@ -172,7 +171,7 @@ def _kernel(n: int, sine: bool, trace: bool):
             sample="x = amp * sin(w * k)" if sine else "",
             minus=stages("-", "(x - g1)" if sine else "x_minus"),
             plus=stages("+", "(x + g1)" if sine else "x_plus"),
-            record=f"record(SimState(({states}), 1.0 if {s[-1]} >= 0.0 else -1.0, k))" if trace else "",
+            emit=f"emit(SimState(({states}), 1.0 if {s[-1]} >= 0.0 else -1.0, k))" if trace else "",
             grew=" or ".join(f"{sj} > runmax or {sj} < lo" for sj in s),
             absmax=f"max({', '.join(f'abs({sj})' for sj in s)})" if n > 1 else "abs(s1)",
         )
@@ -183,7 +182,7 @@ def _kernel(n: int, sine: bool, trace: bool):
     return _KERNELS[key]
 
 
-def _simulate(g, x, samples, threshold, initial_state, record=None) -> SimResult:
+def _simulate(g, x, samples, threshold, initial_state, emit=None) -> SimResult:
     """Check the inputs of :func:`run` or :func:`trace_run` and run the loop;
     ``x`` is a :class:`DcInput` or :class:`SineInput`, bare numbers are DC."""
     g = _check_coeffs(g, "g")
@@ -199,8 +198,8 @@ def _simulate(g, x, samples, threshold, initial_state, record=None) -> SimResult
         x = (amp, 2.0 * math.pi / _check_scalar(x.period, "sine period", positive=True))
     else:
         x = _check_scalar(x.level if isinstance(x, DcInput) else x, "DC level")
-    kernel = _kernel(len(g), sine, record is not None)
-    diverged, first, runmax, pos, ran, peak = kernel(g, x, samples, threshold, s0, record)
+    kernel = _kernel(len(g), sine, emit is not None)
+    diverged, first, runmax, pos, ran, peak = kernel(g, x, samples, threshold, s0, emit)
     return SimResult(
         diverged=diverged,
         first_divergence_sample=first,

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .polynomial import MAX_CHEB_ORDER, Poly, all_roots, cheb_expand, chebyshev_t, chebyshev_u
 from .polynomial import _cauchy_index, _derivative, _int_coeffs, _primitive, _sign_near, _sturm
 from .polynomial import real_roots_open
-from .transfer import _check_count
+from .transfer import _check_count, record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,7 +48,7 @@ MARGIN = 1e-9
 MAX_WINDING_SAMPLES = 2**20
 
 
-@dataclass(frozen=True)
+@record
 class SelfIntersection:
     """Real-axis crossing of the contour image at an interior angle."""
 
@@ -57,7 +56,7 @@ class SelfIntersection:
     re_w: float   # value of Re W there
 
 
-@dataclass(frozen=True)
+@record
 class CharacteristicPoints:
     """Turning-point values and self-intersections of the contour image.
 
@@ -70,7 +69,7 @@ class CharacteristicPoints:
     selfx: tuple[SelfIntersection, ...]
 
 
-@dataclass(frozen=True)
+@record
 class RootCountResult:
     """Outcome of a unit-circle root count.
 

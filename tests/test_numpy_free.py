@@ -1,7 +1,9 @@
 """numpy stays off the analytic and simulation path: ``import sdmstab.cli``
 and every command but ``contour`` run without loading it, while the oracles
-that need it import it themselves when first called.  Each check runs in a
-fresh interpreter, since this test process has numpy loaded already."""
+that need it import it themselves when first called.  Each command also
+loads only the modules it uses: ``import sdmstab`` loads no submodule, and
+no command loads ``dataclasses`` or ``inspect``.  Each check runs in a
+fresh interpreter, since this test process has those modules loaded already."""
 
 import json
 import os
@@ -68,3 +70,55 @@ def test_oracle_works_when_called_first(call):
     code = f"from sdmstab import char_poly\nF = char_poly((3.0, -3.0, 1.0), 3, 1.5)\n{call}"
     proc = python(code)
     assert proc.returncode == 0, proc.stderr
+
+
+# Run one command in a fresh interpreter; print the modules it loaded.
+FOOTPRINT_SCRIPT = """
+import io, sys
+import sdmstab
+assert not [m for m in sys.modules if m.startswith("sdmstab.")], "import sdmstab loaded a submodule"
+import sdmstab.cli
+sys.stdout, stdout = io.StringIO(), sys.stdout
+code = sdmstab.cli.main(sys.argv[1:])
+sys.stdout = stdout
+assert code == 0, code
+print("\\n".join(sys.modules))
+"""
+MODULES = "import sys; print('\\n'.join(sys.modules))"
+
+# The modules each command must never load.
+NEVER = {
+    "bounds": {"sdmstab.simulator"},
+    "check": {"sdmstab.simulator", "sdmstab.boundary"},
+    "from-g": {"sdmstab.simulator", "sdmstab.boundary", "sdmstab.winding"},
+    "simulate": {"sdmstab.boundary", "sdmstab.winding"},
+    "sweep": {"sdmstab.boundary", "sdmstab.winding"},
+}
+
+
+@pytest.fixture(scope="module")
+def startup():
+    """Modules a bare interpreter has loaded (``site`` hooks may add some)."""
+    return set(python(MODULES).stdout.split())
+
+
+def loaded_by(code: str, *args: str) -> set[str]:
+    proc = python(code, *args)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize("argv", CLI_ARGVS, ids=lambda argv: "-".join(argv[:1] + argv[-1:]))
+def test_command_loads_only_what_it_uses(argv, startup):
+    loaded = loaded_by(FOOTPRINT_SCRIPT, *argv) - startup
+    assert "sdmstab.transfer" in loaded
+    assert not loaded & (NEVER[argv[0]] | {"dataclasses", "inspect"})
+    assert ("json" in loaded) == ("json" in argv and "json" not in startup)
+
+
+def test_cli_import_is_lean(startup):
+    loaded = loaded_by(f"import sdmstab.cli; {MODULES}") - startup
+    assert not loaded & {"dataclasses", "inspect", "json", "numpy"}
+    assert {m for m in loaded if m.startswith("sdmstab.")} == {
+        "sdmstab.cli", "sdmstab.transfer", "sdmstab.polynomial"
+    }

@@ -79,7 +79,7 @@ def bits(obj):
     if isinstance(obj, (tuple, list)):
         return [bits(v) for v in obj]
     if isinstance(obj, (SimResult, SimState)):
-        return (type(obj).__name__, bits(list(vars(obj).values())))
+        return (type(obj).__name__, bits([getattr(obj, f) for f in obj._fields]))
     return obj
 
 

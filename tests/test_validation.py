@@ -3,7 +3,6 @@ it or raises ``ValueError``, whatever floats it is given; the CLI exits 0, 1
 or 2 without a traceback.  Warnings fail the suite (``filterwarnings``)."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -62,8 +61,8 @@ def no_nan(obj):
         no_nan((obj.real, obj.imag))
     elif isinstance(obj, Poly):
         no_nan(obj.coeffs)
-    elif dataclasses.is_dataclass(obj):
-        no_nan(dataclasses.astuple(obj))
+    elif hasattr(type(obj), "_fields"):  # a record: check every field
+        no_nan([getattr(obj, f) for f in obj._fields])
     elif isinstance(obj, dict):
         no_nan(list(obj.values()))
     elif isinstance(obj, (list, tuple)):
@@ -221,6 +220,27 @@ REGRESSIONS = {
 def test_defect_now_raises_value_error(call):
     with pytest.raises(ValueError):
         call()
+
+
+# simulate flag combinations it cannot honour are usage errors; the first
+# two once exited 0 and silently dropped an input.
+USAGE_REGRESSIONS = {
+    "simulate-dc-with-sine": ["simulate", "--g=1", "--dc=0.05", "--sine-amp=0.1",
+                              "--sine-period=64"],
+    "simulate-period-without-amp": ["simulate", "--g=1", "--sine-period=64"],
+    "simulate-amp-without-period": ["simulate", "--g=1", "--sine-amp=0.1"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_REGRESSIONS.values(), ids=USAGE_REGRESSIONS.keys())
+def test_dropped_input_is_now_a_usage_error(argv):
+    code, out, err = cli(argv)
+    assert code == 2 and out == "" and "error:" in err
+
+
+def test_no_nan_looks_inside_records():
+    with pytest.raises(AssertionError):
+        no_nan(simulator.WindowReport((simulator.GridPoint(0.1, True, nan, None),), ()))
 
 
 def test_counts_accept_index_integers():
