@@ -4,8 +4,9 @@ sigma-delta modulators of order 1-5.
 The analytic side works on the characteristic polynomial
 ``F(z; a) = a*(z-1)**n + D(z)`` of the quasi-static integrator magnitude
 ``a``: closed-form boundary values, a necessary-and-sufficient unit-circle
-root count from the contour image, and independent numeric oracles.  The
-behavioral side is a nonlinear time-domain simulator with DC amplitude
+root count from the contour image, and independent numeric oracles to
+cross-check them (``sdmstab.oracles``, the one module that needs numpy).
+The behavioral side is a nonlinear time-domain simulator with DC amplitude
 sweeps and instability-window extraction.
 
 ``import sdmstab`` loads no submodule: each exported name is looked up in
@@ -18,7 +19,6 @@ __version__ = "0.1.0"
 # Exported name -> the submodule that defines it.
 _EXPORTS = {
     "Poly": "polynomial",
-    "all_roots": "polynomial",
     "binom_power": "polynomial",
     "cheb_expand": "polynomial",
     "chebyshev_t": "polynomial",
@@ -38,20 +38,14 @@ _EXPORTS = {
     "characteristic_points": "winding",
     "contour_table": "winding",
     "count_inside_e1": "winding",
-    "count_inside_eig": "winding",
-    "jury_stable": "winding",
-    "winding_oracle": "winding",
     "DegenerateBoundaryError": "boundary",
     "StabilityInterval": "boundary",
     "StabilityReport": "boundary",
     "ZeroPointCandidate": "boundary",
-    "bisect_boundary": "boundary",
     "classify_intervals": "boundary",
-    "crossing_param": "boundary",
     "crossing_value": "boundary",
     "i_max_order3": "boundary",
     "i_min": "boundary",
-    "report_to_dict": "boundary",
     "t2_order5": "boundary",
     "zero_point_candidates": "boundary",
     "DcInput": "simulator",

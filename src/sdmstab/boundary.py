@@ -8,9 +8,8 @@ or at an interior angle.  Both unit-circle profiles of ``F`` are linear in
 ``a``, so eliminating ``a`` between them (the paper's elimination with the
 variable order swapped) leaves one event polynomial in ``x = cos(phi)``,
 of degree at most two; its real roots, from a closed-form solve, are the
-interior boundary events.  Two numeric oracles (a direct crossing-parameter
-scan and eigenvalue bisection) stay public to cross-check every boundary
-value; only those two import numpy.
+interior boundary events.  ``sdmstab.oracles`` cross-checks them with a
+direct crossing-parameter scan and eigenvalue bisection.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .polynomial import Poly, all_roots, cheb_expand, chebyshev_u
+from .polynomial import Poly, cheb_expand, chebyshev_u
 from .transfer import DCoeffs, MAX_ORDER, record
 from .transfer import _char_poly, _check_coeffs, _check_result, _check_scalar
 from .winding import count_inside_e1
@@ -33,10 +32,7 @@ __all__ = [
     "i_max_order3",
     "t2_order5",
     "crossing_value",
-    "crossing_param",
     "classify_intervals",
-    "bisect_boundary",
-    "report_to_dict",
 ]
 
 
@@ -89,7 +85,7 @@ def i_min(b: Sequence[float], n: int) -> float:
     """
     b = _check_coeffs(b, "b", n)
     alt = math.fsum((-1.0) ** k * b[k - 1] for k in range(1, n + 1))
-    return -alt / 2.0**n
+    return (0.0 - alt) / 2.0**n  # not -alt: +0.0, not -0.0, when alt is 0
 
 
 # --- boundary events ----------------------------------------------------------
@@ -185,16 +181,6 @@ def _event_roots(event: Poly) -> list[float]:
                 q = -0.5 * (bb + math.copysign(math.sqrt(disc), bb))
                 xs = [_ldexp(q / aa, k), _ldexp(cc / q, k)]
     return sorted({x for x in xs if math.isfinite(x)})
-
-
-def _on_circle_distance(b: tuple[float, ...], n: int, a: float) -> float:
-    roots = all_roots(_char_poly(b, n, a))
-    return min(abs(abs(z) - 1.0) for z in roots)
-
-
-# A candidate is confirmed when the characteristic polynomial really does
-# have a root this close to the unit circle at that a.
-ON_CIRCLE_TOL = 1e-7
 
 
 def zero_point_candidates(b: Sequence[float], n: int) -> list[ZeroPointCandidate]:
@@ -295,63 +281,6 @@ def _crossing_value(b: Sequence[float], n: int, phi: float) -> complex:
     return -num / den if den != 0.0 else complex(math.inf, math.inf)
 
 
-def crossing_param(
-    b: Sequence[float], n: int, phi_grid: int = 2048
-) -> list[ZeroPointCandidate]:
-    """Oracle boundary scan: real positive crossings of ``a(phi)`` on (0, pi).
-
-    Scans the imaginary part of the crossing parameter for sign changes,
-    bisects each bracket to 1e-12 in ``phi``, and emits ``(a, x=cos(phi))``
-    for every real crossing with ``a > 0``.
-    """
-    import numpy as np
-
-    b = _check_coeffs(b, "b", n)
-    if phi_grid < 2:
-        raise ValueError("phi_grid must be >= 2")
-    # a(phi) is linear in b: work on b scaled by a power of two (exact), whose
-    # values stay in range next to phi = 0, and scale each crossing back.
-    scale = math.ldexp(1.0, math.frexp(max(abs(v) for v in b))[1])
-    bs = [v / scale for v in b]
-    phis = np.linspace(0.0, math.pi, phi_grid + 2)[1:-1]
-    z = np.exp(1j * phis)
-    vals = -np.polyval(np.asarray(bs, dtype=float), z) / (z - 1.0) ** n
-    ims = vals.imag
-    signs = np.where(ims >= 0.0, 1.0, -1.0)
-    # Rounding noise on a structurally-real parameter (reciprocal designs)
-    # must not read as crossings: demand the bracket rise above noise level.
-    mags = np.abs(vals)
-    out: list[ZeroPointCandidate] = []
-    for i in np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]:
-        if max(abs(ims[i]), abs(ims[i + 1])) <= 1e-9 * max(mags[i], mags[i + 1]):
-            continue
-        lo, hi = float(phis[i]), float(phis[i + 1])
-        flo = float(ims[i])
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            fm = _crossing_value(bs, n, mid).imag
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if (fm < 0.0) == (flo < 0.0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        phi = 0.5 * (lo + hi)
-        a = _crossing_value(bs, n, phi).real * scale
-        if a <= 0.0:
-            continue
-        _check_result((a,), "the crossing parameter")
-        if any(abs(a - c.a) <= 1e-9 * max(1.0, abs(c.a)) for c in out):
-            continue
-        valid = _on_circle_distance(b, n, a) <= ON_CIRCLE_TOL
-        out.append(
-            ZeroPointCandidate(a=a, x=math.cos(phi), valid=valid, source="crossing_param")
-        )
-    out.sort(key=lambda c: c.a)
-    return out
-
-
 # Events closer than this (relative) are merged; probes refuse to sit closer
 # than this to an event.
 EVENT_TOL = 1e-9
@@ -433,55 +362,3 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
         candidates=tuple(candidates),
         intervals=tuple(intervals),
     )
-
-
-def bisect_boundary(b: Sequence[float], n: int, lo: float, hi: float) -> float:
-    """Numeric flip-point search between two ``a`` values of different verdict.
-
-    The verdict at each end comes from explicit root moduli; the bracket is
-    bisected to 1e-10, or to float resolution where that is coarser.  Raises
-    ``ValueError`` when both ends agree.
-    """
-    b = _check_coeffs(b, "b", n)
-    lo = _check_scalar(lo, "lo", nonnegative=True)
-    hi = _check_scalar(hi, "hi", nonnegative=True)
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-
-    def stable(a: float) -> bool:
-        return max(abs(z) for z in all_roots(_char_poly(b, n, a))) < 1.0
-
-    s_lo, s_hi = stable(lo), stable(hi)
-    if s_lo == s_hi:
-        raise ValueError("stability verdicts at lo and hi must differ")
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if stable(mid) == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def report_to_dict(report: StabilityReport) -> dict:
-    """JSON-ready form of a stability report."""
-    return {
-        "sum_b": report.sum_b,
-        "a_min": report.a_min,
-        "candidates": [
-            {"a": c.a, "x": c.x, "valid": c.valid, "source": c.source}
-            for c in report.candidates
-        ],
-        "intervals": [
-            {
-                "lo": iv.lo,
-                "hi": iv.hi,
-                "stable": iv.stable,
-                "witness_a": iv.witness_a,
-                "witness_count": iv.witness_count,
-            }
-            for iv in report.intervals
-        ],
-    }

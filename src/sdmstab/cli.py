@@ -243,28 +243,6 @@ def execute(cfg: RunConfig) -> tuple[Report, int]:
     return Report(command=cfg.command, inputs=inputs, payload=payload), code
 
 
-def _payload_dict(payload) -> object:
-    if _is(payload, "boundary", "StabilityReport"):
-        from .boundary import report_to_dict
-
-        return report_to_dict(payload)
-    if _is(payload, "winding", "RootCountResult"):
-        d = {
-            "inside": payload.inside,
-            "method": payload.method,
-            "marginal": payload.marginal,
-            "winding": payload.winding,
-        }
-        if payload.points is not None:
-            d["points"] = {
-                "w_plus": payload.points.w_plus,
-                "w_minus": payload.points.w_minus,
-                "selfx": [{"x": p.x, "re_w": p.re_w} for p in payload.points.selfx],
-            }
-        return d
-    return asdict(payload)
-
-
 def _text_lines(payload) -> list[str]:
     if _is(payload, "boundary", "StabilityReport"):
         lines = [f"sum_b: {payload.sum_b!r}", f"a_min: {payload.a_min!r}"]
@@ -368,7 +346,7 @@ def render(report: Report, fmt: str) -> str:
             "command": report.command,
             "inputs": report.inputs,
             "version": report.version,
-            "result": _payload_dict(report.payload),
+            "result": asdict(report.payload),
         }
         return json.dumps(doc, indent=2) + "\n"
     if fmt == "csv":

@@ -1,13 +1,11 @@
 """Dense real-coefficient polynomial arithmetic, Euclidean remainders,
-Chebyshev trig-to-polynomial conversion, and root finding.
+Chebyshev trig-to-polynomial conversion, and real-root isolation.
 
 Polynomials are stored in ascending powers: ``coeffs[k]`` multiplies ``z**k``.
 Everything here is a pure function on immutable values.  Root counts and
 real-root isolation run on an exact integer core: the float coefficients
 times a power of two are integers, and signed remainder sequences, Sturm
 counts and signs at float points are computed on those in Python ints.
-numpy is imported only inside ``Poly.descending`` and ``all_roots``, the
-eigenvalue oracle, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -16,10 +14,7 @@ import math
 import operator
 import struct
 import sys
-from typing import TYPE_CHECKING, Iterable, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Iterable, Sequence
 
 __all__ = [
     "Poly",
@@ -29,12 +24,7 @@ __all__ = [
     "chebyshev_u",
     "cheb_expand",
     "real_roots_open",
-    "all_roots",
 ]
-
-# Relative threshold below which a divisor's leading coefficient is
-# considered vanishing (the degree of the quotient chain collapses there).
-TOL_LEAD = 1e-10
 
 # Degree cap for the exact-binomial constructor; analysis never needs more.
 MAX_BINOM_ORDER = 12
@@ -125,14 +115,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly(k * c for k, c in enumerate(self.coeffs) if k > 0)
 
-    def descending(self) -> np.ndarray:
-        """Coefficients in descending powers (numpy convention)."""
-        import numpy as np
-
-        if self.is_zero:
-            return np.array([0.0])
-        return np.asarray(self.coeffs[::-1], dtype=float)
-
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)})"
 
@@ -144,20 +126,17 @@ def binom_power(n: int, r: float = 1.0) -> Poly:
     return Poly(math.comb(n, k) * (-r) ** (n - k) for k in range(n + 1))
 
 
-def poly_rem(num: Poly, den: Poly) -> tuple[Poly, Poly, bool]:
+def poly_rem(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """Euclidean division ``num = q*den + r`` with ``deg r < deg den``.
 
-    Returns ``(quotient, remainder, degenerate)`` where ``degenerate`` flags a
-    divisor whose leading coefficient is negligible relative to its largest
-    coefficient; such divisions lose a degree of meaningful information.
-    Raises ``ValueError`` for an identically-zero divisor.
+    Returns ``(quotient, remainder)``.  Raises ``ValueError`` for an
+    identically-zero divisor.
     """
     if den.is_zero:
         raise ValueError("division by the zero polynomial")
-    degenerate = abs(den.leading) < TOL_LEAD * den.scale_max()
     dn, dd = num.degree, den.degree
     if dn < dd:
-        return Poly(), num, degenerate
+        return Poly(), num
     r = list(num.coeffs)
     q = [0.0] * (dn - dd + 1)
     lead = den.leading
@@ -169,7 +148,7 @@ def poly_rem(num: Poly, den: Poly) -> tuple[Poly, Poly, bool]:
             for j in range(dd):
                 r[i + j] -= c * dc[j]
         r[i + dd] = 0.0
-    return Poly(q), Poly(r[:dd]), degenerate
+    return Poly(q), Poly(r[:dd])
 
 
 def _cheb_tables(n: int) -> tuple[list[Poly], list[Poly]]:
@@ -406,39 +385,4 @@ def real_roots_open(p: Poly, lo: float, hi: float) -> list[float]:
         if x <= a or x >= b:
             continue
         out.append(x)
-    return out
-
-
-def all_roots(p: Poly) -> list[complex]:
-    """All ``deg p`` complex roots via the companion-matrix eigenproblem.
-
-    Each root gets a short Newton polish (kept only when the residual
-    improves); output order is deterministic, sorted by real then imaginary
-    part.  Raises ``ValueError`` for degree < 1, and when a coefficient
-    exceeds the leading one 1e300-fold (the companion matrix would overflow).
-    """
-    if p.degree < 1:
-        raise ValueError("need degree >= 1 to extract roots")
-    if not all(abs(c / p.leading) <= 1e300 for c in p.coeffs):
-        raise ValueError("roots out of float range: the leading coefficient is too small")
-    import numpy as np
-
-    raw = np.roots(p.descending())
-    dp = p.derivative()
-    out: list[complex] = []
-    for r in raw:
-        z = complex(r)
-        fz = abs(p(z))
-        for _ in range(3):
-            d = dp(z)
-            if d == 0:
-                break
-            z2 = z - p(z) / d
-            f2 = abs(p(z2))
-            if f2 < fz:
-                z, fz = z2, f2
-            else:
-                break
-        out.append(z)
-    out.sort(key=lambda z: (z.real, z.imag))
     return out

@@ -174,7 +174,7 @@ def g_from_b(b: Sequence[float]) -> tuple[float, ...]:
     shift = Poly([-1.0, 1.0])
     out = []
     for _ in range(n):
-        q, r, _ = poly_rem(d_poly, shift)
+        q, r = poly_rem(d_poly, shift)
         out.append(r.coeffs[0] if not r.is_zero else 0.0)
         d_poly = q
     return tuple(out)

@@ -9,25 +9,19 @@ circle.  ``count_inside_e1`` reads that sum without locating the points: it
 is the Cauchy index of ``Re W / r1`` on (-1, 1) plus end terms, decided
 exactly in integers from a signed remainder sequence.  A count is refused
 when a root lies within ``2**-30`` of the circle.  ``characteristic_points``
-locates the points themselves.  A numeric winding integral, eigenvalue
-extraction and a Jury table are kept as independent oracles.  numpy is
-imported only inside the winding integral, the eigenvalue oracle and
-``contour_table``.
+locates the points themselves, and ``contour_table`` samples the image
+for plotting.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import TYPE_CHECKING
 
-from .polynomial import MAX_CHEB_ORDER, Poly, all_roots, cheb_expand, chebyshev_t, chebyshev_u
+from .polynomial import MAX_CHEB_ORDER, Poly, cheb_expand, chebyshev_t, chebyshev_u
 from .polynomial import _cauchy_index, _derivative, _int_coeffs, _primitive, _sign_near, _sturm
 from .polynomial import real_roots_open
 from .transfer import _check_count, record
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "SelfIntersection",
@@ -35,17 +29,8 @@ __all__ = [
     "RootCountResult",
     "characteristic_points",
     "count_inside_e1",
-    "count_inside_eig",
-    "winding_oracle",
-    "jury_stable",
     "contour_table",
 ]
-
-# Default refusal distance of the eigenvalue oracle ``count_inside_eig``.
-MARGIN = 1e-9
-
-# Adaptive refinement cap for the winding integral.
-MAX_WINDING_SAMPLES = 2**20
 
 
 @record
@@ -79,11 +64,11 @@ class RootCountResult:
     """
 
     inside: int | None
-    # e1 (exact signed-crossing count) | eig_oracle (root extraction)
+    # e1 (exact signed-crossing count) | eig_oracle (oracles.count_inside_eig)
     method: str
     marginal: bool = False
-    points: CharacteristicPoints | None = None
     winding: int | None = None  # inside - degree; set on every e1 count
+    points: CharacteristicPoints | None = None
 
 
 def _normalized(f: Poly) -> Poly:
@@ -200,142 +185,16 @@ def count_inside_e1(f: Poly) -> RootCountResult:
     return RootCountResult(inside=inside, method="e1", winding=inside - f.degree)
 
 
-_ANGLE_CACHE: dict[int, np.ndarray] = {}
-
-
-def _unit_circle(n: int) -> np.ndarray:
-    import numpy as np
-
-    z = _ANGLE_CACHE.get(n)
-    if z is None:
-        phi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        z = np.exp(1j * phi)
-        _ANGLE_CACHE[n] = z
-    return z
-
-
-def winding_oracle(f: Poly, samples: int = 4096) -> int:
-    """Net winding of ``W(z) = F(z)/z**n`` around the origin on ``|z| = 1``.
-
-    The argument increment is accumulated over sampled angles; any arc whose
-    jump reaches pi/2 (where the branch would become ambiguous) is bisected
-    locally until every sub-jump is small, within a total evaluation budget
-    of ``MAX_WINDING_SAMPLES``.  The count of roots inside the circle equals
-    ``deg F + winding``.  Raises ``RuntimeError`` when the budget runs out
-    or an arc can no longer be halved (a root is effectively on the
-    contour).
-    """
-    import numpy as np
-
-    if f.is_zero or f.degree < 1:
-        raise ValueError("need a polynomial of degree >= 1")
-    n = f.degree
-    # A positive scale leaves the winding unchanged and keeps the sampled
-    # products of W values from overflowing on huge coefficients.
-    s = f.scale_max()
-    f = Poly(c / s for c in f.coeffs)
-    desc = f.descending()
-    m = max(16, int(samples))
-    z = _unit_circle(m)
-    w = np.polyval(desc, z) * np.conj(z) ** n
-    if not np.all(w != 0.0):
-        raise RuntimeError("winding undefined: W vanishes at a sampled angle")
-    ratio = np.empty_like(w)
-    ratio[:-1] = w[1:] * np.conj(w[:-1])
-    ratio[-1] = w[0] * np.conj(w[-1])
-    steps = np.angle(ratio)
-    good = np.abs(steps) < 0.5 * np.pi
-    total = float(np.sum(steps[good]))
-    budget = MAX_WINDING_SAMPLES - m
-
-    def w_at(phi: float) -> complex:
-        zz = complex(math.cos(phi), math.sin(phi))
-        val = f(zz) * zz ** (-n)
-        if val == 0.0:
-            raise RuntimeError("winding undefined: W vanishes on the contour")
-        return val
-
-    dphi = 2.0 * np.pi / m
-    stack = [
-        (i * dphi, complex(w[i]), (i + 1) * dphi, complex(w[(i + 1) % m]))
-        for i in np.nonzero(~good)[0]
-    ]
-    while stack:
-        pa, wa, pb, wb = stack.pop()
-        d = np.angle(wb * wa.conjugate())
-        if abs(d) < 0.5 * np.pi:
-            total += float(d)
-            continue
-        pm = 0.5 * (pa + pb)
-        if budget <= 0 or not pa < pm < pb:
-            raise RuntimeError(
-                "winding refinement exhausted: a root is too close to |z| = 1"
-            )
-        budget -= 1
-        wm = w_at(pm)
-        stack.append((pa, wa, pm, wm))
-        stack.append((pm, wm, pb, wb))
-    return int(round(total / (2.0 * np.pi)))
-
-
-def count_inside_eig(f: Poly, margin: float = MARGIN) -> RootCountResult:
-    """Root count via explicit root extraction; the fully independent oracle."""
-    roots = all_roots(_normalized(f))
-    dist = min(abs(abs(r) - 1.0) for r in roots)
-    if dist < margin:
-        return RootCountResult(inside=None, method="eig_oracle", marginal=True)
-    inside = sum(1 for r in roots if abs(r) < 1.0)
-    return RootCountResult(inside=inside, method="eig_oracle")
-
-
-def jury_stable(f: Poly) -> str:
-    """Jury/Schur-Cohn table verdict: ``stable``, ``unstable`` or ``marginal``.
-
-    ``stable`` means every root lies strictly inside the unit circle.  A
-    table pivot within 1e-10 (relative) of zero refuses the verdict as
-    ``marginal``.
-    """
-    f = _normalized(f)
-    n = f.degree
-    c = [x / f.scale_max() for x in f.coeffs]
-    tol = 1e-10
-
-    f1 = sum(c)
-    fm1 = sum(v * (-1.0) ** k for k, v in enumerate(c)) * (-1.0) ** n
-    for edge in (f1, fm1):
-        if abs(edge) <= tol:
-            return "marginal"
-        if edge < 0.0:
-            return "unstable"
-
-    while len(c) > 2:
-        a0, an = c[0], c[-1]
-        pivot = abs(an) - abs(a0)
-        if abs(pivot) <= tol:
-            return "marginal"
-        if pivot < 0.0:
-            return "unstable"
-        k = len(c) - 1
-        nxt = [an * c[j] - a0 * c[k - j] for j in range(1, k + 1)]
-        s = max(abs(v) for v in nxt)
-        c = [v / s for v in nxt] if s > 0.0 else nxt
-    if len(c) == 2:
-        pivot = abs(c[1]) - abs(c[0])
-        if abs(pivot) <= tol:
-            return "marginal"
-        if pivot < 0.0:
-            return "unstable"
-    return "stable"
-
-
 def contour_table(f: Poly, samples: int) -> list[tuple[float, float, float]]:
     """Sampled contour image rows ``(phi, Re W, Im W)`` at uniform angles."""
-    import numpy as np
-
     samples = _check_count(samples, "samples")
     f = _normalized(f)
     n = f.degree
-    phi = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    z = np.exp(1j * phi)
-    w = np.polyval(f.descending(), z) * np.conj(z) ** n
-    return [(float(p), float(v.real), float(v.imag)) for p, v in zip(phi, w)]
+    step = 2.0 * math.pi / samples
+    rows = []
+    for k in range(samples):
+        phi = k * step
+        z = complex(math.cos(phi), math.sin(phi))
+        w = f(z) * z.conjugate() ** n
+        rows.append((phi, w.real, w.imag))
+    return rows

@@ -9,17 +9,16 @@ import pytest
 
 from sdmstab.boundary import (
     DegenerateBoundaryError,
-    bisect_boundary,
     classify_intervals,
-    crossing_param,
     crossing_value,
     i_max_order3,
     i_min,
-    report_to_dict,
     t2_order5,
     zero_point_candidates,
 )
-from sdmstab.polynomial import Poly, all_roots, binom_power, cheb_expand, poly_rem
+from sdmstab.cli import asdict
+from sdmstab.oracles import all_roots, bisect_boundary, crossing_param
+from sdmstab.polynomial import Poly, binom_power, cheb_expand, poly_rem
 from sdmstab.transfer import DCoeffs, char_poly, d_coeffs
 from test_acceptance import stable_b_sample
 
@@ -38,6 +37,9 @@ class TestIMin:
 
     def test_vanishing_alternating_sum(self):
         assert i_min((1.0, 1.0), 2) == 0.0
+        # +0.0, not -0.0: -0.0 == 0.0, but repr and json print its sign.
+        assert math.copysign(1.0, i_min((1.0, 1.0), 2)) == 1.0
+        assert math.copysign(1.0, i_min((0.0,), 1)) == 1.0
 
 
 class TestZeroPointCandidates:
@@ -362,7 +364,7 @@ class TestT2Order5:
             a = float(rng.uniform(0, 4))
             r0 = cheb_expand(d, a, "cosine")
             r1 = cheb_expand(d, kind="sine")
-            _, rem, _ = poly_rem(r0, r1)
+            _, rem = poly_rem(r0, r1)
             expect = Poly([a]) - t2_order5(DCoeffs(d=d, a=a))
             scale = max(expect.scale_max(), 1e-30)
             diff = rem - expect
@@ -514,7 +516,7 @@ class TestBisectBoundary:
 class TestReportSerialization:
     def test_json_round_trip(self):
         rep = classify_intervals(B3, 3)
-        doc = report_to_dict(rep)
+        doc = asdict(rep)
         text = json.dumps(doc)
         back = json.loads(text)
         assert back["sum_b"] == rep.sum_b

@@ -173,6 +173,13 @@ class TestRender:
         assert json.loads(render(report, "json"))["result"]["peak_sample"] == want
         assert f"peak_sample: {want}\n" in render(report, "text")
 
+    def test_root_count_json_key_order(self):
+        report, _ = execute(parse(["check", "--b=3,-3,1", "--i-abs=1.5"]))
+        res = json.loads(render(report, "json"))["result"]
+        assert list(res) == ["inside", "method", "marginal", "winding", "points"]
+        assert list(res["points"]) == ["w_plus", "w_minus", "selfx"]
+        assert list(res["points"]["selfx"][0]) == ["x", "re_w"]
+
     def test_json_round_trips_floats(self):
         report, _ = execute(parse(["bounds", "--b", "3,-3,1"]))
         doc = json.loads(render(report, "json"))
@@ -213,6 +220,12 @@ class TestMain:
     def test_degenerate_bounds_still_reports(self, capsys):
         # reciprocal-symmetric design: the probes decide each side of a_min
         assert main(["bounds", "--b", "1,0"]) == 0
+
+    def test_zero_a_min_prints_without_sign(self, capsys):
+        assert main(["bounds", "--b=0"]) == 0
+        assert "\na_min: 0.0\n" in capsys.readouterr().out
+        assert main(["bounds", "--b=1,1", "--format", "json"]) == 0
+        assert '"a_min": 0.0,' in capsys.readouterr().out
 
     def test_huge_design_writes_no_warnings(self, capsys):
         assert main(["bounds", "--b=1e300,-1e300,1e300"]) == 0

@@ -38,7 +38,7 @@ SAMPLES = {
     boundary.StabilityReport: (1.0, 0.875, (CANDIDATE,), (INTERVAL,)),
     winding.SelfIntersection: (0.25, -1.5),
     winding.CharacteristicPoints: (3.0, -1.0, (SELFX,)),
-    winding.RootCountResult: (3, "e1", False, POINTS, 0),
+    winding.RootCountResult: (3, "e1", False, 0, POINTS),
     simulator.DcInput: (0.05,),
     simulator.SineInput: (0.1, 64.0),
     simulator.SimState: ((0.5, -0.25), 1.0, 7),

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sdmstab import boundary, simulator, transfer
-from sdmstab.cli import execute, main, parse
-from sdmstab.polynomial import Poly, all_roots
+from sdmstab import boundary, oracles, simulator, transfer
+from sdmstab.cli import asdict, execute, main, parse
+from sdmstab.oracles import all_roots
+from sdmstab.polynomial import Poly
 from sdmstab.winding import contour_table, count_inside_e1
 
 nan, inf = math.nan, math.inf
@@ -108,13 +109,13 @@ def test_boundary_functions(design, phi, lo, hi):
     result_or_value_error(boundary.zero_point_candidates, b, n)
     result_or_value_error(boundary.i_max_order3, b)
     result_or_value_error(boundary.crossing_value, b, n, phi)
-    result_or_value_error(boundary.crossing_param, b, n, 64)
+    result_or_value_error(oracles.crossing_param, b, n, 64)
     report = result_or_value_error(boundary.classify_intervals, b, n)
     if report is not None:
-        no_nan(boundary.report_to_dict(report))
+        no_nan(asdict(report))
         for iv in report.intervals[1:]:  # brackets around each reported edge
-            result_or_value_error(boundary.bisect_boundary, b, n, 0.5 * iv.lo, 2.0 * iv.lo)
-    result_or_value_error(boundary.bisect_boundary, b, n, lo, hi)
+            result_or_value_error(oracles.bisect_boundary, b, n, 0.5 * iv.lo, 2.0 * iv.lo)
+    result_or_value_error(oracles.bisect_boundary, b, n, lo, hi)
     if len(b) == 5:
         result_or_value_error(boundary.t2_order5, transfer.DCoeffs(d=b, a=phi))
 
@@ -193,7 +194,7 @@ REGRESSIONS = {
     "crossing_value-nan-phi": lambda: boundary.crossing_value((1.0, 1.0), 2, nan),
     "crossing_value-nan-b": lambda: boundary.crossing_value((nan, 1.0), 2, 1.0),
     "crossing_value-at-z=1": lambda: boundary.crossing_value((1.0,), 1, 0.0),
-    "crossing_param-nan": lambda: boundary.crossing_param((nan, 1.0), 2),
+    "crossing_param-nan": lambda: oracles.crossing_param((nan, 1.0), 2),
     "SdmDesign-nan": lambda: transfer.SdmDesign(n=1, b=(nan,)),
     "d_coeffs-nan-a": lambda: transfer.d_coeffs((1.0,), 1, nan),
     "ntf_series-overflow": lambda: transfer.ntf_series((1e100, 1e100), 2, 8),
@@ -259,7 +260,7 @@ def test_huge_design_exits_2():
 def test_bisection_stops_at_float_resolution():
     # The flip sits near 1.3e20, where one ulp is far wider than 1e-10.
     b = (2.5e20, -2.25e20, 0.7e20)
-    assert boundary.bisect_boundary(b, 3, 1e20, 1e21) == pytest.approx(1.3263157894736843e20)
+    assert oracles.bisect_boundary(b, 3, 1e20, 1e21) == pytest.approx(1.3263157894736843e20)
 
 
 # --- designs whose coefficients differ by more than 1e300-fold: the event

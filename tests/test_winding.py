@@ -4,17 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
+import sdmstab.oracles as oracles
 import sdmstab.winding as winding
-from sdmstab.polynomial import BOUNDARY_EXCLUSION, Poly, all_roots
+from sdmstab.oracles import all_roots, count_inside_eig, jury_stable, winding_oracle
+from sdmstab.polynomial import BOUNDARY_EXCLUSION, Poly
 from sdmstab.transfer import char_poly
-from sdmstab.winding import (
-    characteristic_points,
-    contour_table,
-    count_inside_e1,
-    count_inside_eig,
-    jury_stable,
-    winding_oracle,
-)
+from sdmstab.winding import characteristic_points, contour_table, count_inside_e1
 
 FIG2 = Poly([0.75, 0.5, 1.0])  # z^2 + z/2 + 3/4
 
@@ -139,9 +134,9 @@ class TestCountInsideE1:
         def refuse(*args, **kwargs):
             raise AssertionError("oracle called by count_inside_e1")
 
-        monkeypatch.setattr(winding, "winding_oracle", refuse)
-        monkeypatch.setattr(winding, "count_inside_eig", refuse)
-        monkeypatch.setattr(winding, "all_roots", refuse)
+        monkeypatch.setattr(oracles, "winding_oracle", refuse)
+        monkeypatch.setattr(oracles, "count_inside_eig", refuse)
+        monkeypatch.setattr(oracles, "all_roots", refuse)
         for f, truth in _fuzz_corpus():
             res = count_inside_e1(f)
             assert res.method == "e1"
@@ -273,3 +268,18 @@ class TestContourTable:
         assert rows[0][0] == 0.0
         assert rows[0][1] == pytest.approx(2.25, abs=1e-12)
         assert rows[0][2] == pytest.approx(0.0, abs=1e-15)
+
+    def test_matches_numpy_sampling(self):
+        # The numpy form contour_table had: the same angles, W within a few
+        # ulps of max |W| (cos/sin and the Horner sums may round differently).
+        rng = np.random.default_rng(47)
+        for samples in (1, 2, 7, 64, 513):
+            for n in range(1, 6):
+                f = char_poly(tuple(rng.uniform(-4, 4, n)), n, float(rng.uniform(0.1, 4)))
+                phi = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+                z = np.exp(1j * phi)
+                want = np.polyval(f.coeffs[::-1], z) * np.conj(z) ** n
+                rows = contour_table(f, samples)
+                assert [r[0] for r in rows] == phi.tolist()
+                got = np.array([complex(r[1], r[2]) for r in rows])
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
