@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .polynomial import Poly, cheb_expand, chebyshev_u
-from .transfer import DCoeffs, MAX_ORDER, record
+from .polynomial import MAX_ORDER, Poly, cheb_expand, chebyshev_u
+from .transfer import DCoeffs, record
 from .transfer import _char_poly, _check_coeffs, _check_result, _check_scalar
 from .winding import count_inside_e1
 

@@ -3,8 +3,11 @@
 Commands: ``bounds``, ``check``, ``contour``, ``from-g``, ``simulate``,
 ``sweep``.  Designs enter either as feedback-difference coefficients
 (``--b``) or cascade coefficients (``--g``), mutually exclusive, with the
-order inferred from the list length.  Exit codes: 0 success, 1 analysis
-refusal (a verdict too close to the unit circle to call), 2 usage errors.
+order inferred from the list length.  Formats: ``bounds``, ``check`` and
+``from-g`` write text or json; ``contour`` csv (its default), text or json;
+``simulate`` and ``sweep`` text, json or csv (``simulate`` csv only for a
+trace, ``--trace-len`` > 0).  Exit codes: 0 success, 1 a refusal by ``check``
+(a root within ``2**-30`` of the unit circle), 2 usage and validation errors.
 
 Each command imports the analytic or simulator modules it uses when it
 runs, and ``json`` is imported only for ``--format json``, so one process
@@ -15,22 +18,21 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from . import __version__
 from .transfer import SdmDesign, _check_count, char_poly, g_from_b, ntf_series, record
 
 __all__ = ["RunConfig", "Report", "asdict", "replace", "parse", "execute", "render", "main"]
 
-COMMANDS = ("bounds", "check", "contour", "from-g", "simulate", "sweep")
-
 
 @record
 class RunConfig:
     command: str
-    b: tuple[float, ...] | None
-    g: tuple[float, ...] | None
-    format: str
-    out: str
+    b: tuple[float, ...] | None = None
+    g: tuple[float, ...] | None = None
+    format: str = "text"
+    out: str = "-"
     i_abs: float | None = None
     samples: int | None = None
     threshold: float = 1e6
@@ -67,13 +69,6 @@ def replace(obj, **changes):
     return type(obj)(**{**{f: getattr(obj, f) for f in obj._fields}, **changes})
 
 
-def _is(obj, module: str, name: str) -> bool:
-    """``isinstance(obj, <module>.<name>)`` for a submodule of this package,
-    without importing it: no instance of its classes exists before it is loaded."""
-    mod = sys.modules.get(f"{__package__}.{module}")
-    return mod is not None and isinstance(obj, getattr(mod, name))
-
-
 def _csv_list(text: str) -> tuple[float, ...]:
     try:
         vals = tuple(float(part) for part in text.split(","))
@@ -91,17 +86,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "one-bit sigma-delta modulators",
     )
     top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = top.add_subparsers(dest="command", required=True)
+    # An option left out stays out of the namespace, so RunConfig supplies
+    # every default; argparse keeps only those that differ by command.
+    command = partial(argparse.ArgumentParser, argument_default=argparse.SUPPRESS)
+    sub = top.add_subparsers(dest="command", required=True, parser_class=command)
 
-    def common(
-        p: argparse.ArgumentParser, need_g_only: bool = False, default_format: str = "text"
-    ) -> None:
+    def common(p: argparse.ArgumentParser, formats=("text", "json"), need_g_only=False) -> None:
+        """The design and output options; ``formats[0]`` is the default format."""
         grp = p.add_mutually_exclusive_group(required=True)
         if not need_g_only:
             grp.add_argument("--b", type=_csv_list, help="feedback-difference coefficients, e.g. 3,-3,1")
         grp.add_argument("--g", type=_csv_list, help="cascade coefficients, e.g. 1,3,3")
-        p.add_argument("--format", choices=("text", "json", "csv"), default=default_format)
-        p.add_argument("--out", default="-", help="output path, or - for stdout")
+        p.add_argument("--format", choices=formats, default=formats[0])
+        p.add_argument("--out", help="output path, or - for stdout")
 
     p = sub.add_parser("bounds", help="stability intervals in the quasi-static magnitude")
     common(p)
@@ -111,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i-abs", type=float, required=True, help="quasi-static integrator magnitude")
 
     p = sub.add_parser("contour", help="sampled unit-circle contour image as plot data")
-    common(p, default_format="csv")
+    common(p, formats=("csv", "text", "json"))
     p.add_argument("--i-abs", type=float, required=True)
     p.add_argument("--samples", type=int, default=512)
 
@@ -119,21 +116,21 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, need_g_only=True)
 
     p = sub.add_parser("simulate", help="time-domain behavioral run")
-    common(p)
+    common(p, formats=("text", "json", "csv"))
     p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--threshold", type=float, default=1e6)
-    p.add_argument("--dc", type=float, default=None, help="DC input level (default 0)")
-    p.add_argument("--sine-amp", type=float, default=None)
-    p.add_argument("--sine-period", type=float, default=None)
-    p.add_argument("--trace-len", type=int, default=0, help="emit a bounded state trace instead of the summary")
+    p.add_argument("--threshold", type=float)
+    p.add_argument("--dc", type=float, help="DC input level (default 0)")
+    p.add_argument("--sine-amp", type=float)
+    p.add_argument("--sine-period", type=float)
+    p.add_argument("--trace-len", type=int, help="emit a bounded state trace instead of the summary")
 
     p = sub.add_parser("sweep", help="DC amplitude sweep with instability-window extraction")
-    common(p)
-    p.add_argument("--amp-lo", type=float, default=0.0)
-    p.add_argument("--amp-hi", type=float, default=1.0)
-    p.add_argument("--amp-steps", type=int, default=64)
+    common(p, formats=("text", "json", "csv"))
+    p.add_argument("--amp-lo", type=float)
+    p.add_argument("--amp-hi", type=float)
+    p.add_argument("--amp-steps", type=int)
     p.add_argument("--samples", type=int, default=20000)
-    p.add_argument("--threshold", type=float, default=1e6)
+    p.add_argument("--threshold", type=float)
     return top
 
 
@@ -141,45 +138,28 @@ def parse(argv) -> RunConfig:
     """Parse and validate argv; raises SystemExit(2) on usage errors."""
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    if ns.command == "simulate":
-        if ns.sine_amp is not None and ns.sine_period is None:
+    cfg = RunConfig(**vars(ns))
+    if cfg.command == "simulate":
+        if "sine_amp" in ns and "sine_period" not in ns:
             parser.error("--sine-amp requires --sine-period")
-        if ns.sine_period is not None and ns.sine_amp is None:
+        if "sine_period" in ns and "sine_amp" not in ns:
             parser.error("--sine-period requires --sine-amp")
-        if ns.dc is not None and ns.sine_amp is not None:
+        if "dc" in ns and "sine_amp" in ns:
             parser.error("--dc and --sine-amp are mutually exclusive")
-    return RunConfig(
-        command=ns.command,
-        b=getattr(ns, "b", None),
-        g=ns.g,
-        format=ns.format,
-        out=ns.out,
-        i_abs=getattr(ns, "i_abs", None),
-        samples=getattr(ns, "samples", None),
-        threshold=getattr(ns, "threshold", 1e6),
-        dc=getattr(ns, "dc", None),
-        sine_amp=getattr(ns, "sine_amp", None),
-        sine_period=getattr(ns, "sine_period", None),
-        amp_lo=getattr(ns, "amp_lo", 0.0),
-        amp_hi=getattr(ns, "amp_hi", 1.0),
-        amp_steps=getattr(ns, "amp_steps", 64),
-        trace_len=getattr(ns, "trace_len", 0),
-    )
-
-
-def _design(cfg: RunConfig) -> SdmDesign:
-    if cfg.g is not None:
-        return SdmDesign.from_g(cfg.g)
-    return SdmDesign.from_b(cfg.b)
+        if cfg.format == "csv" and cfg.trace_len <= 0:
+            parser.error("--format csv requires a positive --trace-len")
+    return cfg
 
 
 def execute(cfg: RunConfig) -> tuple[Report, int]:
     """Dispatch a validated config; returns the report and the exit code."""
-    design = _design(cfg)
+    design = SdmDesign.from_g(cfg.g) if cfg.g is not None else SdmDesign.from_b(cfg.b)
     inputs = {"b": list(design.b), "n": design.n}
     if design.g is not None:
         inputs["g"] = list(design.g)
     code = 0
+    # simulate and sweep run the cascade, derived from --b when not given
+    g = (design.g or g_from_b(design.b)) if cfg.command in ("simulate", "sweep") else None
 
     if cfg.command == "bounds":
         from .boundary import classify_intervals
@@ -218,11 +198,8 @@ def execute(cfg: RunConfig) -> tuple[Report, int]:
             inputs["dc"] = signal.level
         inputs["samples"] = cfg.samples
         inputs["threshold"] = cfg.threshold
-        g = design.g if design.g is not None else g_from_b(design.b)
-        inputs["g"] = list(g)
         if _check_count(cfg.trace_len, "trace_len", minimum=0) > 0:
-            _, states = trace_run(g, signal, min(cfg.trace_len, cfg.samples), cfg.threshold)
-            payload = states
+            payload = trace_run(g, signal, min(cfg.trace_len, cfg.samples), cfg.threshold)[1]
         else:
             payload = run(g, signal, cfg.samples, cfg.threshold)
     elif cfg.command == "sweep":
@@ -235,16 +212,16 @@ def execute(cfg: RunConfig) -> tuple[Report, int]:
             samples=cfg.samples,
             threshold=cfg.threshold,
         )
-        g = design.g if design.g is not None else g_from_b(design.b)
-        inputs["g"] = list(g)
         payload = sweep(g, cfg.amp_lo, cfg.amp_hi, cfg.amp_steps, cfg.samples, cfg.threshold)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown command {cfg.command!r}")
+    if g is not None:
+        inputs["g"] = list(g)
     return Report(command=cfg.command, inputs=inputs, payload=payload), code
 
 
-def _text_lines(payload) -> list[str]:
-    if _is(payload, "boundary", "StabilityReport"):
+def _text_lines(command: str, payload) -> list[str]:
+    if command == "bounds":
         lines = [f"sum_b: {payload.sum_b!r}", f"a_min: {payload.a_min!r}"]
         for c in payload.candidates:
             lines.append(
@@ -257,7 +234,7 @@ def _text_lines(payload) -> list[str]:
                 f"witness_a={iv.witness_a!r} witness_count={iv.witness_count}"
             )
         return lines
-    if _is(payload, "winding", "RootCountResult"):
+    if command == "check":
         lines = [
             f"inside: {payload.inside}",
             f"method: {payload.method}",
@@ -271,7 +248,9 @@ def _text_lines(payload) -> list[str]:
             for p in payload.points.selfx:
                 lines.append(f"selfx: x={p.x!r} re_w={p.re_w!r}")
         return lines
-    if _is(payload, "simulator", "SimResult"):
+    if command == "simulate":
+        if isinstance(payload, list):  # a trace
+            return [f"state: k={st.k} s={list(st.s)!r} v={st.v!r}" for st in payload]
         return [
             f"diverged: {payload.diverged}",
             f"first_divergence_sample: {payload.first_divergence_sample}",
@@ -280,7 +259,7 @@ def _text_lines(payload) -> list[str]:
             f"samples_run: {payload.samples_run}",
             f"peak_sample: {payload.peak_sample}",
         ]
-    if _is(payload, "simulator", "WindowReport"):
+    if command == "sweep":
         lines = []
         for p in payload.grid:
             lines.append(
@@ -293,18 +272,12 @@ def _text_lines(payload) -> list[str]:
         if not payload.windows:
             lines.append("window: none")
         return lines
-    if isinstance(payload, dict):
+    if command == "from-g":
         return [f"{k}: {v!r}" for k, v in payload.items()]
-    if isinstance(payload, list) and payload and hasattr(payload[0], "s"):
-        return [
-            f"state: k={st.k} s={list(st.s)!r} v={st.v!r}" for st in payload
-        ]
-    if isinstance(payload, list):
-        return [",".join(repr(x) for x in row) for row in payload]
-    return [repr(payload)]
+    return [",".join(repr(x) for x in row) for row in payload]  # contour
 
 
-def _csv_text(payload) -> str:
+def _csv_text(command: str, payload) -> str:
     def cell(v) -> str:
         if v is None:
             return ""
@@ -314,11 +287,11 @@ def _csv_text(payload) -> str:
             return repr(v)
         return str(v)
 
-    if isinstance(payload, list) and (not payload or isinstance(payload[0], tuple)):
+    if command == "contour":
         rows = ["phi,re_w,im_w"]
         rows += [",".join(cell(v) for v in row) for row in payload]
         return "\n".join(rows) + "\n"
-    if _is(payload, "simulator", "WindowReport"):
+    if command == "sweep":
         rows = ["amplitude,stable,max_abs_state,first_divergence_sample"]
         for p in payload.grid:
             rows.append(
@@ -328,7 +301,7 @@ def _csv_text(payload) -> str:
                 )
             )
         return "\n".join(rows) + "\n"
-    if isinstance(payload, list) and payload and hasattr(payload[0], "s"):
+    if command == "simulate" and isinstance(payload, list):  # a trace
         n = len(payload[0].s)
         rows = ["k," + ",".join(f"s{j+1}" for j in range(n)) + ",v"]
         for st in payload:
@@ -350,10 +323,10 @@ def render(report: Report, fmt: str) -> str:
         }
         return json.dumps(doc, indent=2) + "\n"
     if fmt == "csv":
-        return _csv_text(report.payload)
+        return _csv_text(report.command, report.payload)
     lines = [f"command: {report.command}"]
     lines += [f"input {k}: {v}" for k, v in report.inputs.items()]
-    lines += _text_lines(report.payload)
+    lines += _text_lines(report.command, report.payload)
     return "\n".join(lines) + "\n"
 
 
@@ -372,9 +345,6 @@ def main(argv=None) -> int:
         text = render(report, cfg.format)
         _write_out(cfg.out, text)
     except ValueError as exc:
-        if _is(exc, "boundary", "DegenerateBoundaryError"):
-            print(f"analysis refused: {exc}", file=sys.stderr)
-            return 1
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

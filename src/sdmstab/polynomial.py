@@ -29,8 +29,9 @@ __all__ = [
 # Degree cap for the exact-binomial constructor; analysis never needs more.
 MAX_BINOM_ORDER = 12
 
-# Order cap for the trig-to-polynomial conversion.
-MAX_CHEB_ORDER = 5
+# Order cap of the modulators the package analyses (orders 1..5), and so of
+# the trig-to-polynomial conversion; transfer re-exports it.
+MAX_ORDER = 5
 
 
 class Poly:
@@ -161,20 +162,20 @@ def _cheb_tables(n: int) -> tuple[list[Poly], list[Poly]]:
     return t, u
 
 
-_T_TABLE, _U_TABLE = _cheb_tables(MAX_CHEB_ORDER)
+_T_TABLE, _U_TABLE = _cheb_tables(MAX_ORDER)
 
 
 def chebyshev_t(k: int) -> Poly:
     """First-kind basis polynomial: ``cos(k*phi) = T_k(cos(phi))``."""
-    if not 0 <= k <= MAX_CHEB_ORDER:
-        raise ValueError(f"k must be in [0, {MAX_CHEB_ORDER}], got {k}")
+    if not 0 <= k <= MAX_ORDER:
+        raise ValueError(f"k must be in [0, {MAX_ORDER}], got {k}")
     return _T_TABLE[k]
 
 
 def chebyshev_u(k: int) -> Poly:
     """Second-kind basis polynomial: ``sin((k+1)*phi) = sin(phi)*U_k(cos(phi))``."""
-    if not 0 <= k <= MAX_CHEB_ORDER:
-        raise ValueError(f"k must be in [0, {MAX_CHEB_ORDER}], got {k}")
+    if not 0 <= k <= MAX_ORDER:
+        raise ValueError(f"k must be in [0, {MAX_ORDER}], got {k}")
     return _U_TABLE[k]
 
 
@@ -186,8 +187,8 @@ def cheb_expand(d: Sequence[float], a: float = 0.0, kind: str = "cosine") -> Pol
     imaginary part divided by ``sin(phi)``; the offset ``a`` is ignored there.
     """
     n = len(d)
-    if not 1 <= n <= MAX_CHEB_ORDER:
-        raise ValueError(f"need 1..{MAX_CHEB_ORDER} coefficients, got {n}")
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"need 1..{MAX_ORDER} coefficients, got {n}")
     if kind == "cosine":
         acc, basis = [float(a)], _T_TABLE[1 : n + 1]
     elif kind == "sine":

@@ -14,7 +14,7 @@ import math
 import operator
 from typing import Sequence
 
-from .polynomial import Poly, binom_power, poly_rem
+from .polynomial import MAX_ORDER, Poly, binom_power, poly_rem
 
 __all__ = [
     "MAX_ORDER",
@@ -27,8 +27,6 @@ __all__ = [
     "d_coeffs",
     "ntf_series",
 ]
-
-MAX_ORDER = 5
 
 
 # Every result and input class of the package is a ``record`` rather than a

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .polynomial import MAX_CHEB_ORDER, Poly, cheb_expand, chebyshev_t, chebyshev_u
+from .polynomial import MAX_ORDER, Poly, cheb_expand, chebyshev_t, chebyshev_u
 from .polynomial import _cauchy_index, _derivative, _int_coeffs, _primitive, _sign_near, _sturm
 from .polynomial import real_roots_open
 from .transfer import _check_count, record
@@ -124,7 +124,7 @@ def _profile_columns(n: int, m: int) -> tuple[list[list[int]], list[list[int]]]:
 
 _COLUMNS = [None] + [
     [_profile_columns(n, m) for m in ((1 << REFUSE_BITS) - 1, (1 << REFUSE_BITS) + 1)]
-    for n in range(1, MAX_CHEB_ORDER + 1)
+    for n in range(1, MAX_ORDER + 1)
 ]
 
 
@@ -175,8 +175,8 @@ def count_inside_e1(f: Poly) -> RootCountResult:
     ``2**-30`` of the circle and the result is marginal with no count.
     """
     f = _normalized(f)
-    if f.degree > MAX_CHEB_ORDER:
-        raise ValueError(f"need degree 1..{MAX_CHEB_ORDER}, got {f.degree}")
+    if f.degree > MAX_ORDER:
+        raise ValueError(f"need degree 1..{MAX_ORDER}, got {f.degree}")
     coeffs = _int_coeffs(f.coeffs)[::-1]
     counts = {_count_exact(coeffs, t, u) for t, u in _COLUMNS[f.degree]}
     if len(counts) != 1 or None in counts:

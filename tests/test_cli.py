@@ -1,12 +1,13 @@
 import json
 import math
+import pathlib
 import random
 
 import pytest
 
 from sdmstab.boundary import StabilityReport
-from sdmstab.cli import Report, execute, main, parse, render
-from sdmstab.simulator import GridPoint, SimResult, Window, WindowReport
+from sdmstab.cli import Report, RunConfig, execute, main, parse, render
+from sdmstab.simulator import DEFAULT_THRESHOLD, GridPoint, SimResult, Window, WindowReport
 from sdmstab.transfer import b_from_g
 
 
@@ -66,6 +67,41 @@ class TestParse:
                     "--amp-steps", str(cfg.amp_steps), "--samples", str(cfg.samples),
                 ]
             assert parse(rebuilt) == cfg
+
+
+class TestDefaults:
+    def test_omitted_options_take_the_record_defaults(self):
+        assert parse(["bounds", "--b=1"]) == RunConfig("bounds", (1.0,))
+
+    def test_threshold_is_the_simulator_default(self):
+        for command in ("simulate", "sweep"):
+            assert parse([command, "--g=1"]).threshold == DEFAULT_THRESHOLD
+
+    def test_samples_default_per_command(self):
+        argvs = {512: ["contour", "--g=1", "--i-abs=1"], 100000: ["simulate", "--g=1"],
+                 20000: ["sweep", "--g=1"]}
+        for samples, argv in argvs.items():
+            assert parse(argv).samples == samples
+
+
+def golden_cases():
+    """``(argv, exit code, stdout)`` for each case of ``cli_golden.txt``."""
+    lines = (pathlib.Path(__file__).parent / "cli_golden.txt").read_text().splitlines(True)
+    cases, out = [], []
+    for line in lines:
+        if line.startswith("$ sdmstab "):
+            argv, out = line.split()[2:], []
+        elif line.startswith("[exit "):
+            cases.append(pytest.param(argv, int(line.strip()[6:-1]), "".join(out), id=" ".join(argv)))
+        elif not line.startswith("#"):
+            out.append(line)
+    return cases
+
+
+@pytest.mark.parametrize("argv,code,stdout", golden_cases())
+def test_golden_output(argv, code, stdout, capsys):
+    assert main(argv) == code
+    assert capsys.readouterr().out == stdout
 
 
 class TestExecute:

@@ -224,12 +224,18 @@ def test_defect_now_raises_value_error(call):
 
 
 # simulate flag combinations it cannot honour are usage errors; the first
-# two once exited 0 and silently dropped an input.
+# two once exited 0 and silently dropped an input.  A format the command
+# cannot write is one too: it was refused only after the command's full run.
 USAGE_REGRESSIONS = {
     "simulate-dc-with-sine": ["simulate", "--g=1", "--dc=0.05", "--sine-amp=0.1",
                               "--sine-period=64"],
     "simulate-period-without-amp": ["simulate", "--g=1", "--sine-period=64"],
     "simulate-amp-without-period": ["simulate", "--g=1", "--sine-amp=0.1"],
+    "bounds-csv": ["bounds", "--b=3,-3,1", "--format=csv"],
+    "check-csv": ["check", "--b=3,-3,1", "--i-abs=1.5", "--format=csv"],
+    "from-g-csv": ["from-g", "--g=1,3,3", "--format=csv"],
+    "simulate-csv-without-trace": ["simulate", "--g=1,3,3", "--format=csv"],
+    "simulate-csv-zero-trace": ["simulate", "--g=1,3,3", "--trace-len=0", "--format=csv"],
 }
 
 
@@ -237,6 +243,13 @@ USAGE_REGRESSIONS = {
 def test_dropped_input_is_now_a_usage_error(argv):
     code, out, err = cli(argv)
     assert code == 2 and out == "" and "error:" in err
+
+
+@pytest.mark.parametrize("argv", USAGE_REGRESSIONS.values(), ids=USAGE_REGRESSIONS.keys())
+def test_usage_errors_are_found_before_any_work(argv):
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+        parse(argv)
+    assert exc.value.code == 2
 
 
 def test_no_nan_looks_inside_records():
