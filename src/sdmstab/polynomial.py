@@ -14,7 +14,7 @@ import math
 import operator
 import struct
 import sys
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Poly",
@@ -40,10 +40,9 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[float] = ()):
-        cs = [float(c) for c in coeffs]
-        for c in cs:
-            if not math.isfinite(c):
-                raise ValueError("polynomial coefficients must be finite")
+        cs = list(map(float, coeffs))
+        if not all(map(math.isfinite, cs)):
+            raise ValueError("polynomial coefficients must be finite")
         while cs and cs[-1] == 0.0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -224,8 +223,8 @@ BOUNDARY_EXCLUSION = 1e-9
 def _int_coeffs(coeffs: tuple[float, ...]) -> list[int]:
     """Float coefficients times one common power of two, as ints (exact)."""
     ratios = [c.as_integer_ratio() for c in coeffs]
-    den = max(d for _, d in ratios)  # every d is a power of two
-    return [num * (den // d) for num, d in ratios]
+    bits = max(d for _, d in ratios).bit_length()  # every d is a power of two
+    return [num << (bits - d.bit_length()) for num, d in ratios]
 
 
 def _primitive(p: list[int], sign: int = 1) -> list[int]:
@@ -236,42 +235,51 @@ def _primitive(p: list[int], sign: int = 1) -> list[int]:
     return [c // g for c in p] if g != 1 else p
 
 
-def _pdiv(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    """``|lc b|**(deg a - deg b + 1) * a = q*b + r``: returns ``(q, r)``.
-
-    The multiplier is positive, so ``r`` has the sign of the true remainder;
-    and it makes ``q`` integral, so every quotient step divides exactly.
-    """
+def _pdiv(a: list[int], b: list[int]) -> list[int]:
+    """Quotient ``q`` of ``|lc b|**(deg a - deg b + 1) * a = q*b + r``,
+    ``deg b <= deg a``; the multiplier makes every step divide exactly."""
     m, lead = len(b) - 1, b[-1]
     steps = len(a) - m
-    if steps <= 0:
-        return [], a
-    mul = abs(lead) ** steps
-    r, q = [mul * c for c in a], [0] * steps
+    r, q = [abs(lead) ** steps * c for c in a], [0] * steps
     for i in range(steps - 1, -1, -1):
         q[i] = t = r[i + m] // lead
         for j in range(m):
             r[i + j] -= t * b[j]
-    return q, r[:m]
+    return q
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """The remainder ``r`` of the same division, which has the sign of the
+    true one; each step scales by ``|lc b|`` and cancels the top term."""
+    m, scale = len(b) - 1, abs(b[-1])
+    b = b[:m] if b[-1] > 0 else [-c for c in b[:m]]
+    r = a[:]
+    while len(r) > m:
+        t = r.pop()
+        r = [scale * c for c in r]
+        for j, c in enumerate(b, len(r) - m):
+            r[j] -= t * c
+    return r
 
 
 def _derivative(p: list[int]) -> list[int]:
     return [k * c for k, c in enumerate(p) if k > 0]
 
 
-def _sturm(p: list[int], q: list[int]) -> list[list[int]]:
+def _sturm(p: list[int], q: list[int]) -> Iterator[list[int]]:
     """Signed remainder sequence ``sRem(p, q)`` up to positive factors, for
-    ``p`` nonzero and ``q`` without trailing zeros.
+    ``p`` nonzero and ``q`` without trailing zeros, member by member.
 
     Each member after ``q`` is the primitive part of minus the remainder of
     the two before it, so sign variations along it are those of the exact
     signed remainder sequence; the last member is ``gcd(p, q)``.
     """
-    seq, r = [p], q
-    while r:
-        seq.append(r)
-        r = _primitive(_pdiv(seq[-2], r)[1], -1)
-    return seq
+    yield p
+    while q:
+        yield q
+        if len(q) == 1:  # a constant divides p: the remainder is 0
+            return
+        p, q = q, _primitive(_prem(p, q), -1)
 
 
 def _sign_at(p: list[int], x: float) -> int:
@@ -301,14 +309,24 @@ def _sign_changes(values: list[int]) -> int:
     return sum(map(operator.ne, neg, neg[1:]))
 
 
-def _cauchy_index(seq: list[list[int]]) -> int:
-    """``Var(-1+) - Var(1-)`` along ``seq``: for ``sRem(p, q)`` the Cauchy
-    index of ``q/p`` on (-1, 1), and for ``sRem(p, p')`` the number of
-    distinct roots of ``p`` there.  A member's value at -1 or 1 has its sign
-    there unless it is 0."""
-    left = [(sum(p[::2]) - sum(p[1::2])) or _sign_near(p, -1.0, 1) for p in seq]
-    right = [sum(p) or _sign_near(p, 1.0, -1) for p in seq]
-    return _sign_changes(left) - _sign_changes(right)
+def _end_signs(p: list[int]) -> tuple[int, int]:
+    """Signs of a nonzero ``p`` just right of -1 and just left of 1."""
+    hi = sum(p)
+    lo = 2 * sum(p[::2]) - hi
+    return ((lo > 0) - (lo < 0) or _sign_near(p, -1.0, 1),
+            (hi > 0) - (hi < 0) or _sign_near(p, 1.0, -1))
+
+
+def _cauchy_index(p: list[int], q: list[int]) -> tuple[int, list[int]]:
+    """``Var(-1+) - Var(1-)`` along ``sRem(p, q)``, walked once, and its last
+    member ``gcd(p, q)``: the Cauchy index of ``q/p`` on (-1, 1), or for
+    ``q = p'`` the number of distinct roots of ``p`` there."""
+    index = left = right = 0
+    for g in _sturm(p, q):
+        lo, hi = _end_signs(g)
+        index += (lo == -left) - (hi == -right)  # signs are +-1; 0 before the first
+        left, right = lo, hi
+    return index, g
 
 
 def _ordered(x: float) -> int:
@@ -353,10 +371,10 @@ def real_roots_open(p: Poly, lo: float, hi: float) -> list[float]:
     if p.degree < 1 or not a < b:
         return []
     c = _int_coeffs(p.coeffs)
-    chain = _sturm(c, _derivative(c))
+    chain = list(_sturm(c, _derivative(c)))
     if len(chain[-1]) > 1:  # repeated factors: keep the square-free part
-        c = _primitive(_pdiv(c, chain[-1])[0])
-        chain = _sturm(c, _derivative(c))
+        c = _primitive(_pdiv(c, chain[-1]))
+        chain = list(_sturm(c, _derivative(c)))
 
     def var(k: int) -> int:
         x = _unordered(k)

@@ -188,13 +188,15 @@ def char_poly(b: Sequence[float], n: int, a: float) -> Poly:
     return _char_poly(b, n, _check_scalar(a, "the integrator magnitude a", nonnegative=True))
 
 
+_SHIFTED = [binom_power(n, 1.0).coeffs for n in range(MAX_ORDER + 1)]  # (z - 1)**n
+
+
 def _char_poly(b: tuple[float, ...], n: int, a: float) -> Poly:
-    """:func:`char_poly` for an already checked ``b``; ``a`` may exceed the cap."""
-    f = a * binom_power(n, 1.0)
-    asc = [0.0] * (n + 1)
-    for k in range(1, n + 1):
-        asc[n - k] = b[k - 1]
-    return f + Poly(asc)
+    """:func:`char_poly` for an already checked ``b``; ``a`` may exceed the cap.
+    Bit for bit the Poly sum ``a*(z-1)**n + D(z)``: that adds D's zeros to
+    nonzero terms, and at ``a = 0`` the signed zeros of ``b`` stay."""
+    d = b[::-1]
+    return Poly([a * c + dk for c, dk in zip(_SHIFTED[n], d)] + [a]) if a else Poly(d)
 
 
 @record
@@ -252,10 +254,8 @@ def ntf_series(b: Sequence[float], n: int, terms: int) -> list[float]:
     """
     b = _check_coeffs(b, "b", n)
     terms = _check_count(terms, "terms")
-    bden = _char_poly(b, n, 1.0)
-    cnum = binom_power(n, 1.0)
-    beta = bden.coeffs[::-1]  # descending powers, beta[0] = 1
-    cdesc = cnum.coeffs[::-1]
+    beta = _char_poly(b, n, 1.0).coeffs[::-1]  # descending powers, beta[0] = 1
+    cdesc = _SHIFTED[n][::-1]
     h = [0.0] * terms
     for m in range(terms):
         acc = cdesc[m] if m < len(cdesc) else 0.0

@@ -7,10 +7,11 @@ profile ``r1`` with ``Im W = -sin(phi)*r1``.  The signed crossings of the
 negative real axis give the winding and so the number of roots inside the
 circle.  ``count_inside_e1`` reads that sum without locating the points: it
 is the Cauchy index of ``Re W / r1`` on (-1, 1) plus end terms, decided
-exactly in integers from a signed remainder sequence.  A count is refused
-when a root lies within ``2**-30`` of the circle.  ``characteristic_points``
-locates the points themselves, and ``contour_table`` samples the image
-for plotting.
+exactly in integers from a signed remainder sequence, walked once.  A count
+is refused exactly when a root lies within ``2**-30`` of the circle, and one
+radius ``1 -+ 2**-30`` settles it when it finds every root inside the inner
+or outside the outer circle.  ``characteristic_points`` locates the points
+themselves, and ``contour_table`` samples the image for plotting.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import operator
 
 from .polynomial import MAX_ORDER, Poly, cheb_expand, chebyshev_t, chebyshev_u
-from .polynomial import _cauchy_index, _derivative, _int_coeffs, _primitive, _sign_near, _sturm
+from .polynomial import _cauchy_index, _derivative, _end_signs, _int_coeffs, _primitive
 from .polynomial import real_roots_open
 from .transfer import _check_count, record
 
@@ -106,51 +107,52 @@ def characteristic_points(f: Poly) -> CharacteristicPoints:
 # of the circle.  A dyadic radius keeps both counts exact.
 REFUSE_BITS = 30
 
-
-def _profile_columns(n: int, m: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Integer tables giving each coefficient of ``r0`` and ``r1`` of
-    ``2**(REFUSE_BITS*n) * F(rho*z)``, ``rho = m / 2**REFUSE_BITS``, as a dot
-    product with the coefficients ``(a, d_1, .., d_n)`` of an order-``n``
-    ``F``; ``cos(k*phi) = T_k(x)`` and ``sin(k*phi) = sin(phi)*U_(k-1)(x)``."""
-    t = [chebyshev_t(k).coeffs for k in range(n + 1)]
-    u = [()] + [chebyshev_u(k - 1).coeffs for k in range(1, n + 1)]
-    scale = [m ** (n - k) << (REFUSE_BITS * k) for k in range(n + 1)]
-
-    def col(basis, j):
-        return [int(p[j]) * s if j < len(p) else 0 for p, s in zip(basis, scale)]
-
-    return [col(t, j) for j in range(n + 1)], [col(u, j) for j in range(n)]
+_TABLES: dict = {}
 
 
-_COLUMNS = [None] + [
-    [_profile_columns(n, m) for m in ((1 << REFUSE_BITS) - 1, (1 << REFUSE_BITS) + 1)]
-    for n in range(1, MAX_ORDER + 1)
-]
+def _tables(n: int) -> tuple[list, list, list[int], list[int]]:
+    """Order-``n`` tables, built on first use: rows giving each coefficient of
+    ``r0`` and ``r1`` as small multiples of ``(a, d_1, .., d_n)``
+    (``cos(k*phi) = T_k(x)``, ``sin(k*phi) = sin(phi)*U_(k-1)(x)``), and the
+    factors scaling those to ``2**(REFUSE_BITS*n) * F(rho*z)`` at the inner
+    and the outer radius ``rho = 1 -+ 2**-REFUSE_BITS``."""
+    if n not in _TABLES:
+        t = [chebyshev_t(k).coeffs for k in range(n + 1)]
+        u = [()] + [chebyshev_u(k - 1).coeffs for k in range(1, n + 1)]
+        rows = [[[(k, int(p[j])) for k, p in enumerate(basis) if j < len(p) and p[j]]
+                 for j in range(width)] for basis, width in ((t, n + 1), (u, n))]
+        one = 1 << REFUSE_BITS
+        _TABLES[n] = *rows, *([m ** (n - k) << (REFUSE_BITS * k) for k in range(n + 1)]
+                              for m in (one - 1, one + 1))
+    return _TABLES[n]
 
 
-def _count_exact(
-    coeffs: list[int], t_cols: list[list[int]], u_cols: list[list[int]]
-) -> int | None:
-    """Roots inside ``|z| = 1`` of the polynomial whose profiles the tables
-    make from the integer ``(a, d_1, .., d_n)``, ``a > 0``; None for a root
-    on the circle.  See ``count_inside_e1``."""
-    r0 = [sum(map(operator.mul, coeffs, col)) for col in t_cols]
-    r1 = [sum(map(operator.mul, coeffs, col)) for col in u_cols]
+def _count_exact(coeffs: list[int], scale: list[int]) -> int | None:
+    """Roots inside ``|z| = 1`` of the polynomial with the integer
+    coefficients ``(a, d_1, .., d_n)`` times ``scale``, ``a > 0``; None for a
+    root on the circle.  See ``count_inside_e1``."""
+    n = len(coeffs) - 1
+    t_rows, u_rows, _, _ = _tables(n)
+    coeffs = list(map(operator.mul, coeffs, scale))
+    r0 = [sum([coeffs[k] * c for k, c in row]) for row in t_rows]
+    r1 = [sum([coeffs[k] * c for k, c in row]) for row in u_rows]
     while r0[-1] == 0:  # r0 = a when every d_k is 0, else of degree max{k: d_k != 0}
         r0.pop()
     w_plus, w_minus = sum(r0), sum(r0[::2]) - sum(r0[1::2])  # W(1), W(-1)
     if w_plus == 0 or w_minus == 0:
         return None
-    n = len(t_cols) - 1
-    if not any(r1):
+    while r1 and r1[-1] == 0:
+        r1.pop()
+    if not r1:
         return n  # W is constant: the image crosses nothing
-    # deg r1 < deg r0, so sRem(r1, r0) = r1, sRem(r0, -r1).
-    seq = [r1, *_sturm(r0, _primitive(r1, -1))]
-    gcd = seq[-1]
-    if len(gcd) > 1 and _cauchy_index(_sturm(gcd, _derivative(gcd))):
+    # sRem(r1, r0) is r1 followed by sRem(r0, -r1), and r0 has the signs of
+    # W(-1) and W(1) at the ends, so this gives Ind(r0/r1) on (-1, 1).
+    s_0, s_m = _end_signs(r1)
+    index, gcd = _cauchy_index(r0, _primitive(r1, -1))
+    index += (s_0 * w_minus < 0) - (s_m * w_plus < 0)
+    if len(gcd) > 1 and _cauchy_index(gcd, _derivative(gcd))[0]:
         return None  # a common root of r0 and r1 in (-1, 1) is on the circle
-    s_0, s_m = _sign_near(r1, -1.0, 1), _sign_near(r1, 1.0, -1)
-    w = (s_0 - s_m) // 2 + _cauchy_index(seq)  # + Ind(r0/r1) on (-1, 1)
+    w = (s_0 - s_m) // 2 + index
     if w_plus < 0:
         w += s_m
     if w_minus < 0:
@@ -172,17 +174,23 @@ def count_inside_e1(f: Poly) -> RootCountResult:
     exact integer arithmetic on the float coefficients scaled by a power of
     two.  The count is taken for ``F(rho*z)`` at ``rho = 1 -+ 2**-30``; if the
     two differ, or either has a root on the circle, a root lies within
-    ``2**-30`` of the circle and the result is marginal with no count.
+    ``2**-30`` of the circle and the result is marginal with no count.  One
+    radius settles it when it gives ``n`` at ``1 - 2**-30`` or 0 at
+    ``1 + 2**-30``: the other could only agree.  The product of the root
+    moduli is ``|F(0)/a|``, so the inner radius comes first if ``|F(0)| < a``
+    (no count can be 0) and the outer one otherwise (none can be ``n``).
     """
     f = _normalized(f)
-    if f.degree > MAX_ORDER:
-        raise ValueError(f"need degree 1..{MAX_ORDER}, got {f.degree}")
+    n = f.degree
+    if n > MAX_ORDER:
+        raise ValueError(f"need degree 1..{MAX_ORDER}, got {n}")
     coeffs = _int_coeffs(f.coeffs)[::-1]
-    counts = {_count_exact(coeffs, t, u) for t, u in _COLUMNS[f.degree]}
-    if len(counts) != 1 or None in counts:
+    _, _, inner, outer = _tables(n)
+    first, second, settled = (inner, outer, n) if abs(coeffs[-1]) < coeffs[0] else (outer, inner, 0)
+    inside = _count_exact(coeffs, first)
+    if inside != settled and (inside is None or inside != _count_exact(coeffs, second)):
         return RootCountResult(inside=None, method="e1", marginal=True)
-    (inside,) = counts
-    return RootCountResult(inside=inside, method="e1", winding=inside - f.degree)
+    return RootCountResult(inside=inside, method="e1", winding=inside - n)
 
 
 def contour_table(f: Poly, samples: int) -> list[tuple[float, float, float]]:

@@ -1,6 +1,9 @@
+import random
+
 import numpy as np
 import pytest
 
+from sdmstab import transfer
 from sdmstab.polynomial import Poly, binom_power
 from sdmstab.transfer import (
     SdmDesign,
@@ -68,6 +71,51 @@ class TestCharPoly:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             char_poly((1.0, 2.0), 3, 1.0)
+
+
+def three_poly_char_poly(b, n, a):
+    """Reference: ``a*(z-1)**n + D(z)`` as the sum of Polys."""
+    asc = [0.0] * (n + 1)
+    for k in range(1, n + 1):
+        asc[n - k] = b[k - 1]
+    return a * binom_power(n, 1.0) + Poly(asc)
+
+
+def reference_cases():
+    yield (1.0, -0.0), 2, 0.0  # the sum keeps D's -0.0; a*C + b would give +0.0
+    yield (-0.0, 0.0, -0.0), 3, 0.0
+    yield (0.0, -0.0, 1.0, -0.0), 4, -0.0
+    yield (1e300, -1e300, 1e300, -1e300, 1e300), 5, 1e300
+    yield (-1e300, 1e300), 2, 5e-324
+    rng = random.Random(29)
+    zeros = (0.0, -0.0)
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        b = tuple(rng.choice((rng.choice(zeros), rng.uniform(-4.0, 4.0),
+                              rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320.0, 300.0)))
+                  for _ in range(n))
+        a = rng.choice((*zeros, 5e-324, 2.0**-1060, rng.uniform(0.0, 4.0), 10.0 ** rng.uniform(-320.0, 300.0)))
+        yield b, n, a
+
+
+class TestCharPolyReference:
+    def test_bit_identical_to_the_sum_of_polys(self):
+        for b, n, a in reference_cases():
+            # repr tells -0.0 from 0.0, which Poly.__eq__ does not
+            want = repr(three_poly_char_poly(b, n, a))
+            assert repr(char_poly(b, n, a)) == repr(transfer._char_poly(b, n, a)) == want
+
+    def test_overflow_refused_alike(self):
+        b = (1e308, 1e308)
+        for make in (three_poly_char_poly, transfer._char_poly):
+            with pytest.raises(ValueError, match="must be finite"):
+                make(b, 2, 1e308)
+
+    def test_g_from_b_and_ntf_series_unchanged(self, monkeypatch):
+        cases = [(b, n) for b, n, _ in reference_cases() if max(map(abs, b)) < 1e4]
+        got = [(g_from_b(b), ntf_series(b, n, 16)) for b, n in cases]
+        monkeypatch.setattr(transfer, "_char_poly", three_poly_char_poly)
+        assert repr(got) == repr([(g_from_b(b), ntf_series(b, n, 16)) for b, n in cases])
 
 
 class TestDCoeffs:

@@ -1,5 +1,7 @@
 import math
+import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from sdmstab.oracles import all_roots, count_inside_eig, jury_stable, winding_or
 from sdmstab.polynomial import BOUNDARY_EXCLUSION, Poly
 from sdmstab.transfer import char_poly
 from sdmstab.winding import characteristic_points, contour_table, count_inside_e1
+from test_acceptance import stable_b_sample
+from test_validation import schur_cohn_inside
 
 FIG2 = Poly([0.75, 0.5, 1.0])  # z^2 + z/2 + 3/4
 
@@ -175,9 +179,8 @@ class TestCountInsideE1:
         # At rho = 1, z**2 + 1, z*(z**2 + 1) and (z**2 + 1)*(2z - 1) have roots
         # at +-i: r0 and r1 share the factor x, whose root 0 lies in (-1, 1).
         for coeffs in ([1, 0, 1], [0, 1, 0, 1], [-1, 2, -1, 2]):
-            n = len(coeffs) - 1
-            columns = winding._profile_columns(n, 1 << winding.REFUSE_BITS)
-            assert winding._count_exact(coeffs[::-1], *columns) is None
+            unscaled = [1] * len(coeffs)  # rho = 1
+            assert winding._count_exact(coeffs[::-1], unscaled) is None
         assert count_inside_e1(Poly([0.25, 0.0, 1.0])).inside == 2  # at +-i/2
 
     def test_degree_above_five_rejected(self):
@@ -197,6 +200,78 @@ class TestCountInsideE1:
         res = count_inside_e1(f)
         assert not res.marginal
         assert res.inside == count_inside_eig(f).inside == 1
+
+
+def _one_radius_corpus():
+    """Seeded characteristic polynomials of orders 1-5, half of them with a
+    stable linear model, at ``a`` log-uniform in [0.05, 20]."""
+    rng = random.Random(53)
+    for i in range(1600):
+        n = rng.randint(1, 5)
+        b = stable_b_sample(rng, n) if i % 2 else tuple(rng.uniform(-4.0, 4.0) for _ in range(n))
+        yield char_poly(b, n, math.exp(rng.uniform(math.log(0.05), math.log(20.0))))
+
+
+def _from_roots(roots):
+    """The monic polynomial with these real roots; its float coefficients
+    are exact."""
+    c = [Fraction(1)]
+    for r in map(Fraction, roots):
+        c = [x - r * y for x, y in zip([Fraction(0)] + c, c + [Fraction(0)])]
+    assert all(Fraction(float(x)) == x for x in c)
+    return Poly(map(float, c))
+
+
+INNER, OUTER = 1.0 - 2.0**-30, 1.0 + 2.0**-30
+EARLY = (0.5, -0.25, 0.75, -0.625)  # roots well inside
+LATE = (2.0, -3.0, 1.5, -4.0)  # roots well outside
+MARGINAL = [
+    _from_roots(roots)
+    for n in range(1, 6)
+    for roots in (
+        (1.0 - 2.0**-31, *EARLY[: n - 1]),  # inside the circle, outside the inner one
+        (-(1.0 + 2.0**-31), *LATE[: n - 1]),  # outside the circle, inside the outer one
+        (INNER, *EARLY[: n - 1]),  # on the inner circle
+        (-OUTER, *LATE[: n - 1]),  # on the outer circle
+    )
+]
+
+
+class TestOneRadius:
+    def test_agrees_with_exact_schur_cohn(self):
+        counts = set()
+        for f in _one_radius_corpus():
+            want = schur_cohn_inside(f.coeffs, eps=Fraction(1, 2**30))
+            if want is not None:
+                assert count_inside_e1(f).inside == want
+                counts.add((want == 0, want == f.degree))
+        assert counts == {(True, False), (False, True), (False, False)}
+
+    def test_marginal_roots_are_refused(self):
+        for f in MARGINAL:
+            assert schur_cohn_inside(f.coeffs, eps=Fraction(1, 2**30)) is None
+            res = count_inside_e1(f)
+            assert res.marginal and res.inside is None
+
+    def test_one_count_settles_0_n_and_first_radius_refusals(self, monkeypatch):
+        count_exact, calls = winding._count_exact, []
+
+        def counting(*args):
+            calls.append(count_exact(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(winding, "_count_exact", counting)
+        one = two = 0
+        for f in [*_one_radius_corpus(), *MARGINAL]:
+            calls.clear()
+            res = count_inside_e1(f)
+            if res.inside in (0, f.degree) or calls[0] is None:
+                assert len(calls) == 1
+                one += 1
+            else:
+                assert len(calls) == 2
+                two += 1
+        assert one > 400 and two > 400
 
 
 class TestWindingOracle:
