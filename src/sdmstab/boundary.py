@@ -83,7 +83,11 @@ def i_min(b: Sequence[float], n: int) -> float:
     Evaluates ``-sum((-1)**k * b_k) / 2**n`` with an exactly-rounded sum, so
     the value is as accurate as the inputs allow; ``F(-1; a_min) = 0``.
     """
-    b = _check_coeffs(b, "b", n)
+    return _i_min(_check_coeffs(b, "b", n), n)
+
+
+def _i_min(b: tuple[float, ...], n: int) -> float:
+    """:func:`i_min` for an already checked ``b``."""
     alt = math.fsum((-1.0) ** k * b[k - 1] for k in range(1, n + 1))
     return (0.0 - alt) / 2.0**n  # not -alt: +0.0, not -0.0, when alt is 0
 
@@ -198,7 +202,11 @@ def zero_point_candidates(b: Sequence[float], n: int) -> list[ZeroPointCandidate
     :class:`DegenerateBoundaryError` when the event polynomial vanishes
     identically (a continuum, not isolated candidates).
     """
-    b = _check_coeffs(b, "b", n)
+    return _zero_point_candidates(_check_coeffs(b, "b", n), n)
+
+
+def _zero_point_candidates(b: tuple[float, ...], n: int) -> list[ZeroPointCandidate]:
+    """:func:`zero_point_candidates` for an already checked ``b``."""
     event = _event_poly(b, n)
     if event.is_zero:
         raise DegenerateBoundaryError(
@@ -316,7 +324,7 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
     """
     b = _check_coeffs(b, "b", n)
     sum_b = math.fsum(b)
-    a_min = i_min(b, n)
+    a_min = _i_min(b, n)
 
     if sum_b <= 0.0:
         _, count = _probe(b, n, 1.0)
@@ -328,7 +336,7 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
         )
 
     try:
-        candidates = zero_point_candidates(b, n)
+        candidates = _zero_point_candidates(b, n)
     except DegenerateBoundaryError:
         # F is self-reciprocal for every a: there is no isolated interior
         # event, so the only edge is a_min and the probes decide.

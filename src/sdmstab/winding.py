@@ -7,11 +7,16 @@ profile ``r1`` with ``Im W = -sin(phi)*r1``.  The signed crossings of the
 negative real axis give the winding and so the number of roots inside the
 circle.  ``count_inside_e1`` reads that sum without locating the points: it
 is the Cauchy index of ``Re W / r1`` on (-1, 1) plus end terms, decided
-exactly in integers from a signed remainder sequence, walked once.  A count
-is refused exactly when a root lies within ``2**-30`` of the circle, and one
-radius ``1 -+ 2**-30`` settles it when it finds every root inside the inner
-or outside the outer circle.  ``characteristic_points`` locates the points
-themselves, and ``contour_table`` samples the image for plotting.
+exactly in integers from a signed remainder sequence, walked once.  Its
+normal case, each remainder one degree lower than the last, runs as one
+generated straight-line kernel per order, built on first use; the kernel
+leaves ``F(0) = 0``, a member vanishing at -1 or 1, and a zero or
+degree-dropping remainder to the generic walk, and makes the very same
+integers, so both give the same count.  A count is refused exactly when a
+root lies within ``2**-30`` of the circle, and one radius ``1 -+ 2**-30``
+settles it when it finds every root inside the inner or outside the outer
+circle.  ``characteristic_points`` locates the points themselves, and
+``contour_table`` samples the image for plotting.
 """
 
 from __future__ import annotations
@@ -127,10 +132,119 @@ def _tables(n: int) -> tuple[list, list, list[int], list[int]]:
     return _TABLES[n]
 
 
+# --- the generated normal case ------------------------------------------------
+#
+# In the normal case ``F(0) != 0``, so ``r0`` has degree ``n`` and ``r1``
+# degree ``n - 1``, no member of the chain vanishes at -1 or 1, and every
+# remainder drops the degree by exactly one, down to a nonzero constant.
+# ``_kernel`` writes that case out for one order, every coefficient in a
+# local, and compiles it on first use; nothing is built at import.  A step
+# from ``p`` (degree ``d + 1``) and ``q`` (degree ``d``) is the fused
+# pseudo-remainder
+#
+#     q_d**2 * p - (q_d*p_(d+1)*x + q_d*p_d - p_(d+1)*q_(d-1)) * q,
+#
+# which is ``_prem``'s, since ``|q_d|**2 = q_d**2``; the next member is it
+# divided by minus its content, as in ``_primitive``.  So the kernel makes
+# the very integers ``_sturm`` yields, and its count is ``_count_generic``'s.
+# It returns -1 where the chain leaves the normal case: ``F(0) = 0``, a
+# member that is 0 at -1 or 1, or a remainder that is zero or drops more
+# than one degree (a zero one leaves a gcd of degree >= 1, whose roots may
+# be on the circle).  ``r1`` and ``-r1`` sit on both sides of ``r0`` in
+# ``sRem(r1, r0)``, so their sign changes cancel and the index is read from
+# ``-r1`` on.  ``lo``/``hi`` are the last remainder ``r`` at -1 and 1, so
+# the member ``-r/content`` is negative there where they are positive.
+
+_KERNELS: dict = {}
+
+
+def _sum(name: str, terms) -> str:
+    """Source of the sum of ``m * name{k}`` over ``(k, m)``, ``m`` a nonzero int."""
+    return " ".join("%s %s%s%d" % ("+-"[m < 0], "%d * " % abs(m) if abs(m) > 1 else "", name, k)
+                    for k, m in terms).lstrip("+ ")
+
+
+def _ends(name: str, size: int, fail: str = "-1") -> list[str]:
+    """Source setting ``lo``/``hi`` to the polynomial ``name0 .. name{size-1}``
+    at -1 and 1, and returning ``fail`` if either is 0."""
+    return ["lo = " + _sum(name, ((j, (-1) ** j) for j in range(size))),
+            "hi = " + _sum(name, ((j, 1) for j in range(size))),
+            "if not (lo and hi):",
+            "    return " + fail]
+
+
+def _kernel(n: int):
+    """``kernel(coeffs, scale)``: the normal case of ``_count_exact`` at
+    order ``n``, -1 outside it."""
+    if n not in _KERNELS:
+        t_rows, u_rows, _, _ = _tables(n)
+        cs = ", ".join(f"c{k}" for k in range(n + 1))
+        lines = [
+            f"{cs}, = coeffs",
+            f"if not c{n}:",
+            "    return -1",
+            f"{cs.replace('c', 's')}, = scale",
+            *(f"c{k} *= s{k}" for k in range(n + 1)),
+            *(f"p0_{j} = {_sum('c', row)}" for j, row in enumerate(t_rows)),  # r0
+            *_ends("p0_", n + 1, "None"),
+            "w_plus, w_minus = hi, lo",
+            *(f"r{j} = {_sum('c', row)}" for j, row in enumerate(u_rows)),  # r1
+            *_ends("r", n),
+            "s_0, s_m = (lo > 0) - (lo < 0), (hi > 0) - (hi < 0)",
+            "index = 0",
+        ]
+        for k in range(1, n):  # p{k+1} from p = p{k-1} and q = p{k}, of degree d
+            d, p, q = n - k, f"p{k - 1}_", f"p{k}_"
+            rs = ", ".join(f"r{j}" for j in range(d + 1))
+            lines += [
+                "neg_lo, neg_hi = lo > 0, hi > 0",
+                f"g = -gcd({rs})",
+                f"{rs.replace('r', q)}, = {rs.replace(',', ' // g,')} // g",
+                f"u = {q}{d} * {p}{d} - {p}{d + 1} * {q}{d - 1}",
+                *([f"v = {q}{d} * {p}{d + 1}"] if d > 1 else []),
+                f"l2 = {q}{d} * {q}{d}",
+                f"r0 = l2 * {p}0 - u * {q}0",
+                *(f"r{j} = l2 * {p}{j} - v * {q}{j - 1} - u * {q}{j}" for j in range(1, d)),
+                f"if not r{d - 1}:",
+                "    return -1",
+                *_ends("r", d),
+                "index += ((lo > 0) != neg_lo) - ((hi > 0) != neg_hi)",
+            ]
+        lines += [
+            "w = (s_0 - s_m) // 2 + index",
+            "if w_plus < 0:",
+            "    w += s_m",
+            "if w_minus < 0:",
+            "    w -= s_0",
+            f"return {n} + w",
+        ]
+        src = "def kernel(coeffs, scale):\n" + "".join(f"    {line}\n" for line in lines)
+        scope = {"gcd": math.gcd}
+        exec(compile(src, f"<sdmstab count kernel n={n}>", "exec"), scope)
+        _KERNELS[n] = scope["kernel"]
+    return _KERNELS[n]
+
+
 def _count_exact(coeffs: list[int], scale: list[int]) -> int | None:
     """Roots inside ``|z| = 1`` of the polynomial with the integer
     coefficients ``(a, d_1, .., d_n)`` times ``scale``, ``a > 0``; None for a
-    root on the circle.  See ``count_inside_e1``."""
+    root on the circle.  See ``count_inside_e1``.  The order's generated
+    kernel counts the normal case, where each remainder of the chain is one
+    degree lower than the last, from the very integers ``_count_generic``
+    would make; it returns -1 for ``F(0) = 0``, a member vanishing at -1 or
+    1, or a zero or degree-dropping remainder, which ``_count_generic``
+    then counts."""
+    inside = _kernel(len(coeffs) - 1)(coeffs, scale)
+    return _count_generic(coeffs, scale) if inside == -1 else inside
+
+
+def _count_generic(coeffs: list[int], scale: list[int]) -> int | None:
+    """``_count_exact`` for any chain, walking ``_sturm`` member by member;
+    the kernels leave it the three cases outside the normal one: ``F(0) = 0``,
+    a member vanishing at -1 or 1 (its sign beside the end decides), and a
+    zero or degree-dropping remainder (a zero one leaves a gcd whose roots
+    in (-1, 1) are on the circle).  In the normal case it makes the same
+    integers as the kernel."""
     n = len(coeffs) - 1
     t_rows, u_rows, _, _ = _tables(n)
     coeffs = list(map(operator.mul, coeffs, scale))

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import sdmstab.boundary as boundary
 from sdmstab.boundary import (
     DegenerateBoundaryError,
     classify_intervals,
@@ -499,6 +500,20 @@ class TestClassifyIntervals:
                     assert iv.stable == all(abs(z) < 1.0 for z in roots), (b, n, iv, a)
                     probes += 1
         assert probes > 1200
+
+    def test_b_is_checked_once_per_call(self, monkeypatch):
+        check, calls = boundary._check_coeffs, []
+
+        def counting(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(boundary, "_check_coeffs", counting)
+        # worked, sum(b) <= 0, reciprocal (a continuum) and first-order designs
+        for b in (B3, (1.0, -2.0, 1.0), (1.0, 0.0), (1.0,), [2, -1.5, 0.75, -0.125]):
+            calls.clear()
+            classify_intervals(b, len(b))
+            assert len(calls) == 1
 
 
 class TestBisectBoundary:

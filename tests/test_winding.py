@@ -9,7 +9,7 @@ import pytest
 import sdmstab.oracles as oracles
 import sdmstab.winding as winding
 from sdmstab.oracles import all_roots, count_inside_eig, jury_stable, winding_oracle
-from sdmstab.polynomial import BOUNDARY_EXCLUSION, Poly
+from sdmstab.polynomial import BOUNDARY_EXCLUSION, Poly, _int_coeffs
 from sdmstab.transfer import char_poly
 from sdmstab.winding import characteristic_points, contour_table, count_inside_e1
 from test_acceptance import stable_b_sample
@@ -272,6 +272,77 @@ class TestOneRadius:
                 assert len(calls) == 2
                 two += 1
         assert one > 400 and two > 400
+
+
+GENERIC = winding._count_generic  # the kernels' fallback, unwrapped
+
+
+def _small_integer_corpus():
+    """Seeded designs of orders 1-5 with ``b_k`` in -3..3 and ``a`` in
+    {0.25, 0.5, 1, 2, 3}: exact coefficients, often degenerate chains."""
+    rng = random.Random(61)
+    for _ in range(1500):
+        n = rng.randint(1, 5)
+        b = tuple(float(rng.randint(-3, 3)) for _ in range(n))
+        yield char_poly(b, n, rng.choice((0.25, 0.5, 1.0, 2.0, 3.0)))
+
+
+def _radius_args(f):
+    """``_count_exact`` arguments for ``f`` at the inner, the outer and the
+    unit radius."""
+    f = winding._normalized(f)
+    coeffs = _int_coeffs(f.coeffs)[::-1]
+    _, _, inner, outer = winding._tables(f.degree)
+    return [(coeffs, scale) for scale in (inner, outer, [1] * len(coeffs))]
+
+
+class TestKernel:
+    @pytest.fixture
+    def deferred(self, monkeypatch):
+        """Arguments of every call the kernels leave to ``_count_generic``."""
+        calls = []
+
+        def counting(coeffs, scale):
+            calls.append((coeffs, scale))
+            return GENERIC(coeffs, scale)
+
+        monkeypatch.setattr(winding, "_count_generic", counting)
+        return calls
+
+    def test_ordinary_corpus_never_leaves_the_kernel(self, deferred):
+        counts = set()
+        for f in _one_radius_corpus():
+            for args in _radius_args(f):
+                inside = winding._count_exact(*args)
+                assert inside == GENERIC(*args)
+                counts.add(inside)
+        assert deferred == []
+        assert counts == {0, 1, 2, 3, 4, 5}
+
+    def test_small_integer_designs_count_as_the_generic_walk(self, deferred):
+        fell_back = 0
+        for f in _small_integer_corpus():
+            for args in _radius_args(f):
+                deferred.clear()
+                assert winding._count_exact(*args) == GENERIC(*args)
+                fell_back += len(deferred)
+        assert fell_back > 100
+
+    @pytest.mark.parametrize("coeffs", [
+        [1, 1, 0],  # z**2 + z: F(0) = 0
+        [2, -2, 1],  # 2z**2 - 2z + 1: r1 = 2x - 2 vanishes at 1
+        [1, 0, 1],  # z**2 + 1: r0 = 2x**2 and r1 = 2x leave a zero remainder
+        [2, -3, -3, -4, 2],  # the chain's degrees go 4, 3, 2, 0
+    ])
+    def test_each_fallback_reason_is_reached(self, deferred, coeffs):
+        unscaled = [1] * len(coeffs)  # rho = 1
+        assert winding._count_exact(coeffs, unscaled) == GENERIC(coeffs, unscaled)
+        assert deferred == [(coeffs, unscaled)]
+
+    def test_kernels_build_once_per_order(self):
+        first = winding._kernel(3)
+        assert winding._kernel(3) is first
+        assert winding._kernel(4) is not first
 
 
 class TestWindingOracle:
