@@ -3,9 +3,10 @@ sigma-delta modulators of order 1-5.
 
 The analytic side works on the characteristic polynomial
 ``F(z; a) = a*(z-1)**n + D(z)`` of the quasi-static integrator magnitude
-``a``: closed-form boundary values, a necessary-and-sufficient unit-circle
-root count from the contour image, and independent numeric oracles to
-cross-check them (``sdmstab.oracles``, the one module that needs numpy).
+``a``: closed-form boundary values and a necessary-and-sufficient
+unit-circle root count from the contour image.  The tests cross-check both
+with independent numeric oracles; the package needs only the standard
+library.
 The behavioral side is a nonlinear time-domain simulator with DC amplitude
 sweeps and instability-window extraction.
 

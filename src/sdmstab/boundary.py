@@ -8,8 +8,8 @@ or at an interior angle.  Both unit-circle profiles of ``F`` are linear in
 ``a``, so eliminating ``a`` between them (the paper's elimination with the
 variable order swapped) leaves one event polynomial in ``x = cos(phi)``,
 of degree at most two; its real roots, from a closed-form solve, are the
-interior boundary events.  ``sdmstab.oracles`` cross-checks them with a
-direct crossing-parameter scan and eigenvalue bisection.
+interior boundary events.  The tests cross-check them with a direct
+crossing-parameter scan and eigenvalue bisection.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .polynomial import MAX_ORDER, Poly, cheb_expand, chebyshev_u
 from .transfer import DCoeffs, record
-from .transfer import _char_poly, _check_coeffs, _check_result, _check_scalar
+from .transfer import _SHIFTED, _char_poly, _check_coeffs, _check_result, _check_scalar
 from .winding import count_inside_e1
 
 __all__ = [
@@ -57,7 +57,6 @@ class ZeroPointCandidate:
     a: float
     x: float
     valid: bool
-    source: str  # remainder_chain | crossing_param
 
 
 @record
@@ -226,7 +225,7 @@ def _zero_point_candidates(b: tuple[float, ...], n: int) -> list[ZeroPointCandid
         a = -p / q
         if not 0.0 <= a < math.inf:
             continue
-        out.append(ZeroPointCandidate(a=a, x=x, valid=abs(x) < 1.0, source="remainder_chain"))
+        out.append(ZeroPointCandidate(a=a, x=x, valid=abs(x) < 1.0))
     out.sort(key=lambda c: c.a)
     return out
 
@@ -275,18 +274,16 @@ def crossing_value(b: Sequence[float], n: int, phi: float) -> complex:
     it reduces exactly to the ``i_min`` formula.  Raises where the value
     leaves the float range (``phi`` at or next to 0).
     """
-    val = _crossing_value(_check_coeffs(b, "b", n), n, _check_scalar(phi, "phi"))
-    _check_result((val.real, val.imag), "the crossing parameter")
-    return val
-
-
-def _crossing_value(b: Sequence[float], n: int, phi: float) -> complex:
+    b = _check_coeffs(b, "b", n)
+    phi = _check_scalar(phi, "phi")
     z = complex(math.cos(phi), math.sin(phi))
     num = 0.0 + 0.0j
-    for coeff in b:  # b is already ordered descending in z powers
+    for coeff in b:  # b is ordered descending in z powers
         num = num * z + coeff
     den = (z - 1.0) ** n
-    return -num / den if den != 0.0 else complex(math.inf, math.inf)
+    val = -num / den if den != 0.0 else complex(math.inf, math.inf)
+    _check_result((val.real, val.imag), "the crossing parameter")
+    return val
 
 
 # Events closer than this (relative) are merged; probes refuse to sit closer
@@ -321,6 +318,8 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
     point ``a = 1`` is preferred as the witness whenever it lies inside an
     interval.  If ``sum(b) <= 0`` the turning point at ``z = 1`` is never
     positive and every interval is unstable without further search.
+    Raises ``ValueError`` when ``F`` at the witness past the last event
+    would leave the float range.
     """
     b = _check_coeffs(b, "b", n)
     sum_b = math.fsum(b)
@@ -346,14 +345,15 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
     if a_min > EVENT_TOL:
         events.append(a_min)
     events = _merge_events(events)
+    # The witness past the last event is the largest: refuse here, before
+    # any probe, when F at it leaves the float range.
+    top = 10.0 * events[-1] + 1.0 if events else 1.0
+    _check_result([top * c + d for c, d in zip(_SHIFTED[n], b[::-1])], "the stability boundary")
 
     edges = [0.0] + events + [math.inf]
     intervals: list[StabilityInterval] = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        if math.isinf(hi):
-            witness = 10.0 * events[-1] + 1.0 if events else 1.0
-        else:
-            witness = 0.5 * (lo + hi)
+        witness = top if math.isinf(hi) else 0.5 * (lo + hi)
         if lo < 1.0 < hi:
             dist = min(1.0 - lo, (hi - 1.0) if not math.isinf(hi) else math.inf)
             if dist > EVENT_TOL:

@@ -224,9 +224,7 @@ def _text_lines(command: str, payload) -> list[str]:
     if command == "bounds":
         lines = [f"sum_b: {payload.sum_b!r}", f"a_min: {payload.a_min!r}"]
         for c in payload.candidates:
-            lines.append(
-                f"candidate: a={c.a!r} x={c.x!r} valid={c.valid} source={c.source}"
-            )
+            lines.append(f"candidate: a={c.a!r} x={c.x!r} valid={c.valid}")
         for iv in payload.intervals:
             verdict = "stable" if iv.stable else "unstable"
             lines.append(
@@ -237,7 +235,6 @@ def _text_lines(command: str, payload) -> list[str]:
     if command == "check":
         lines = [
             f"inside: {payload.inside}",
-            f"method: {payload.method}",
             f"marginal: {payload.marginal}",
         ]
         if payload.winding is not None:

@@ -112,9 +112,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def derivative(self) -> "Poly":
-        return Poly(k * c for k, c in enumerate(self.coeffs) if k > 0)
-
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)})"
 

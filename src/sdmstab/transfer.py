@@ -149,7 +149,8 @@ def b_from_g(g: Sequence[float]) -> tuple[float, ...]:
     The cascade of n delaying integrators with quantizer feedback ``g[j]``
     into stage j+1 yields ``D(z) = sum_j g[j] * (z-1)**j``; the result is
     returned with ``b[k-1]`` multiplying ``z**(n-k)``, zero-padded when the
-    degree drops.
+    degree drops.  Raises ``ValueError``, naming ``g``, when a derived
+    coefficient passes the input cap.
     """
     g = _check_coeffs(g, "g")
     n = len(g)
@@ -157,7 +158,7 @@ def b_from_g(g: Sequence[float]) -> tuple[float, ...]:
     for j, gj in enumerate(g):
         d = d + gj * binom_power(j, 1.0)
     asc = list(d.coeffs) + [0.0] * (n - len(d.coeffs))
-    return tuple(asc[n - k] for k in range(1, n + 1))
+    return _check_coeffs([asc[n - k] for k in range(1, n + 1)], "the b derived from g")
 
 
 def g_from_b(b: Sequence[float]) -> tuple[float, ...]:

@@ -70,10 +70,8 @@ class RootCountResult:
     """
 
     inside: int | None
-    # e1 (exact signed-crossing count) | eig_oracle (oracles.count_inside_eig)
-    method: str
     marginal: bool = False
-    winding: int | None = None  # inside - degree; set on every e1 count
+    winding: int | None = None  # inside - degree; None when marginal
     points: CharacteristicPoints | None = None
 
 
@@ -303,8 +301,8 @@ def count_inside_e1(f: Poly) -> RootCountResult:
     first, second, settled = (inner, outer, n) if abs(coeffs[-1]) < coeffs[0] else (outer, inner, 0)
     inside = _count_exact(coeffs, first)
     if inside != settled and (inside is None or inside != _count_exact(coeffs, second)):
-        return RootCountResult(inside=None, method="e1", marginal=True)
-    return RootCountResult(inside=inside, method="e1", winding=inside - n)
+        return RootCountResult(inside=None, marginal=True)
+    return RootCountResult(inside=inside, winding=inside - n)
 
 
 def contour_table(f: Poly, samples: int) -> list[tuple[float, float, float]]:

@@ -1,12 +1,12 @@
 """Independent numeric oracles: cross-checks for the exact root counts and
-boundary events, kept for the tests.
+boundary events of ``sdmstab``, imported by the tests as ``oracles``.
 
-Nothing in the analysis or the command line calls them.  Each reaches its
-answer by a different route from the production path: companion-matrix
-roots (``all_roots``, ``count_inside_eig``, ``bisect_boundary``), a sampled
-winding integral (``winding_oracle``), a Jury table (``jury_stable``) and a
-direct scan of the crossing parameter (``crossing_param``).  This is the
-only module of the package that imports numpy.
+The package never calls them.  Each reaches its answer by a different
+route from the production path: companion-matrix roots (``all_roots``,
+``count_inside_eig``, ``bisect_boundary``), a sampled winding integral
+(``winding_oracle``), a Jury table (``jury_stable``) and a direct scan of
+the crossing parameter (``crossing_param``).  They need numpy; the package
+does not.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .boundary import ZeroPointCandidate, _crossing_value
-from .polynomial import Poly
-from .transfer import _char_poly, _check_coeffs, _check_result, _check_scalar
-from .winding import RootCountResult, _normalized
+from sdmstab.boundary import ZeroPointCandidate
+from sdmstab.polynomial import Poly
+from sdmstab.transfer import _char_poly, _check_coeffs, _check_result, _check_scalar
+from sdmstab.winding import RootCountResult, _normalized
 
 __all__ = [
     "all_roots",
@@ -54,7 +54,7 @@ def all_roots(p: Poly) -> list[complex]:
     if not all(abs(c / p.leading) <= 1e300 for c in p.coeffs):
         raise ValueError("roots out of float range: the leading coefficient is too small")
     raw = np.roots(p.coeffs[::-1])
-    dp = p.derivative()
+    dp = Poly(k * c for k, c in enumerate(p.coeffs) if k > 0)
     out: list[complex] = []
     for r in raw:
         z = complex(r)
@@ -152,9 +152,9 @@ def count_inside_eig(f: Poly, margin: float = MARGIN) -> RootCountResult:
     roots = all_roots(_normalized(f))
     dist = min(abs(abs(r) - 1.0) for r in roots)
     if dist < margin:
-        return RootCountResult(inside=None, method="eig_oracle", marginal=True)
+        return RootCountResult(inside=None, marginal=True)
     inside = sum(1 for r in roots if abs(r) < 1.0)
-    return RootCountResult(inside=inside, method="eig_oracle")
+    return RootCountResult(inside=inside)
 
 
 def jury_stable(f: Poly) -> str:
@@ -202,6 +202,16 @@ def _on_circle_distance(b: tuple[float, ...], n: int, a: float) -> float:
     return min(abs(abs(z) - 1.0) for z in roots)
 
 
+def _crossing_a(b: Sequence[float], n: int, phi: float) -> complex:
+    """``-D(z)/(z-1)**n`` at ``z = e^{i phi}``: the ``a`` with ``F(z; a) = 0``."""
+    z = complex(math.cos(phi), math.sin(phi))
+    num = 0.0 + 0.0j
+    for coeff in b:  # descending in z powers
+        num = num * z + coeff
+    den = (z - 1.0) ** n
+    return -num / den if den != 0.0 else complex(math.inf, math.inf)
+
+
 def crossing_param(
     b: Sequence[float], n: int, phi_grid: int = 2048
 ) -> list[ZeroPointCandidate]:
@@ -234,7 +244,7 @@ def crossing_param(
         flo = float(ims[i])
         while hi - lo > 1e-12:
             mid = 0.5 * (lo + hi)
-            fm = _crossing_value(bs, n, mid).imag
+            fm = _crossing_a(bs, n, mid).imag
             if fm == 0.0:
                 lo = hi = mid
                 break
@@ -243,16 +253,14 @@ def crossing_param(
             else:
                 hi = mid
         phi = 0.5 * (lo + hi)
-        a = _crossing_value(bs, n, phi).real * scale
+        a = _crossing_a(bs, n, phi).real * scale
         if a <= 0.0:
             continue
         _check_result((a,), "the crossing parameter")
         if any(abs(a - c.a) <= 1e-9 * max(1.0, abs(c.a)) for c in out):
             continue
         valid = _on_circle_distance(b, n, a) <= ON_CIRCLE_TOL
-        out.append(
-            ZeroPointCandidate(a=a, x=math.cos(phi), valid=valid, source="crossing_param")
-        )
+        out.append(ZeroPointCandidate(a=a, x=math.cos(phi), valid=valid))
     out.sort(key=lambda c: c.a)
     return out
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import sdmstab.boundary as boundary
+from oracles import all_roots, bisect_boundary, crossing_param
 from sdmstab.boundary import (
     DegenerateBoundaryError,
     classify_intervals,
@@ -18,7 +19,6 @@ from sdmstab.boundary import (
     zero_point_candidates,
 )
 from sdmstab.cli import asdict
-from sdmstab.oracles import all_roots, bisect_boundary, crossing_param
 from sdmstab.polynomial import Poly, binom_power, cheb_expand, poly_rem
 from sdmstab.transfer import DCoeffs, char_poly, d_coeffs
 from test_acceptance import stable_b_sample
@@ -50,7 +50,6 @@ class TestZeroPointCandidates:
         assert len(valid) == 1
         assert valid[0].a == pytest.approx(2.0, abs=1e-9)
         assert valid[0].x == pytest.approx(0.5, abs=1e-9)
-        assert valid[0].source == "remainder_chain"
 
     def test_a_from_either_profile(self):
         # The cosine profile's a-term q0 = -2*(x-1)**2*(2x+1) vanishes at
@@ -515,6 +514,22 @@ class TestClassifyIntervals:
             classify_intervals(b, len(b))
             assert len(calls) == 1
 
+    def test_boundary_past_the_float_range_is_refused_before_any_probe(self, monkeypatch):
+        probe, calls = boundary._probe, []
+
+        def counting(*args):
+            calls.append(args)
+            return probe(*args)
+
+        monkeypatch.setattr(boundary, "_probe", counting)
+        # The interior event is at a ~ 1.0e307, so F at the witness past it,
+        # 10*a + 1 ~ 1e308, would overflow: the design is refused unprobed.
+        with pytest.raises(ValueError, match="^the stability boundary overflows the float range"):
+            classify_intervals((2e299, -2.99999999e299, 1e299), 3)
+        assert calls == []
+        # An ordinary design takes one probe per interval, no more.
+        assert len(classify_intervals(B3, 3).intervals) == len(calls) == 3
+
 
 class TestBisectBoundary:
     def test_upper_flip(self):
@@ -539,4 +554,3 @@ class TestReportSerialization:
         assert len(back["intervals"]) == len(rep.intervals)
         assert back["intervals"][1]["stable"] is True
         assert back["intervals"][2]["hi"] == math.inf
-        assert back["candidates"][0]["source"] == "remainder_chain"

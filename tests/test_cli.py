@@ -186,7 +186,7 @@ class TestRender:
         doc = json.loads(render(report, "json"))
         res = doc["result"]
         assert set(res) == {"sum_b", "a_min", "candidates", "intervals"}
-        assert set(res["candidates"][0]) == {"a", "x", "valid", "source"}
+        assert set(res["candidates"][0]) == {"a", "x", "valid"}
         assert set(res["intervals"][0]) == {
             "lo", "hi", "stable", "witness_a", "witness_count"
         }
@@ -212,7 +212,7 @@ class TestRender:
     def test_root_count_json_key_order(self):
         report, _ = execute(parse(["check", "--b=3,-3,1", "--i-abs=1.5"]))
         res = json.loads(render(report, "json"))["result"]
-        assert list(res) == ["inside", "method", "marginal", "winding", "points"]
+        assert list(res) == ["inside", "marginal", "winding", "points"]
         assert list(res["points"]) == ["w_plus", "w_minus", "selfx"]
         assert list(res["points"]["selfx"][0]) == ["x", "re_w"]
 
@@ -266,6 +266,21 @@ class TestMain:
     def test_huge_design_writes_no_warnings(self, capsys):
         assert main(["bounds", "--b=1e300,-1e300,1e300"]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_boundary_past_the_float_range_exits_2(self, capsys):
+        # An interior event at a ~ 1.0e307: F at the witness past it overflows.
+        assert main(["bounds", "--b=2e299,-2.99999999e299,1e299"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: the stability boundary overflows the float range for this input\n"
+
+    @pytest.mark.parametrize("argv", [["simulate", "--samples=10"], ["from-g"]], ids=lambda a: a[0])
+    def test_b_derived_from_g_past_the_cap_names_g(self, argv, capsys):
+        # Each g_k is in range, but D(z) = sum g_k*(z-1)**k has a coefficient -5e300.
+        assert main([argv[0], "--g=1e300,-1e300,1e300,-1e300,1e300", *argv[1:]]) == 2
+        assert capsys.readouterr().err == (
+            "error: the b derived from g must be finite with magnitude <= 1e+300, got -5e+300\n"
+        )
 
     def test_non_finite_simulator_inputs_exit_2(self, capsys):
         for extra in (["--dc", "nan"], ["--dc", "inf"],

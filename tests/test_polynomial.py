@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import all_roots
 from sdmstab.polynomial import (
     Poly,
     binom_power,
@@ -12,7 +13,6 @@ from sdmstab.polynomial import (
     poly_rem,
     real_roots_open,
 )
-from sdmstab.oracles import all_roots
 from sdmstab.transfer import g_from_b
 
 

@@ -26,19 +26,19 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 GRID = simulator.GridPoint(0.1, True, 2.5, None)
 SELFX = winding.SelfIntersection(0.25, -1.5)
 POINTS = winding.CharacteristicPoints(3.0, -1.0, (SELFX,))
-CANDIDATE = boundary.ZeroPointCandidate(2.0, 0.5, True, "remainder_chain")
+CANDIDATE = boundary.ZeroPointCandidate(2.0, 0.5, True)
 INTERVAL = boundary.StabilityInterval(0.875, 2.0, True, 1.0, 3)
 
 # Every public record class with the positional arguments of one instance.
 SAMPLES = {
     transfer.DCoeffs: ((1.0, -2.0), 0.5),
     transfer.SdmDesign: (3, (3.0, -3.0, 1.0), (1.0, 3.0, 3.0)),
-    boundary.ZeroPointCandidate: (2.0, 0.5, True, "remainder_chain"),
+    boundary.ZeroPointCandidate: (2.0, 0.5, True),
     boundary.StabilityInterval: (0.875, 2.0, True, 1.0, 3),
     boundary.StabilityReport: (1.0, 0.875, (CANDIDATE,), (INTERVAL,)),
     winding.SelfIntersection: (0.25, -1.5),
     winding.CharacteristicPoints: (3.0, -1.0, (SELFX,)),
-    winding.RootCountResult: (3, "e1", False, 0, POINTS),
+    winding.RootCountResult: (3, False, 0, POINTS),
     simulator.DcInput: (0.05,),
     simulator.SineInput: (0.1, 64.0),
     simulator.SimState: ((0.5, -0.25), 1.0, 7),

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sdmstab import boundary, oracles, simulator, transfer
+import oracles
+from oracles import all_roots
+from sdmstab import boundary, simulator, transfer
 from sdmstab.cli import asdict, execute, main, parse
-from sdmstab.oracles import all_roots
 from sdmstab.polynomial import Poly
 from sdmstab.winding import contour_table, count_inside_e1
 
