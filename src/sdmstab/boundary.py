@@ -7,17 +7,19 @@ root crosses the circle: either at ``z = -1`` (the closed-form lower bound)
 or at an interior angle.  Both unit-circle profiles of ``F`` are linear in
 ``a``, so eliminating ``a`` between them (the paper's elimination with the
 variable order swapped) leaves one event polynomial in ``x = cos(phi)``,
-of degree at most two; its real roots, from a closed-form solve, are the
-interior boundary events.  The tests cross-check them with a direct
-crossing-parameter scan and eigenvalue bisection.
+of degree at most two and exact in integers; its real roots, each solved
+to the float nearest it, are the interior boundary events.  The tests
+cross-check them with a direct crossing-parameter scan and eigenvalue
+bisection.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
-from .polynomial import MAX_ORDER, Poly, cheb_expand, chebyshev_u
+from .polynomial import MAX_ORDER, Poly, _int_coeffs, cheb_expand, chebyshev_u
 from .transfer import DCoeffs, record
 from .transfer import _SHIFTED, _char_poly, _check_coeffs, _check_result, _check_scalar
 from .winding import count_inside_e1
@@ -112,78 +114,79 @@ def _i_min(b: tuple[float, ...], n: int) -> float:
 # the deflated event polynomial ``R = sum_k b_k * K_k(x)``, of degree at
 # most ``(n-1)//2``, with ``E = c_n * (1-x)**(n//2) * R`` for a constant
 # ``c_n``.  Each ``K_k`` is ``+-U_j`` (even n) or ``U_j - U_{j-1}`` (odd n), whose
-# coefficients are small powers of two, so every product ``b_k * K_k`` is
-# exact and ``R`` comes out correctly rounded: it vanishes identically
-# exactly when ``F`` is self-reciprocal for every ``a``.
+# coefficients are integers, so with ``b`` scaled to integers by one power
+# of two (``_int_coeffs``) ``R`` is exact: it vanishes identically exactly
+# when ``F`` is self-reciprocal for every ``a``, and its real roots come
+# from its exact discriminant.
 
 
-def _event_basis(n: int) -> tuple[Poly, ...]:
-    """The ``K_k(x)`` multiplying ``b_k`` in the deflated event polynomial."""
-    basis = []
+def _event_basis(n: int) -> tuple[tuple[int, ...], ...]:
+    """Columns of the ``K_k(x)`` multiplying ``b_k``: ``[j][k-1]`` is ``[x**j] K_k``."""
+    width = (n - 1) // 2 + 1
+    rows = []
     for k in range(1, n + 1):
         if n % 2 == 0:
             f = n // 2 - k  # sin(f*phi) = sin(phi) * U_{f-1}(x)
-            basis.append(Poly() if f == 0 else (1 if f > 0 else -1) * chebyshev_u(abs(f) - 1))
+            row = Poly() if f == 0 else (1 if f > 0 else -1) * chebyshev_u(abs(f) - 1)
         else:
             j = (abs(n - 2 * k) - 1) // 2  # cos((j+1/2)*phi) = cos(phi/2) * K(x)
-            basis.append(chebyshev_u(j) - (chebyshev_u(j - 1) if j else Poly()))
-    return tuple(basis)
+            row = chebyshev_u(j) - (chebyshev_u(j - 1) if j else Poly())
+        rows.append([int(c) for c in row.coeffs] + [0] * (width - len(row.coeffs)))
+    return tuple(zip(*rows))
 
 
 _EVENT_BASIS = {n: _event_basis(n) for n in range(1, MAX_ORDER + 1)}
 
 
-def _event_poly(b: tuple[float, ...], n: int) -> Poly:
-    basis = _EVENT_BASIS[n]
-    width = max(len(p.coeffs) for p in basis)
-    return Poly(
-        math.fsum(bk * p.coeffs[j] for bk, p in zip(b, basis) if j < len(p.coeffs))
-        for j in range(width)
-    )
+def _event_poly(b: tuple[float, ...], n: int) -> list[int]:
+    """``R`` for ``b`` scaled to integers by one power of two, ascending,
+    without trailing zeros (empty when ``R`` vanishes identically)."""
+    ints = _int_coeffs(b)
+    c = [sum(map(operator.mul, ints, column)) for column in _EVENT_BASIS[n]]
+    while c and c[-1] == 0:
+        c.pop()
+    return c
 
 
-def _ldexp(t: float, k: int) -> float:
+def _div(num: int, den: int) -> float:
+    """``num / den`` correctly rounded, signed infinity past the float range."""
     try:
-        return math.ldexp(t, k)
+        return num / den
     except OverflowError:
-        return math.copysign(math.inf, t)
+        return math.inf if (num > 0) == (den > 0) else -math.inf
 
 
-def _event_roots(event: Poly) -> list[float]:
-    """Finite real roots of an event polynomial of degree 1 or 2, ascending.
+def _event_roots(c: list[int]) -> list[float]:
+    """Real roots of the integer polynomial ``c`` of degree 1 or 2, ascending.
 
-    A conjugate pair this close to the axis, ``|Im| <= 1e-8*(1+|Re|)``, is a
-    double real root split by rounding (a tangency of the crossing locus)
-    and is kept as one root.  The quadratic is solved in ``x = 2**k * t``
-    with ``2**k`` near ``sqrt(|c0/c2|)`` and the coefficients scaled by
-    powers of two (exact), so nothing overflows or underflows that matters;
-    roots that still leave the float range lie far outside ``(-1, 1)`` and
-    are dropped.
+    Each root comes out as the float nearest it, and a double root once;
+    roots past the float range are dropped.  The quadratic's roots are
+    ``q/c2`` and ``c0/q`` with ``q = -(c1 + sign(c1)*sqrt(disc))/2``, which
+    never cancels.  ``sqrt(disc)`` is bracketed with ``math.isqrt`` between
+    consecutive multiples of ``2**-k``, and ``k`` doubles until both ends of
+    each root round to the same float; an irrational root is never a
+    rounding tie, and a perfect-square discriminant is exact at once.
     """
-    c = event.coeffs
     if len(c) == 2:
-        xs = [-c[0] / c[1]]
-    elif c[0] == 0.0:
-        xs = [0.0, -c[1] / c[2]]
+        xs = [_div(-c[0], c[1])]
     else:
         c0, c1, c2 = c
-        e0, e2 = math.frexp(c0)[1], math.frexp(c2)[1]
-        if c1 != 0.0 and e0 + e2 - 2 * math.frexp(c1)[1] < -62:
-            # |4*c0*c2/c1**2| < 2**-58: the square root rounds to |c1| and the
-            # cancellation-free formula reduces to these two quotients.
-            xs = [-c1 / c2, -c0 / c1]
+        disc = c1 * c1 - 4 * c0 * c2
+        if disc <= 0:
+            xs = [_div(-c1, 2 * c2)] if disc == 0 else []
         else:
-            k = (e0 - e2) // 2
-            cc, bb, aa = math.ldexp(c0, -e0), math.ldexp(c1, k - e0), math.ldexp(c2, 2 * k - e0)
-            disc = bb * bb - 4.0 * aa * cc
-            if disc < 0.0:
-                re = _ldexp(-bb / (2.0 * aa), k)
-                im = _ldexp(math.sqrt(-disc) / (2.0 * abs(aa)), k)
-                xs = [re] if abs(im) <= 1e-8 * (1.0 + abs(re)) else []
-            else:
-                q = -0.5 * (bb + math.copysign(math.sqrt(disc), bb))
-                xs = [_ldexp(q / aa, k), _ldexp(cc / q, k)]
-    return sorted({x for x in xs if math.isfinite(x)})
+            sign = 1 if c1 >= 0 else -1
+            k = max(1, 64 - disc.bit_length() // 2)  # s carries 64 or more bits
+            while True:
+                scaled = disc << 2 * k
+                s = math.isqrt(scaled)
+                # 2**(k+1) * q at both ends of the bracket; never 0
+                qs = [-(c1 << k) - sign * r for r in (s, s + (s * s != scaled))]
+                xs, upper = [(_div(q, c2 << (k + 1)), _div(c0 << (k + 1), q)) for q in qs]
+                if xs == upper:
+                    break
+                k *= 2
+    return sorted({x + 0.0 for x in xs if math.isfinite(x)})
 
 
 def zero_point_candidates(b: Sequence[float], n: int) -> list[ZeroPointCandidate]:
@@ -193,11 +196,12 @@ def zero_point_candidates(b: Sequence[float], n: int) -> list[ZeroPointCandidate
     unit-circle profiles with the variable order swapped: both profiles are
     linear in ``a``, so eliminating ``a`` instead of ``x = cos(phi)`` leaves
     one event polynomial in ``x`` (degree at most two once its structural
-    ``(1-x)`` factor is divided out).  Each real root ``x`` gives
-    ``a = -p(x)/q(x)`` from the profile with the larger ``|q(x)|``; roots
-    with ``a < 0`` are dropped.  A candidate is ``valid`` when ``|x| < 1``:
-    its ``a`` zeroes one profile and leaves the other at ``+-E/q = 0``, so
-    ``F`` has a root on the circle; other candidates are flagged invalid.  Raises
+    ``(1-x)`` factor is divided out), exact in integers.  Each real root,
+    as the float ``x`` nearest it, gives ``a = -p(x)/q(x)`` from the profile
+    with the larger ``|q(x)|``; roots with ``a < 0`` are dropped.  A
+    candidate is ``valid`` when ``|x| < 1``: its ``a`` zeroes one profile
+    and leaves the other at ``+-E/q = 0``, so ``F`` has a root on the
+    circle; other candidates are flagged invalid.  Raises
     :class:`DegenerateBoundaryError` when the event polynomial vanishes
     identically (a continuum, not isolated candidates).
     """
@@ -207,12 +211,12 @@ def zero_point_candidates(b: Sequence[float], n: int) -> list[ZeroPointCandidate
 def _zero_point_candidates(b: tuple[float, ...], n: int) -> list[ZeroPointCandidate]:
     """:func:`zero_point_candidates` for an already checked ``b``."""
     event = _event_poly(b, n)
-    if event.is_zero:
+    if not event:
         raise DegenerateBoundaryError(
             "event polynomial vanishes identically: the design pins roots "
             "to the unit circle over a continuum of a values"
         )
-    if event.degree < 1:
+    if len(event) < 2:
         return []
     binom = [math.comb(n, k) * (-1.0) ** k for k in range(1, n + 1)]
     p0, q0 = cheb_expand(b), cheb_expand(binom, 1.0)
@@ -222,7 +226,7 @@ def _zero_point_candidates(b: tuple[float, ...], n: int) -> list[ZeroPointCandid
         p, q = (p0(x), q0(x)) if abs(q0(x)) >= abs(q1(x)) else (p1(x), q1(x))
         if q == 0.0:
             continue  # x = 1: z = 1 is a root of (z-1)**n for every a
-        a = -p / q
+        a = -p / q + 0.0  # +0.0, not -0.0, when p is 0
         if not 0.0 <= a < math.inf:
             continue
         out.append(ZeroPointCandidate(a=a, x=x, valid=abs(x) < 1.0))
@@ -325,26 +329,21 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
     sum_b = math.fsum(b)
     a_min = _i_min(b, n)
 
-    if sum_b <= 0.0:
-        _, count = _probe(b, n, 1.0)
-        interval = StabilityInterval(
-            lo=0.0, hi=math.inf, stable=False, witness_a=1.0, witness_count=count
-        )
-        return StabilityReport(
-            sum_b=sum_b, a_min=a_min, candidates=(), intervals=(interval,)
-        )
-
-    try:
-        candidates = _zero_point_candidates(b, n)
-    except DegenerateBoundaryError:
-        # F is self-reciprocal for every a: there is no isolated interior
-        # event, so the only edge is a_min and the probes decide.
-        candidates = []
-
-    events = [c.a for c in candidates if c.valid and c.a > EVENT_TOL]
-    if a_min > EVENT_TOL:
-        events.append(a_min)
-    events = _merge_events(events)
+    candidates, events = [], []
+    # F(1) = sum(b) <= 0 puts a root at or beyond z = 1 for every a: no a is
+    # stable (forced below: the rounded F can count that root inside), and
+    # the one interval, probed at a = 1, needs no events.
+    if sum_b > 0.0:
+        try:
+            candidates = _zero_point_candidates(b, n)
+        except DegenerateBoundaryError:
+            # F is self-reciprocal for every a: there is no isolated interior
+            # event, so the only edge is a_min and the probes decide.
+            pass
+        events = [c.a for c in candidates if c.valid and c.a > EVENT_TOL]
+        if a_min > EVENT_TOL:
+            events.append(a_min)
+        events = _merge_events(events)
     # The witness past the last event is the largest: refuse here, before
     # any probe, when F at it leaves the float range.
     top = 10.0 * events[-1] + 1.0 if events else 1.0
@@ -361,7 +360,7 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
         stable, count = _probe(b, n, witness)
         intervals.append(
             StabilityInterval(
-                lo=lo, hi=hi, stable=stable, witness_a=witness, witness_count=count
+                lo=lo, hi=hi, stable=stable and sum_b > 0.0, witness_a=witness, witness_count=count
             )
         )
     return StabilityReport(

@@ -1,7 +1,6 @@
 import json
 import math
 import random
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -19,11 +18,83 @@ from sdmstab.boundary import (
     zero_point_candidates,
 )
 from sdmstab.cli import asdict
-from sdmstab.polynomial import Poly, binom_power, cheb_expand, poly_rem
+from sdmstab.polynomial import Poly, _int_coeffs, binom_power, cheb_expand, poly_rem
 from sdmstab.transfer import DCoeffs, char_poly, d_coeffs
+from sdmstab.winding import count_inside_e1
 from test_acceptance import stable_b_sample
 
 B3 = (3.0, -3.0, 1.0)
+
+# The least magnitude that rounds to an infinite float.
+_EDGE = Fraction(2**1024 - 2**970)
+
+
+def _value(c, x):
+    return sum(ck * x**k for k, ck in enumerate(c))
+
+
+def _rounding_cell(x):
+    """The midpoints between ``x`` and its float neighbours: the reals that
+    round to ``x``."""
+    ends = []
+    for y in (math.nextafter(x, -math.inf), math.nextafter(x, math.inf)):
+        ends.append((Fraction(x) + Fraction(y)) / 2 if math.isfinite(y) else _EDGE if y > 0 else -_EDGE)
+    return ends
+
+
+def _roots_between(c, lo, hi):
+    """Distinct real roots in ``(lo, hi)`` of ``c`` (ascending, degree 0..2),
+    neither end a root."""
+    if len(c) < 3:
+        return int(len(c) == 2 and lo < Fraction(-c[0]) / c[1] < hi)
+    c0, c1, c2 = c
+    disc, vertex = c1 * c1 - 4 * c0 * c2, Fraction(-c1) / (2 * c2)
+    if disc <= 0:
+        return int(disc == 0 and lo < vertex < hi)
+    up = _value(c, lo) > 0
+    if up != (_value(c, hi) > 0):
+        return 1
+    return 2 if lo < vertex < hi and (_value(c, vertex) > 0) != up else 0
+
+
+def _exact_event_poly(b, n):
+    """The deflated event polynomial of ``b``, up to a constant, in Fractions:
+    ``p0*q1 - p1*q0`` over ``(1 - x)**(n // 2)``, from the exact Chebyshev
+    recurrences."""
+
+    def mul(p, q):
+        out = [Fraction(0)] * (len(p) + len(q) - 1)
+        for i, pi in enumerate(p):
+            for j, qj in enumerate(q):
+                out[i + j] += pi * qj
+        return out
+
+    def combine(coeffs, basis, offset=0):
+        out = [Fraction(offset)] + [Fraction(0)] * n
+        for ck, pk in zip(coeffs, basis):
+            for j, v in enumerate(pk):
+                out[j] += ck * v
+        return out
+
+    t, u = [[1], [0, 1]], [[1], [0, 2]]
+    for table in (t, u):
+        while len(table) <= n:
+            two_x = [0] + [2 * v for v in table[-1]]
+            table.append([v - (table[-2][j] if j < len(table[-2]) else 0) for j, v in enumerate(two_x)])
+    bf = [Fraction(v) for v in b]
+    binom = [math.comb(n, k) * (-1) ** k for k in range(1, n + 1)]
+    p0, q0 = combine(bf, t[1:]), combine(binom, t[1:], 1)
+    p1, q1 = combine(bf, u), combine(binom, u)
+    e = [x - y for x, y in zip(mul(p0, q1), mul(p1, q0))]
+    for _ in range(n // 2):  # synthetic division by x - 1
+        rem = Fraction(0)
+        for j in range(len(e) - 1, -1, -1):
+            e[j], rem = rem, e[j] + rem
+        assert rem == 0
+        e.pop()  # the quotient is e[:-1]
+    while e and e[-1] == 0:
+        e.pop()
+    return e
 
 
 class TestIMin:
@@ -86,6 +157,7 @@ class TestZeroPointCandidates:
         # Eliminating a from r0 = p0 + a*q0 and r1 = p1 + a*q1 gives
         # E = p0*q1 - p1*q0; the event polynomial is E with its structural
         # factor (1 - x)**(n // 2) and one constant per order divided out.
+        # R is built from b scaled to integers; the scale is undone here.
         from sdmstab.boundary import _event_poly
 
         rng = np.random.default_rng(89)
@@ -97,7 +169,9 @@ class TestZeroPointCandidates:
                 b = tuple(rng.uniform(-4, 4, n))
                 p0, p1 = cheb_expand(b), cheb_expand(b, kind="sine")
                 eliminant = (p0 * q1 - p1 * q0).coeffs
-                deflated = (_event_poly(b, n) * binom_power(n // 2)).coeffs
+                scale = next(Fraction(i) / Fraction(v) for i, v in zip(_int_coeffs(b), b) if v)
+                event = Poly(float(c / scale) for c in _event_poly(b, n))
+                deflated = (event * binom_power(n // 2)).coeffs
                 e, r = np.zeros(2 * n), np.zeros(2 * n)
                 e[: len(eliminant)], r[: len(deflated)] = eliminant, deflated
                 c = float(e @ r / (r @ r))
@@ -107,60 +181,93 @@ class TestZeroPointCandidates:
                 consts.append(c)
             assert max(consts) - min(consts) <= 1e-12 * abs(consts[0])
 
-    def test_event_roots_match_exact_arithmetic(self):
-        # The float closed-form solve checked in rational arithmetic, on
-        # event polynomials whose coefficients span the whole float range.
-        # The number of roots comes from the exact discriminant and the exact
-        # signs at +-(largest float); each real root must be bracketed by an
-        # exact sign change within 1e-12 relative (or two subnormal steps),
-        # unless both roots fall in its bracket, and a tangency root must
-        # sit at the exact vertex.
+    def test_event_roots_are_the_nearest_floats(self):
+        # The integer solve checked in rational arithmetic, on polynomials
+        # whose coefficients span 2**+-1000, so that roots underflow,
+        # overflow or land anywhere between, on polynomials with
+        # perfect-square and zero discriminants, and on roots next to a
+        # rounding tie.  Each x's rounding cell holds a root, and the cells
+        # of all x hold every distinct root inside the float range.
         from sdmstab.boundary import _event_roots
 
-        big = Fraction(sys.float_info.max)
-
-        def sign(p, x):
-            return (p[0] + p[1] * x + (p[2] * x * x if len(p) == 3 else 0)) > 0
-
-        def near(x, r):
-            return abs(Fraction(x) - r) <= Fraction(1e-12) * abs(r) + Fraction(2.0**-1073)
-
-        # Conjugate pairs +-i*w just inside and outside the tangency rule,
-        # with all coefficients scaled by powers of two.
-        cases = [[e * w * w, 0.0, e] for w in (0.9e-8, 1.1e-8) for e in (1.0, 2.0**600, 2.0**-600)]
         rng = random.Random(61)
+        cases = []
         for _ in range(3000):
             degree = rng.choice((1, 2, 2, 2))
-            c = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320, 300) for _ in range(degree + 1)]
+            c = [rng.choice((-1.0, 1.0)) * rng.uniform(1, 2) * 2.0 ** rng.randint(-1000, 1000)
+                 for _ in range(degree + 1)]
             if rng.random() < 0.2:
-                c[rng.randrange(degree)] = 0.0
-            cases.append(c)
+                c[rng.randrange(degree)] = 0.0  # c0 = 0 (a root at 0) or c1 = 0
+            cases.append(_int_coeffs(tuple(c)))
+        for _ in range(300):
+            (p1, q1), (p2, q2) = [(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(2)]
+            m = rng.choice((-1, 1)) << rng.randint(0, 2000)
+            cases.append([m * p1 * p2, -m * (p1 * q2 + p2 * q1), m * q1 * q2])  # disc a square
+            cases.append([m * p1 * p1, -2 * m * p1 * q1, m * q1 * q1])  # disc = 0
+        for _ in range(50):
+            # Roots within about 1/m of the midpoint m between two floats:
+            # the first sqrt bracket straddles m and has to be refined.
+            m = (rng.randrange(2**52, 2**53) * 2 + 1) << rng.randint(0, 900)
+            cases.append([-(m * m) + rng.choice((-1, 1)), 0, 1])
+        cases += [
+            [-(2**1100), 1],  # past the float range
+            [-(2**2100), 0, 1],  # both roots past it
+            [3 * 2**1100, -(2**1100) - 3, 1],  # one root past it, one at 3
+            [-1, 2**1100 - 1, 2**1100],  # one root at -1, one at 2**-1100, rounding to 0
+            [1, 2**1100 - 1, -(2**1100)],  # one root at -2**-1100, rounding to 0 too
+            [2**2000, 0, 1],  # no real root
+            [-((2**1024 - 2**970 - 2**960) ** 2), 0, 1],  # roots just inside the float range
+            [-(2**1024 - 2**970 + 2**960), 1],  # a root just past it
+        ]
         for c in cases:
-            degree = len(c) - 1
-            got = _event_roots(Poly(c))
-            p = [Fraction(v) for v in c]
-            assert got == sorted(got) and all(math.isfinite(x) for x in got), (c, got)
-            if degree == 1:
-                r = -p[0] / p[1]
-                assert [near(x, r) for x in got] == ([True] if abs(r) < big else []), (c, got)
+            got = _event_roots(c)
+            assert got == sorted(set(got)), (c, got)
+            assert all(map(math.isfinite, got)), (c, got)
+            assert all(math.copysign(1.0, x) == 1.0 for x in got if x == 0.0), (c, got)
+            held = [_roots_between(c, *_rounding_cell(x)) for x in got]
+            assert min(held, default=1) >= 1, (c, got)
+            assert sum(held) == _roots_between(c, -_EDGE, _EDGE), (c, got)
+            if len(c) == 3 and c[1] ** 2 == 4 * c[0] * c[2]:
+                assert got == [float(Fraction(-c[1], 2 * c[2]))] or not got, (c, got)
+
+    def test_candidates_sit_on_the_nearest_floats(self):
+        # The event polynomial rebuilt independently in Fractions, as the
+        # eliminant p0*q1 - p1*q0 of the exact unit-circle profiles with
+        # (1 - x)**(n // 2) divided out: every candidate's x must be the
+        # float nearest one of its real roots.
+        rng = random.Random(5)
+        log_uniform = lambda lo, hi: rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(lo, hi)
+        checked = 0
+        for i in range(900):
+            n = rng.randint(3, 5)
+            draw = (
+                lambda: rng.uniform(-4, 4),  # ordinary
+                lambda: log_uniform(-6, 6),
+                lambda: log_uniform(296, 300),  # near the 1e300 cap
+            )[i % 3]
+            b = tuple(draw() for _ in range(n))
+            event = _exact_event_poly(b, n)
+            for cand in zero_point_candidates(b, n):
+                assert _roots_between(event, *_rounding_cell(cand.x)) >= 1, (b, cand)
+                checked += 1
+        assert checked > 500
+
+    def test_candidates_carry_no_negative_zero(self):
+        # a = -p/q is a zero when the event sits on a root of p: it must
+        # come out +0.0, not -0.0, which repr and json print with its sign.
+        rng = random.Random(3)
+        zeros = 0
+        for _ in range(3000):
+            n = rng.randint(1, 5)
+            b = tuple(float(rng.randint(-3, 3)) for _ in range(n))
+            try:
+                cands = zero_point_candidates(b, n)
+            except DegenerateBoundaryError:
                 continue
-            vertex = -p[1] / (2 * p[2])
-            disc = p[1] ** 2 - 4 * p[0] * p[2]
-            if disc <= 0:
-                # one root if the pair is a tangency: |Im| <= 1e-8*(1+|Re|)
-                tangent = -disc / (4 * p[2] ** 2) <= (Fraction(1e-8) * (1 + abs(vertex))) ** 2
-                assert [near(x, vertex) for x in got] == ([True] if tangent else []), (c, got)
-                continue
-            up = p[2] > 0  # the sign of p beyond both roots
-            count = (vertex < big and sign(p, big) == up) + (vertex > -big and sign(p, -big) == up)
-            merged = 0  # both roots inside one bracket: they round to one float
-            for x in got:
-                d = max(abs(Fraction(x)) * Fraction(1e-12), Fraction(2.0**-1073))
-                lo, hi = Fraction(x) - d, Fraction(x) + d
-                both = sign(p, lo) == sign(p, hi) == up and lo < vertex < hi
-                assert both or sign(p, lo) != sign(p, hi), (c, got)
-                merged += both
-            assert len(got) + merged == count, (c, got)
+            for c in cands:
+                assert math.copysign(1.0, c.a) == 1.0, (b, c)
+                zeros += c.a == 0.0
+        assert zeros > 0
 
     def test_event_polynomial_vanishes_only_on_reciprocal_designs(self):
         # b_n = 0 and b_k = (-1)**n * b_{n-k} make F self-reciprocal for
@@ -439,6 +546,20 @@ class TestClassifyIntervals:
         assert not rep.intervals[0].stable
         assert math.isinf(rep.intervals[0].hi)
         assert rep.candidates == ()
+
+    def test_nonpositive_sum_is_unstable_even_when_the_probe_rounds_inside(self):
+        # fsum(b) == 0 puts an exact root at z = 1, but both roots of the
+        # rounded F at a = 1 lie about 3.7e-9 inside the circle, past the
+        # marginal radius, so the probe alone would call it stable.
+        v = 2.0**-27 + 2.0**-53 + 2.0**-60
+        assert count_inside_e1(char_poly((v, -v), 2, 1.0)).inside == 2
+        rep = classify_intervals((v, -v), 2)
+        assert rep.sum_b == 0.0
+        assert len(rep.intervals) == 1
+        (only,) = rep.intervals
+        assert (only.lo, only.hi, only.witness_a) == (0.0, math.inf, 1.0)
+        assert not only.stable
+        assert only.witness_count == 2
 
     def test_oracle_driven_classification(self):
         rep = classify_intervals((1.0, 1.0, 1.0), 3)

@@ -263,6 +263,13 @@ class TestMain:
         assert main(["bounds", "--b=1,1", "--format", "json"]) == 0
         assert '"a_min": 0.0,' in capsys.readouterr().out
 
+    def test_zero_candidate_prints_without_sign(self, capsys):
+        # p(x) = 0 at the event x = 1/2, so a = -p/q is a zero: +0.0, not -0.0.
+        assert main(["bounds", "--b=1,1,0,1,1"]) == 0
+        assert "\ncandidate: a=0.0 x=0.5 valid=True\n" in capsys.readouterr().out
+        assert main(["bounds", "--b=1,1,0,1,1", "--format", "json"]) == 0
+        assert '"a": 0.0,\n        "x": 0.5,' in capsys.readouterr().out
+
     def test_huge_design_writes_no_warnings(self, capsys):
         assert main(["bounds", "--b=1e300,-1e300,1e300"]) == 0
         assert capsys.readouterr().err == ""
