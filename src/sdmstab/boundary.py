@@ -7,19 +7,20 @@ root crosses the circle: either at ``z = -1`` (the closed-form lower bound)
 or at an interior angle.  Both unit-circle profiles of ``F`` are linear in
 ``a``, so eliminating ``a`` between them (the paper's elimination with the
 variable order swapped) leaves one event polynomial in ``x = cos(phi)``,
-of degree at most two and exact in integers; its real roots, each solved
-to the float nearest it, are the interior boundary events.  The tests
-cross-check them with a direct crossing-parameter scan and eigenvalue
-bisection.
+of degree at most two and exact in integers; its real roots, with the ``a``
+of each from a closed form in the same integers, each the float nearest
+it, are the interior boundary events.  The tests cross-check them with a
+direct crossing-parameter scan and eigenvalue bisection.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from itertools import zip_longest
 from typing import Sequence
 
-from .polynomial import MAX_ORDER, Poly, _int_coeffs, cheb_expand, chebyshev_u
+from .polynomial import MAX_ORDER, Poly, _int_coeffs, _prem, chebyshev_t, chebyshev_u
 from .transfer import DCoeffs, record
 from .transfer import _SHIFTED, _char_poly, _check_coeffs, _check_result, _check_scalar
 from .winding import count_inside_e1
@@ -95,14 +96,10 @@ def _i_min(b: tuple[float, ...], n: int) -> float:
 
 # --- boundary events ----------------------------------------------------------
 #
-# On the unit circle the image ``F(z; a)/z**n`` has real part ``r0`` and
-# imaginary part ``sin(phi)*r1`` with, in ``x = cos(phi)``,
-#
-#     r0 = p0(x) + a*q0(x)      (cheb_expand, cosine kind)
-#     r1 = p1(x) + a*q1(x)      (cheb_expand, sine kind)
-#
-# where ``p`` carries ``b`` and ``q`` the binomials of ``(z-1)**n``.  Both
-# are linear in ``a``, so eliminating ``a`` leaves the single polynomial
+# On the unit circle the image ``F(z; a)/z**n`` has real part
+# ``r0 = p0(x) + a*q0(x)`` and imaginary part ``sin(phi)*r1`` with
+# ``r1 = p1(x) + a*q1(x)``, in ``x = cos(phi)``, where ``p`` carries ``b``
+# and ``q`` the binomials of ``(z-1)**n``.  Eliminating ``a`` leaves
 # ``E = p0*q1 - p1*q0``: a root of ``F`` sits at ``e^{i phi}`` for a real
 # ``a`` exactly when ``E(cos(phi)) = 0``.  ``E`` has structural degree
 # ``n-1`` and the structural factor ``(1-x)**(n//2)``, since it is
@@ -112,40 +109,60 @@ def _i_min(b: tuple[float, ...], n: int) -> float:
 #
 # Dividing ``S`` by ``sin(phi)`` (even n) or ``cos(phi/2)`` (odd n) gives
 # the deflated event polynomial ``R = sum_k b_k * K_k(x)``, of degree at
-# most ``(n-1)//2``, with ``E = c_n * (1-x)**(n//2) * R`` for a constant
-# ``c_n``.  Each ``K_k`` is ``+-U_j`` (even n) or ``U_j - U_{j-1}`` (odd n), whose
-# coefficients are integers, so with ``b`` scaled to integers by one power
-# of two (``_int_coeffs``) ``R`` is exact: it vanishes identically exactly
-# when ``F`` is self-reciprocal for every ``a``, and its real roots come
-# from its exact discriminant.
+# most ``(n-1)//2``, with ``E = c_n * (1-x)**(n//2) * R``.  Each ``K_k`` is
+# ``+-U_j`` (even n) or ``U_j - U_{j-1}`` (odd n), with integer coefficients,
+# so with ``b`` scaled to integers by one power of two (``_int_coeffs``)
+# ``R`` is exact: it vanishes identically exactly when ``F`` is
+# self-reciprocal for every ``a``, and its real roots come from its exact
+# discriminant.
+#
+# The ``a`` of an event solves ``F(e^{i phi}; a) = 0``: ``a = -D(z)/(z-1)**n``
+# with ``D(z) = sum_k b_k * z**(n-k)``.  Put ``z - 1 = 2i*sin(phi/2)*e^{i phi/2}``,
+# keep the real part (the imaginary part vanishes at an event) and use
+# ``sin(phi/2)**2 = (1-x)/2``; with ``m = n // 2`` this is
+#
+#     a = A(x) / (2**(n-m) * (1-x)**m),      A = sum_k b_k * L_k(x),
+#
+# with ``L_k = -(-1)**m * T_|m-k|`` (even n) or ``-(-1)**m * sign(n-2k) *
+# (U_j + U_{j-1})``, ``j = (|n-2k| - 1) // 2`` (odd n), from
+# ``sin((j+1/2)*phi) = sin(phi/2) * (U_j + U_{j-1})``.  Reduced modulo ``R``
+# by ``_prem``, which gives both the same positive multiplier at the same
+# length, ``A`` and the denominator become constants or linear forms: at a
+# root of ``R``, ``a`` is a Moebius map of ``x`` in the same integers.  For
+# ``b = (3, -3, 1)``, ``a = (5 - 2x) / (4*(1 - x))``, 2 at ``x = 1/2``.
 
 
-def _event_basis(n: int) -> tuple[tuple[int, ...], ...]:
-    """Columns of the ``K_k(x)`` multiplying ``b_k``: ``[j][k-1]`` is ``[x**j] K_k``."""
-    width = (n - 1) // 2 + 1
-    rows = []
+def _event_basis(n: int) -> tuple[tuple, tuple, tuple[int, ...]]:
+    """Columns of the ``K_k(x)`` and of the ``L_k(x)`` multiplying ``b_k``
+    (``[j][k-1]`` is ``[x**j]`` of each), and ``2**(n-m) * (1-x)**m``."""
+    m = n // 2
+    sign = -((-1) ** m)
+    rows = []  # (K_k, L_k)
     for k in range(1, n + 1):
         if n % 2 == 0:
-            f = n // 2 - k  # sin(f*phi) = sin(phi) * U_{f-1}(x)
-            row = Poly() if f == 0 else (1 if f > 0 else -1) * chebyshev_u(abs(f) - 1)
+            f = m - k  # sin(f*phi) = sin(phi) * U_{f-1}(x)
+            k_row = Poly() if f == 0 else (1 if f > 0 else -1) * chebyshev_u(abs(f) - 1)
+            rows.append((k_row, sign * chebyshev_t(abs(f))))
         else:
             j = (abs(n - 2 * k) - 1) // 2  # cos((j+1/2)*phi) = cos(phi/2) * K(x)
-            row = chebyshev_u(j) - (chebyshev_u(j - 1) if j else Poly())
-        rows.append([int(c) for c in row.coeffs] + [0] * (width - len(row.coeffs)))
-    return tuple(zip(*rows))
+            lower = chebyshev_u(j - 1) if j else Poly()
+            rows.append((chebyshev_u(j) - lower, (sign if n > 2 * k else -sign) * (chebyshev_u(j) + lower)))
+    k_cols, l_cols = (tuple(zip_longest(*(map(int, p.coeffs) for p in ps), fillvalue=0)) for ps in zip(*rows))
+    return k_cols, l_cols, tuple(math.comb(m, j) * (-1) ** j * 2 ** (n - m) for j in range(m + 1))
 
 
 _EVENT_BASIS = {n: _event_basis(n) for n in range(1, MAX_ORDER + 1)}
 
 
-def _event_poly(b: tuple[float, ...], n: int) -> list[int]:
-    """``R`` for ``b`` scaled to integers by one power of two, ascending,
-    without trailing zeros (empty when ``R`` vanishes identically)."""
-    ints = _int_coeffs(b)
-    c = [sum(map(operator.mul, ints, column)) for column in _EVENT_BASIS[n]]
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _event_poly(b: tuple[float, ...], n: int) -> tuple[list[int], list[int], list[int]]:
+    """``R`` without trailing zeros (empty when it vanishes), ``A`` and
+    ``2**(n-m) * (1-x)**m``, ascending, times the ``2**S`` making ``b`` integers."""
+    *ints, unit = _int_coeffs(b + (1.0,))  # b and 1 times the same 2**S
+    k_cols, l_cols, den = _EVENT_BASIS[n]
+    r = [sum(map(operator.mul, ints, column)) for column in k_cols]
+    while r and r[-1] == 0:
+        r.pop()
+    return r, [sum(map(operator.mul, ints, column)) for column in l_cols], [unit * c for c in den]
 
 
 def _div(num: int, den: int) -> float:
@@ -156,24 +173,35 @@ def _div(num: int, den: int) -> float:
         return math.inf if (num > 0) == (den > 0) else -math.inf
 
 
-def _event_roots(c: list[int]) -> list[float]:
-    """Real roots of the integer polynomial ``c`` of degree 1 or 2, ascending.
+def _event_roots(c: list[int], num: list[int], den: list[int]) -> list[tuple[float, float, bool]]:
+    """Events ``(a, x, valid)`` at the real roots of the integer polynomial
+    ``c`` of degree 1 or 2, ascending, each once, none past the float
+    range: ``a = num(x)/den(x)`` for integer forms of lower degree (``inf``
+    at ``den = 0``: the exact ``x = 1``), and ``valid = |x| < 1``, exact.
 
-    Each root comes out as the float nearest it, and a double root once;
-    roots past the float range are dropped.  The quadratic's roots are
+    ``x`` and ``a`` are the floats nearest them.  The quadratic's roots are
     ``q/c2`` and ``c0/q`` with ``q = -(c1 + sign(c1)*sqrt(disc))/2``, which
-    never cancels.  ``sqrt(disc)`` is bracketed with ``math.isqrt`` between
-    consecutive multiples of ``2**-k``, and ``k`` doubles until both ends of
-    each root round to the same float; an irrational root is never a
-    rounding tie, and a perfect-square discriminant is exact at once.
+    never cancels; ``math.isqrt`` brackets ``sqrt(disc)`` between multiples
+    of ``2**-k``, and ``k`` doubles until both ends of each root give the
+    same event and sign of ``den``: ``x`` and ``a``, a Moebius map with no
+    pole between the ends, are then monotone on the bracket.  An irrational
+    root and its ``a`` (unless constant) are never rounding ties; rational
+    roots are exact at once.
     """
+
+    def at(u: int, v: int) -> tuple[tuple[float, float, bool], bool]:
+        u, v = (u, v) if v > 0 else (-u, -v)
+        top, bottom = (sum(map(operator.mul, form, (v, u))) for form in (num, den))
+        a = _div(top, bottom) + 0.0 if bottom else math.inf  # +0.0, not -0.0
+        return (a, _div(u, v) + 0.0, abs(u) < v), bottom > 0
+
     if len(c) == 2:
-        xs = [_div(-c[0], c[1])]
+        ends = [at(-c[0], c[1])]
     else:
         c0, c1, c2 = c
         disc = c1 * c1 - 4 * c0 * c2
         if disc <= 0:
-            xs = [_div(-c1, 2 * c2)] if disc == 0 else []
+            ends = [at(-c1, 2 * c2)] if disc == 0 else []
         else:
             sign = 1 if c1 >= 0 else -1
             k = max(1, 64 - disc.bit_length() // 2)  # s carries 64 or more bits
@@ -182,35 +210,32 @@ def _event_roots(c: list[int]) -> list[float]:
                 s = math.isqrt(scaled)
                 # 2**(k+1) * q at both ends of the bracket; never 0
                 qs = [-(c1 << k) - sign * r for r in (s, s + (s * s != scaled))]
-                xs, upper = [(_div(q, c2 << (k + 1)), _div(c0 << (k + 1), q)) for q in qs]
-                if xs == upper:
+                ends, upper = [[at(q, c2 << (k + 1)), at(c0 << (k + 1), q)] for q in qs]
+                if ends == upper:
                     break
                 k *= 2
-    return sorted({x + 0.0 for x in xs if math.isfinite(x)})
+    return sorted({event for event, _ in ends if math.isfinite(event[1])})
 
 
 def zero_point_candidates(b: Sequence[float], n: int) -> list[ZeroPointCandidate]:
     """Values of ``a`` where the contour image can pass through the origin.
 
     This is the paper's elimination between the real and imaginary
-    unit-circle profiles with the variable order swapped: both profiles are
-    linear in ``a``, so eliminating ``a`` instead of ``x = cos(phi)`` leaves
-    one event polynomial in ``x`` (degree at most two once its structural
-    ``(1-x)`` factor is divided out), exact in integers.  Each real root,
-    as the float ``x`` nearest it, gives ``a = -p(x)/q(x)`` from the profile
-    with the larger ``|q(x)|``; roots with ``a < 0`` are dropped.  A
-    candidate is ``valid`` when ``|x| < 1``: its ``a`` zeroes one profile
-    and leaves the other at ``+-E/q = 0``, so ``F`` has a root on the
-    circle; other candidates are flagged invalid.  Raises
-    :class:`DegenerateBoundaryError` when the event polynomial vanishes
-    identically (a continuum, not isolated candidates).
+    unit-circle profiles with the variable order swapped: both are linear
+    in ``a``, so eliminating ``a`` instead of ``x = cos(phi)`` leaves one
+    event polynomial in ``x`` of degree at most two, exact in integers.  At
+    each real root, ``x`` and ``a = A(x) / (2**(n-m) * (1-x)**m)`` come out
+    as the floats nearest them, and ``valid`` is the exact ``|x| < 1`` (a
+    root of ``F`` on the circle); ``a < 0`` and ``x = 1`` are dropped.
+    Raises :class:`DegenerateBoundaryError` when the event polynomial
+    vanishes identically (a continuum, not isolated candidates).
     """
     return _zero_point_candidates(_check_coeffs(b, "b", n), n)
 
 
 def _zero_point_candidates(b: tuple[float, ...], n: int) -> list[ZeroPointCandidate]:
     """:func:`zero_point_candidates` for an already checked ``b``."""
-    event = _event_poly(b, n)
+    event, num, den = _event_poly(b, n)
     if not event:
         raise DegenerateBoundaryError(
             "event polynomial vanishes identically: the design pins roots "
@@ -218,20 +243,8 @@ def _zero_point_candidates(b: tuple[float, ...], n: int) -> list[ZeroPointCandid
         )
     if len(event) < 2:
         return []
-    binom = [math.comb(n, k) * (-1.0) ** k for k in range(1, n + 1)]
-    p0, q0 = cheb_expand(b), cheb_expand(binom, 1.0)
-    p1, q1 = cheb_expand(b, kind="sine"), cheb_expand(binom, kind="sine")
-    out: list[ZeroPointCandidate] = []
-    for x in _event_roots(event):
-        p, q = (p0(x), q0(x)) if abs(q0(x)) >= abs(q1(x)) else (p1(x), q1(x))
-        if q == 0.0:
-            continue  # x = 1: z = 1 is a root of (z-1)**n for every a
-        a = -p / q + 0.0  # +0.0, not -0.0, when p is 0
-        if not 0.0 <= a < math.inf:
-            continue
-        out.append(ZeroPointCandidate(a=a, x=x, valid=abs(x) < 1.0))
-    out.sort(key=lambda c: c.a)
-    return out
+    events = _event_roots(event, _prem(num, event), _prem(den, event))
+    return [ZeroPointCandidate(a, x, valid) for a, x, valid in events if 0.0 <= a < math.inf]
 
 
 def i_max_order3(b: Sequence[float]) -> tuple[float, bool]:
@@ -290,19 +303,8 @@ def crossing_value(b: Sequence[float], n: int, phi: float) -> complex:
     return val
 
 
-# Events closer than this (relative) are merged; probes refuse to sit closer
-# than this to an event.
+# The linear-model witness a = 1 must lie farther than this from both edges.
 EVENT_TOL = 1e-9
-
-
-def _merge_events(values: list[float]) -> list[float]:
-    values = sorted(values)
-    out: list[float] = []
-    for v in values:
-        if out and abs(v - out[-1]) <= EVENT_TOL * max(1.0, abs(v)):
-            continue
-        out.append(v)
-    return out
 
 
 def _probe(b: tuple[float, ...], n: int, a: float) -> tuple[bool, int | None]:
@@ -340,10 +342,8 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
             # F is self-reciprocal for every a: there is no isolated interior
             # event, so the only edge is a_min and the probes decide.
             pass
-        events = [c.a for c in candidates if c.valid and c.a > EVENT_TOL]
-        if a_min > EVENT_TOL:
-            events.append(a_min)
-        events = _merge_events(events)
+        # Exactly equal events meet in the set: an interior event at a_min is one edge.
+        events = sorted(a for a in {a_min, *(c.a for c in candidates if c.valid)} if a > 0.0)
     # The witness past the last event is the largest: refuse here, before
     # any probe, when F at it leaves the float range.
     top = 10.0 * events[-1] + 1.0 if events else 1.0

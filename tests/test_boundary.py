@@ -57,17 +57,24 @@ def _roots_between(c, lo, hi):
     return 2 if lo < vertex < hi and (_value(c, vertex) > 0) != up else 0
 
 
-def _exact_event_poly(b, n):
-    """The deflated event polynomial of ``b``, up to a constant, in Fractions:
-    ``p0*q1 - p1*q0`` over ``(1 - x)**(n // 2)``, from the exact Chebyshev
-    recurrences."""
+def _mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, pi in enumerate(p):
+        for j, qj in enumerate(q):
+            out[i + j] += pi * qj
+    return out
 
-    def mul(p, q):
-        out = [Fraction(0)] * (len(p) + len(q) - 1)
-        for i, pi in enumerate(p):
-            for j, qj in enumerate(q):
-                out[i + j] += pi * qj
-        return out
+
+def _trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _exact_profiles(b, n):
+    """``p0, q0, p1, q1`` of the unit-circle profiles ``r0 = p0 + a*q0`` and
+    ``r1 = p1 + a*q1`` in Fractions, from the exact Chebyshev recurrences."""
 
     def combine(coeffs, basis, offset=0):
         out = [Fraction(offset)] + [Fraction(0)] * n
@@ -83,18 +90,72 @@ def _exact_event_poly(b, n):
             table.append([v - (table[-2][j] if j < len(table[-2]) else 0) for j, v in enumerate(two_x)])
     bf = [Fraction(v) for v in b]
     binom = [math.comb(n, k) * (-1) ** k for k in range(1, n + 1)]
-    p0, q0 = combine(bf, t[1:]), combine(binom, t[1:], 1)
-    p1, q1 = combine(bf, u), combine(binom, u)
-    e = [x - y for x, y in zip(mul(p0, q1), mul(p1, q0))]
+    return combine(bf, t[1:]), combine(binom, t[1:], 1), combine(bf, u), combine(binom, u)
+
+
+def _exact_event_poly(b, n):
+    """The deflated event polynomial of ``b``, up to a constant, in Fractions:
+    ``p0*q1 - p1*q0`` over ``(1 - x)**(n // 2)``."""
+    p0, q0, p1, q1 = _exact_profiles(b, n)
+    e = [x - y for x, y in zip(_mul(p0, q1), _mul(p1, q0))]
     for _ in range(n // 2):  # synthetic division by x - 1
         rem = Fraction(0)
         for j in range(len(e) - 1, -1, -1):
             e[j], rem = rem, e[j] + rem
         assert rem == 0
         e.pop()  # the quotient is e[:-1]
-    while e and e[-1] == 0:
-        e.pop()
-    return e
+    return _trim(e)
+
+
+def _rem(p, c):
+    """The remainder of ``p`` by ``c`` in Fractions, ascending, of length ``deg c``."""
+    p = [Fraction(v) for v in p] + [Fraction(0)] * (len(c) - 1 - len(p))
+    while len(p) >= len(c):
+        t = p.pop() / c[-1]
+        for j in range(len(c) - 1):
+            p[len(p) - len(c) + 1 + j] -= t * c[j]
+    return p
+
+
+def _sign_at_root(g, c, lo, hi):
+    """The exact sign of ``g`` at the only root of ``c`` (degree 1 or 2) in
+    ``(lo, hi)``."""
+    sign = lambda v: (v > 0) - (v < 0)
+    if len(c) == 2:
+        return sign(_value(g, Fraction(-c[0], c[1])))
+    g0, g1 = _rem(g, c)
+    if g1 == 0:
+        return sign(g0)
+    x = -g0 / g1  # g = g1*(r - x) at the root r
+    if lo < x < hi and _value(c, x) == 0:
+        return 0
+    below = x >= hi or (x > lo and _roots_between(c, lo, x) == 1)
+    return -sign(g1) if below else sign(g1)
+
+
+def _a_at_root(c, num, den, x, a):
+    """Whether ``a`` is the float nearest ``num(r)/den(r)`` (``inf`` where
+    ``den(r)`` is 0) at the only root ``r`` of ``c`` that rounds to ``x``:
+    ``(num - lo*den) * (num - hi*den)`` is negative at ``r`` for the ends
+    ``lo, hi`` of ``a``'s rounding cell."""
+    cell = _rounding_cell(x)
+    less = lambda t: [u - t * v for u, v in zip(num, den)]  # num - t*den
+    if math.isinf(a):
+        if _sign_at_root(den, c, *cell) == 0:
+            return a > 0
+        edge = _EDGE if a > 0 else -_EDGE  # a past the float range: (num/den - edge)*sign(a) > 0
+        return _sign_at_root(_mul(less(edge), den), c, *cell) == (1 if a > 0 else -1)
+    lo, hi = _rounding_cell(a)
+    return _sign_at_root(_mul(less(lo), less(hi)), c, *cell) < 0
+
+
+def _exactly_inside(c, x):
+    """Whether the root of ``c`` that rounds to ``x`` (the only one in its
+    rounding cell) has ``|r| < 1``."""
+    if abs(x) != 1.0:
+        return abs(x) < 1.0  # the whole cell lies on one side of the circle
+    lo, hi = _rounding_cell(x)
+    return _value(c, Fraction(x)) != 0 and _roots_between(c, max(lo, -1), min(hi, 1)) == 1
 
 
 class TestIMin:
@@ -122,12 +183,13 @@ class TestZeroPointCandidates:
         assert valid[0].a == pytest.approx(2.0, abs=1e-9)
         assert valid[0].x == pytest.approx(0.5, abs=1e-9)
 
-    def test_a_from_either_profile(self):
+    def test_a_where_a_profile_loses_its_a_term(self):
         # The cosine profile's a-term q0 = -2*(x-1)**2*(2x+1) vanishes at
-        # this event (x = -1/2), the sine profile's q1 at the worked one.
+        # this event (x = -1/2), the sine profile's q1 at the worked one;
+        # the closed form a = (3 - 2x)/(4*(1 - x)) needs neither.
         (cand,) = zero_point_candidates((3.0, -1.0, 1.0), 3)
         assert cand.valid and cand.x == -0.5
-        assert cand.a == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert cand.a == 2 / 3
 
     def test_event_root_at_z_equals_one_is_skipped(self):
         # sum(b) = 0 leaves the event polynomial 2x - 2 with its root at
@@ -156,38 +218,46 @@ class TestZeroPointCandidates:
     def test_event_polynomial_is_the_eliminant_of_a(self):
         # Eliminating a from r0 = p0 + a*q0 and r1 = p1 + a*q1 gives
         # E = p0*q1 - p1*q0; the event polynomial is E with its structural
-        # factor (1 - x)**(n // 2) and one constant per order divided out.
-        # R is built from b scaled to integers; the scale is undone here.
+        # factor (1 - x)**(n // 2) and a constant divided out.  The closed
+        # form A/den is the real part of the crossing value -D(z)/(z-1)**n
+        # at every angle; at an event the imaginary part is zero.
         from sdmstab.boundary import _event_poly
 
         rng = np.random.default_rng(89)
         for n in range(1, 6):
             binom = [math.comb(n, k) * (-1.0) ** k for k in range(1, n + 1)]
             q0, q1 = cheb_expand(binom, 1.0), cheb_expand(binom, kind="sine")
-            consts = []
             for _ in range(20):
                 b = tuple(rng.uniform(-4, 4, n))
                 p0, p1 = cheb_expand(b), cheb_expand(b, kind="sine")
                 eliminant = (p0 * q1 - p1 * q0).coeffs
-                scale = next(Fraction(i) / Fraction(v) for i, v in zip(_int_coeffs(b), b) if v)
-                event = Poly(float(c / scale) for c in _event_poly(b, n))
-                deflated = (event * binom_power(n // 2)).coeffs
+                event, num, den = _event_poly(b, n)
+                exact = _exact_event_poly(b, n)
+                assert len(event) == len(exact)
+                assert all(r * exact[-1] == e * event[-1] for r, e in zip(event, exact))
+                deflated = (Poly(map(float, event)) * binom_power(n // 2)).coeffs
                 e, r = np.zeros(2 * n), np.zeros(2 * n)
                 e[: len(eliminant)], r[: len(deflated)] = eliminant, deflated
                 c = float(e @ r / (r @ r))
                 tol = 1e-12 * np.abs(e).max()
                 assert np.abs(e - c * r).max() <= tol
                 assert np.abs(e[n:]).max() <= tol  # structural degree n - 1
-                consts.append(c)
-            assert max(consts) - min(consts) <= 1e-12 * abs(consts[0])
+                assert len(num) == len(den) == n // 2 + 1
+                for phi in rng.uniform(0.01, math.pi, 5):
+                    x = Fraction(math.cos(phi))
+                    closed = float(_value(num, x) / _value(den, x))
+                    assert closed == pytest.approx(crossing_value(b, n, phi).real, rel=1e-9)
 
     def test_event_roots_are_the_nearest_floats(self):
         # The integer solve checked in rational arithmetic, on polynomials
         # whose coefficients span 2**+-1000, so that roots underflow,
         # overflow or land anywhere between, on polynomials with
-        # perfect-square and zero discriminants, and on roots next to a
-        # rounding tie.  Each x's rounding cell holds a root, and the cells
-        # of all x hold every distinct root inside the float range.
+        # perfect-square and zero discriminants, on roots next to a rounding
+        # tie and next to the circle, and with a = num(x)/den(x) for seeded
+        # integer forms, some with a pole next to a root.  Each x's rounding
+        # cell holds a root, the cells of all x hold every distinct root
+        # inside the float range, a's cell holds num/den at the root in x's
+        # cell, and valid is the exact |x| < 1.
         from sdmstab.boundary import _event_roots
 
         rng = random.Random(61)
@@ -209,6 +279,11 @@ class TestZeroPointCandidates:
             # the first sqrt bracket straddles m and has to be refined.
             m = (rng.randrange(2**52, 2**53) * 2 + 1) << rng.randint(0, 900)
             cases.append([-(m * m) + rng.choice((-1, 1)), 0, 1])
+        for _ in range(50):
+            # A root 2**-e inside or outside x = +-1, the other one at 3.
+            e, side = rng.randint(40, 300), rng.choice((-1, 1))
+            s, top = rng.choice((-1, 1)), 2**e + side  # the root s*top/2**e
+            cases.append([3 * s * top, -(s * top + 3 * 2**e), 2**e])
         cases += [
             [-(2**1100), 1],  # past the float range
             [-(2**2100), 0, 1],  # both roots past it
@@ -218,23 +293,55 @@ class TestZeroPointCandidates:
             [2**2000, 0, 1],  # no real root
             [-((2**1024 - 2**970 - 2**960) ** 2), 0, 1],  # roots just inside the float range
             [-(2**1024 - 2**970 + 2**960), 1],  # a root just past it
+            [-1, 0, 1],  # roots at +-1 exactly: invalid
+            [-1, 1],  # x = 1 exactly
         ]
+        forms = []
         for c in cases:
-            got = _event_roots(c)
+            draw = lambda: [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 300)) for _ in c[1:]]
+            num, den = draw(), draw()
+            kind = rng.random()
+            if kind < 0.1:
+                num = [rng.randint(-3, 3) * v for v in den]  # a constant (0 included)
+            elif kind < 0.15 and len(c) == 3:
+                den = [-rng.randint(1, 9), rng.randint(1, 9)]  # a pole at a rational x
+            forms.append((c, num, den if any(den) else [1] + den[1:]))
+        # den = 1 - x: a = inf at the exact x = 1, dropped by the caller
+        forms += [([-1, 1], [5], [0]), ([-1, 0, 1], [2, 3], [1, -1])]
+        # sqrt(2) and a pole x = p/q within 2**-80 of it, inside the first bracket
+        p, q = 1, 1
+        while abs(Fraction(p, q) ** 2 - 2) > Fraction(1, 2**80):
+            p, q = p + 2 * q, p + q
+        forms += [([-2, 0, 1], [rng.randint(-9, 9), rng.randint(1, 9)], [-p, q]) for _ in range(20)]
+        # a = 1 + 1/(q*x - p) with p/q within 2**-240 of sqrt(2): a rounds
+        # to 1 at both ends of the first bracket, with the pole between them
+        # and a near 1e36 at the root; only the sign of den tells.
+        while q < 2**120:
+            p, q = p + 2 * q, p + q
+        forms.append(([-2, 0, 1], [1 - p, q], [-p, q]))
+        for c, num, den in forms:
+            got = _event_roots(c, num, den)
             assert got == sorted(set(got)), (c, got)
-            assert all(map(math.isfinite, got)), (c, got)
-            assert all(math.copysign(1.0, x) == 1.0 for x in got if x == 0.0), (c, got)
-            held = [_roots_between(c, *_rounding_cell(x)) for x in got]
+            xs = sorted({x for _, x, _ in got})
+            assert all(map(math.isfinite, xs)), (c, got)
+            assert all(math.copysign(1.0, v) == 1.0 for a, x, _ in got for v in (a, x) if v == 0.0)
+            held = [_roots_between(c, *_rounding_cell(x)) for x in xs]
             assert min(held, default=1) >= 1, (c, got)
             assert sum(held) == _roots_between(c, -_EDGE, _EDGE), (c, got)
             if len(c) == 3 and c[1] ** 2 == 4 * c[0] * c[2]:
-                assert got == [float(Fraction(-c[1], 2 * c[2]))] or not got, (c, got)
+                assert xs == [float(Fraction(-c[1], 2 * c[2]))] or not xs, (c, got)
+            for a, x, valid in got:
+                if _roots_between(c, *_rounding_cell(x)) == 1:  # else two roots round to x
+                    assert _a_at_root(c, num, den, x, a), (c, num, den, x, a)
+                    assert valid == _exactly_inside(c, x), (c, x, valid)
+        assert _event_roots([-1, 0, 1], [2, 3], [1, -1]) == [(-0.5, -1.0, False), (math.inf, 1.0, False)]
 
     def test_candidates_sit_on_the_nearest_floats(self):
         # The event polynomial rebuilt independently in Fractions, as the
         # eliminant p0*q1 - p1*q0 of the exact unit-circle profiles with
         # (1 - x)**(n // 2) divided out: every candidate's x must be the
-        # float nearest one of its real roots.
+        # float nearest one of its real roots, its a the float nearest the
+        # a = -p/q of a profile at one, and valid the exact |x| < 1.
         rng = random.Random(5)
         log_uniform = lambda lo, hi: rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(lo, hi)
         checked = 0
@@ -247,13 +354,20 @@ class TestZeroPointCandidates:
             )[i % 3]
             b = tuple(draw() for _ in range(n))
             event = _exact_event_poly(b, n)
+            p0, q0, p1, q1 = _exact_profiles(b, n)
+            forms = [([-v for v in _rem(p, event)], _rem(q, event)) for p, q in ((p0, q0), (p1, q1))]
             for cand in zero_point_candidates(b, n):
-                assert _roots_between(event, *_rounding_cell(cand.x)) >= 1, (b, cand)
+                cell = _rounding_cell(cand.x)
+                assert _roots_between(event, *cell) == 1, (b, cand)
+                # a = -p/q of a profile whose a-term q does not vanish there
+                num, den = next(f for f in forms if _sign_at_root(f[1], event, *cell))
+                assert _a_at_root(event, num, den, cand.x, cand.a), (b, cand)
+                assert cand.valid == _exactly_inside(event, cand.x), (b, cand)
                 checked += 1
         assert checked > 500
 
     def test_candidates_carry_no_negative_zero(self):
-        # a = -p/q is a zero when the event sits on a root of p: it must
+        # a = A/den is a zero when the event sits on a root of A: it must
         # come out +0.0, not -0.0, which repr and json print with its sign.
         rng = random.Random(3)
         zeros = 0
@@ -620,6 +734,40 @@ class TestClassifyIntervals:
                     assert iv.stable == all(abs(z) < 1.0 for z in roots), (b, n, iv, a)
                     probes += 1
         assert probes > 1200
+
+    def test_edges_scale_with_b(self):
+        # F(z; a) scales with (a, b), and every edge is the float nearest an
+        # exact value, so scaling b by 2**j scales each edge by exactly 2**j.
+        # The a = 1 witness is not scale-free, so only edges are compared.
+        rng = random.Random(13)
+        scaled = 0
+        for i in range(840):
+            n = i % 5 + 1
+            b = stable_b_sample(rng, n) if i % 2 else tuple(rng.uniform(-4, 4) for _ in range(n))
+            edges = [iv.lo for iv in classify_intervals(b, n).intervals]
+            for j in (-60, -40, -30, 20, 40):
+                got = [iv.lo for iv in classify_intervals([math.ldexp(v, j) for v in b], n).intervals]
+                assert got == [math.ldexp(e, j) for e in edges], (b, n, j)
+                scaled += len(edges) > 1
+        assert scaled > 2000
+
+    def test_adjacent_counts_differ_by_the_roots_that_cross(self):
+        # One real root crosses at z = -1 at a_min and conjugate pairs cross
+        # at an interior event, so across a_min the witness counts differ by
+        # an odd number, across any other edge by an even one.
+        rng = random.Random(4)
+        edges = 0
+        for i in range(6000):
+            n = i % 5 + 1
+            b = stable_b_sample(rng, n) if i % 2 else tuple(rng.uniform(-4, 4) for _ in range(n))
+            rep = classify_intervals(b, n)
+            for left, right in zip(rep.intervals, rep.intervals[1:]):
+                if left.witness_count is None or right.witness_count is None:
+                    continue
+                odd = (left.witness_count - right.witness_count) % 2 == 1
+                assert odd == (left.hi == rep.a_min), (b, n, left, right)
+                edges += 1
+        assert edges > 2000
 
     def test_b_is_checked_once_per_call(self, monkeypatch):
         check, calls = boundary._check_coeffs, []

@@ -264,11 +264,26 @@ class TestMain:
         assert '"a_min": 0.0,' in capsys.readouterr().out
 
     def test_zero_candidate_prints_without_sign(self, capsys):
-        # p(x) = 0 at the event x = 1/2, so a = -p/q is a zero: +0.0, not -0.0.
+        # A(x) = 0 at the event x = 1/2, so a = A/den is a zero: +0.0, not -0.0.
         assert main(["bounds", "--b=1,1,0,1,1"]) == 0
         assert "\ncandidate: a=0.0 x=0.5 valid=True\n" in capsys.readouterr().out
         assert main(["bounds", "--b=1,1,0,1,1", "--format", "json"]) == 0
         assert '"a": 0.0,\n        "x": 0.5,' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("b, intervals", [
+        # a_min = 1e-9: check --i-abs=5e-10 counts no root inside.
+        ("2e-9", "interval: (0.0, 1e-09) unstable witness_a=5e-10 witness_count=0\n"
+                 "interval: (1e-09, inf) stable witness_a=1.0 witness_count=1\n"),
+        # The worked design 3,-3,1 scaled by 1e-10 keeps its stable interval.
+        ("3e-10,-3e-10,1e-10",
+         "candidate: a=1.9999999999999998e-10 x=0.5 valid=True\n"
+         "interval: (0.0, 8.75e-11) unstable witness_a=4.375e-11 witness_count=2\n"
+         "interval: (8.75e-11, 1.9999999999999998e-10) stable witness_a=1.4375e-10 witness_count=3\n"
+         "interval: (1.9999999999999998e-10, inf) unstable witness_a=1.0 witness_count=1\n"),
+    ], ids=["first-order", "worked-times-1e-10"])
+    def test_events_below_1e_9_are_edges(self, b, intervals, capsys):
+        assert main(["bounds", f"--b={b}"]) == 0
+        assert capsys.readouterr().out.endswith(intervals)
 
     def test_huge_design_writes_no_warnings(self, capsys):
         assert main(["bounds", "--b=1e300,-1e300,1e300"]) == 0

@@ -20,6 +20,7 @@ from sdmstab import boundary, simulator, transfer
 from sdmstab.cli import asdict, execute, main, parse
 from sdmstab.polynomial import Poly
 from sdmstab.winding import contour_table, count_inside_e1
+from test_acceptance import stable_b_sample
 
 nan, inf = math.nan, math.inf
 
@@ -339,6 +340,43 @@ def assert_witnesses_exact(b, n):
         else:
             assert want is not None, (b, n, iv)
             assert (iv.witness_count, iv.stable) == (want, want == n), (b, n, iv, want)
+
+
+def exact_f(b, n, a):
+    """``F(z; a) = a*(z-1)**n + D(z)`` of the floats ``a`` and ``b``,
+    ascending, in Fractions: no rounding."""
+    a = Fraction(a)
+    return [a * math.comb(n, j) * (-1) ** (n - j) + (Fraction(b[n - j - 1]) if j < n else 0)
+            for j in range(n + 1)]
+
+
+def test_floats_next_to_each_edge_get_its_verdict():
+    # The 4 floats nearest each event edge, inside each interval next to it,
+    # counted exactly: the count is the interval's witness count, so no root
+    # crosses the circle between an edge and the float next to it.
+    # Linear-stable, uniform and log-uniform 1e+-6 designs of orders 3..5.
+    rng = random.Random(23)
+    probes = 0
+    for i in range(200):
+        n = rng.randint(3, 5)
+        if i % 3 == 0:
+            b = stable_b_sample(rng, n)
+        elif i % 3 == 1:
+            b = tuple(rng.uniform(-4.0, 4.0) for _ in range(n))
+        else:
+            b = tuple(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6, 6) for _ in range(n))
+        for iv in boundary.classify_intervals(b, n).intervals:
+            if iv.witness_count is None:
+                continue
+            for edge, inward in ((iv.lo, math.inf), (iv.hi, -math.inf)):
+                a = edge
+                for _ in range(4 if 0.0 < edge < math.inf else 0):
+                    a = math.nextafter(a, inward)
+                    count = schur_cohn_inside(exact_f(b, n, a), Fraction(1, 2**70))
+                    assert count == iv.witness_count, (b, n, iv, a, count)
+                    assert iv.stable == (count == n and sum(map(Fraction, b)) > 0), (b, n, iv, a)
+                    probes += 1
+    assert probes > 1200
 
 
 WIDE_DESIGNS = {
