@@ -21,11 +21,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "Poly": "polynomial",
     "binom_power": "polynomial",
-    "cheb_expand": "polynomial",
-    "chebyshev_t": "polynomial",
-    "chebyshev_u": "polynomial",
     "poly_rem": "polynomial",
-    "real_roots_open": "polynomial",
     "DCoeffs": "transfer",
     "SdmDesign": "transfer",
     "b_from_g": "transfer",

@@ -9,8 +9,12 @@ or at an interior angle.  Both unit-circle profiles of ``F`` are linear in
 variable order swapped) leaves one event polynomial in ``x = cos(phi)``,
 of degree at most two and exact in integers; its real roots, with the ``a``
 of each from a closed form in the same integers, each the float nearest
-it, are the interior boundary events.  The tests cross-check them with a
-direct crossing-parameter scan and eigenvalue bisection.
+it, are the interior boundary events.  Each interval between events takes
+the verdict of one witness ``a`` inside it, from the exact root count of
+``F(z; a)`` on the unit circle: ``b`` and ``a`` scaled to integers, counted
+by ``winding``'s integer rows at ``rho = 1``.  The tests cross-check the
+events with a direct crossing-parameter scan and eigenvalue bisection, and
+the verdicts with exact rational counts.
 """
 
 from __future__ import annotations
@@ -20,10 +24,10 @@ import operator
 from itertools import zip_longest
 from typing import Sequence
 
-from .polynomial import MAX_ORDER, Poly, _int_coeffs, _prem, chebyshev_t, chebyshev_u
+from .polynomial import COS_ROWS, MAX_ORDER, SIN_ROWS, Poly, _div, _int_coeffs, _prem
 from .transfer import DCoeffs, record
-from .transfer import _SHIFTED, _char_poly, _check_coeffs, _check_result, _check_scalar
-from .winding import count_inside_e1
+from .transfer import _SHIFTED, _check_coeffs, _check_result, _check_scalar
+from .winding import _count_exact
 
 __all__ = [
     "DegenerateBoundaryError",
@@ -137,17 +141,18 @@ def _event_basis(n: int) -> tuple[tuple, tuple, tuple[int, ...]]:
     (``[j][k-1]`` is ``[x**j]`` of each), and ``2**(n-m) * (1-x)**m``."""
     m = n // 2
     sign = -((-1) ** m)
-    rows = []  # (K_k, L_k)
+    k_rows, l_rows = [], []
     for k in range(1, n + 1):
         if n % 2 == 0:
             f = m - k  # sin(f*phi) = sin(phi) * U_{f-1}(x)
-            k_row = Poly() if f == 0 else (1 if f > 0 else -1) * chebyshev_u(abs(f) - 1)
-            rows.append((k_row, sign * chebyshev_t(abs(f))))
+            k_rows.append([(1 if f > 0 else -1) * c for c in SIN_ROWS[abs(f)]])
+            l_rows.append([sign * c for c in COS_ROWS[abs(f)]])
         else:
             j = (abs(n - 2 * k) - 1) // 2  # cos((j+1/2)*phi) = cos(phi/2) * K(x)
-            lower = chebyshev_u(j - 1) if j else Poly()
-            rows.append((chebyshev_u(j) - lower, (sign if n > 2 * k else -sign) * (chebyshev_u(j) + lower)))
-    k_cols, l_cols = (tuple(zip_longest(*(map(int, p.coeffs) for p in ps), fillvalue=0)) for ps in zip(*rows))
+            pairs = list(zip_longest(SIN_ROWS[j + 1], SIN_ROWS[j], fillvalue=0))  # U_j, U_{j-1}
+            k_rows.append([u - lower for u, lower in pairs])
+            l_rows.append([(sign if n > 2 * k else -sign) * (u + lower) for u, lower in pairs])
+    k_cols, l_cols = (tuple(zip_longest(*rows, fillvalue=0)) for rows in (k_rows, l_rows))
     return k_cols, l_cols, tuple(math.comb(m, j) * (-1) ** j * 2 ** (n - m) for j in range(m + 1))
 
 
@@ -163,14 +168,6 @@ def _event_poly(b: tuple[float, ...], n: int) -> tuple[list[int], list[int], lis
     while r and r[-1] == 0:
         r.pop()
     return r, [sum(map(operator.mul, ints, column)) for column in l_cols], [unit * c for c in den]
-
-
-def _div(num: int, den: int) -> float:
-    """``num / den`` correctly rounded, signed infinity past the float range."""
-    try:
-        return num / den
-    except OverflowError:
-        return math.inf if (num > 0) == (den > 0) else -math.inf
 
 
 def _event_roots(c: list[int], num: list[int], den: list[int]) -> list[tuple[float, float, bool]]:
@@ -303,15 +300,15 @@ def crossing_value(b: Sequence[float], n: int, phi: float) -> complex:
     return val
 
 
-# The linear-model witness a = 1 must lie farther than this from both edges.
-EVENT_TOL = 1e-9
-
-
 def _probe(b: tuple[float, ...], n: int, a: float) -> tuple[bool, int | None]:
-    """Stability verdict at one ``a`` and its root count; a marginal probe
-    (a root within ``2**-30`` of the circle) is unstable with no count."""
-    res = count_inside_e1(_char_poly(b, n, a))
-    return res.inside == n, res.inside
+    """Stability verdict at one ``a > 0`` and its root count, from the exact
+    ``F(z; a)``: ``b`` and ``a`` times one power of two are integers, whose
+    count at ``rho = 1`` is exact.  A root on the circle makes the probe
+    unstable with no count."""
+    *ints, a_int = _int_coeffs(b + (a,))
+    coeffs = [a_int] + [a_int * math.comb(n, k) * (-1) ** k + bk for k, bk in enumerate(ints, 1)]
+    inside = _count_exact(coeffs, [1] * (n + 1))
+    return inside == n, inside
 
 
 def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
@@ -320,10 +317,12 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
     Events are the lower bound (when positive) plus every valid zero-point
     candidate (none for a reciprocal-symmetric design, whose event
     polynomial vanishes identically); each open interval between
-    consecutive events is classified at a witness probe.  The linear-model
-    point ``a = 1`` is preferred as the witness whenever it lies inside an
-    interval.  If ``sum(b) <= 0`` the turning point at ``z = 1`` is never
-    positive and every interval is unstable without further search.
+    consecutive events is classified at a witness probe, the exact count
+    of ``F(z; witness)`` inside the unit circle.  The linear-model point
+    ``a = 1`` is the witness whenever it lies inside an interval; an
+    interval between adjacent floats holds no float, and its witness is an
+    edge.  If ``sum(b) <= 0`` the turning point ``F(1) = sum(b)`` is never
+    positive: there is no event search, and the one interval is unstable.
     Raises ``ValueError`` when ``F`` at the witness past the last event
     would leave the float range.
     """
@@ -333,8 +332,7 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
 
     candidates, events = [], []
     # F(1) = sum(b) <= 0 puts a root at or beyond z = 1 for every a: no a is
-    # stable (forced below: the rounded F can count that root inside), and
-    # the one interval, probed at a = 1, needs no events.
+    # stable, and the one interval, probed at a = 1, needs no events.
     if sum_b > 0.0:
         try:
             candidates = _zero_point_candidates(b, n)
@@ -352,17 +350,15 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
     edges = [0.0] + events + [math.inf]
     intervals: list[StabilityInterval] = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        witness = top if math.isinf(hi) else 0.5 * (lo + hi)
+        # Each edge is the float nearest its exact event, so a float strictly
+        # between two edges is strictly inside the exact interval.  Between
+        # adjacent floats the midpoint rounds to an edge; at 0 it takes hi.
         if lo < 1.0 < hi:
-            dist = min(1.0 - lo, (hi - 1.0) if not math.isinf(hi) else math.inf)
-            if dist > EVENT_TOL:
-                witness = 1.0
+            witness = 1.0
+        else:
+            witness = top if math.isinf(hi) else 0.5 * (lo + hi) or hi
         stable, count = _probe(b, n, witness)
-        intervals.append(
-            StabilityInterval(
-                lo=lo, hi=hi, stable=stable and sum_b > 0.0, witness_a=witness, witness_count=count
-            )
-        )
+        intervals.append(StabilityInterval(lo=lo, hi=hi, stable=stable, witness_a=witness, witness_count=count))
     return StabilityReport(
         sum_b=sum_b,
         a_min=a_min,

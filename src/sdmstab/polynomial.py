@@ -1,11 +1,13 @@
-"""Dense real-coefficient polynomial arithmetic, Euclidean remainders,
-Chebyshev trig-to-polynomial conversion, and real-root isolation.
+"""Dense real-coefficient polynomial arithmetic, Euclidean remainders, and
+the exact integer core under root counting and real-root isolation.
 
 Polynomials are stored in ascending powers: ``coeffs[k]`` multiplies ``z**k``.
 Everything here is a pure function on immutable values.  Root counts and
 real-root isolation run on an exact integer core: the float coefficients
-times a power of two are integers, and signed remainder sequences, Sturm
-counts and signs at float points are computed on those in Python ints.
+times a power of two are integers, and the integer Chebyshev rows turn
+unit-circle profiles into integer polynomials in ``x = cos(phi)``; signed
+remainder sequences, Sturm counts, signs at float points and the roots in
+(-1, 1), each the float nearest it, are computed on those in Python ints.
 """
 
 from __future__ import annotations
@@ -13,24 +15,15 @@ from __future__ import annotations
 import math
 import operator
 import struct
-import sys
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-__all__ = [
-    "Poly",
-    "binom_power",
-    "poly_rem",
-    "chebyshev_t",
-    "chebyshev_u",
-    "cheb_expand",
-    "real_roots_open",
-]
+__all__ = ["Poly", "binom_power", "poly_rem"]
 
 # Degree cap for the exact-binomial constructor; analysis never needs more.
 MAX_BINOM_ORDER = 12
 
 # Order cap of the modulators the package analyses (orders 1..5), and so of
-# the trig-to-polynomial conversion; transfer re-exports it.
+# the Chebyshev rows; transfer re-exports it.
 MAX_ORDER = 5
 
 
@@ -148,61 +141,22 @@ def poly_rem(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return Poly(q), Poly(r[:dd])
 
 
-def _cheb_tables(n: int) -> tuple[list[Poly], list[Poly]]:
-    t = [Poly([1.0]), Poly([0.0, 1.0])]
-    u = [Poly([1.0]), Poly([0.0, 2.0])]
-    x2 = Poly([0.0, 2.0])
-    for _ in range(2, n + 1):
-        t.append(x2 * t[-1] - t[-2])
-        u.append(x2 * u[-1] - u[-2])
-    return t, u
+def _chebyshev(first: list[int], second: list[int]) -> list[list[int]]:
+    """Rows ``0..MAX_ORDER`` of ``P_k = 2x*P_(k-1) - P_(k-2)`` from ``P_0``
+    and ``P_1``, as integer coefficient lists in ascending powers."""
+    rows = [first, second]
+    while len(rows) <= MAX_ORDER:
+        row = [0] + [2 * c for c in rows[-1]]
+        for j, c in enumerate(rows[-2]):
+            row[j] -= c
+        rows.append(row)
+    return rows
 
 
-_T_TABLE, _U_TABLE = _cheb_tables(MAX_ORDER)
-
-
-def chebyshev_t(k: int) -> Poly:
-    """First-kind basis polynomial: ``cos(k*phi) = T_k(cos(phi))``."""
-    if not 0 <= k <= MAX_ORDER:
-        raise ValueError(f"k must be in [0, {MAX_ORDER}], got {k}")
-    return _T_TABLE[k]
-
-
-def chebyshev_u(k: int) -> Poly:
-    """Second-kind basis polynomial: ``sin((k+1)*phi) = sin(phi)*U_k(cos(phi))``."""
-    if not 0 <= k <= MAX_ORDER:
-        raise ValueError(f"k must be in [0, {MAX_ORDER}], got {k}")
-    return _U_TABLE[k]
-
-
-def cheb_expand(d: Sequence[float], a: float = 0.0, kind: str = "cosine") -> Poly:
-    """Convert a trigonometric polynomial to an algebraic one in ``x = cos(phi)``.
-
-    ``cosine`` kind returns ``a + sum(d[k-1] * T_k(x))`` — the real part of the
-    unit-circle image.  ``sine`` kind returns ``sum(d[k-1] * U_{k-1}(x))`` — the
-    imaginary part divided by ``sin(phi)``; the offset ``a`` is ignored there.
-    """
-    n = len(d)
-    if not 1 <= n <= MAX_ORDER:
-        raise ValueError(f"need 1..{MAX_ORDER} coefficients, got {n}")
-    if kind == "cosine":
-        acc, basis = [float(a)], _T_TABLE[1 : n + 1]
-    elif kind == "sine":
-        acc, basis = [], _U_TABLE[:n]
-    else:
-        raise ValueError(f"kind must be 'cosine' or 'sine', got {kind!r}")
-    # The same sums in the same order as adding the scaled basis Polys one at
-    # a time (zero terms skipped, trailing zeros dropped), so the result is
-    # bit-identical; padding with -0.0 is exact, as x + -0.0 == x for every x.
-    for dk, tk in zip(d, basis):
-        while acc and acc[-1] == 0.0:
-            acc.pop()
-        dk = float(dk)
-        if dk != 0.0:
-            acc += [-0.0] * (len(tk.coeffs) - len(acc))
-            for j, c in enumerate(tk.coeffs):
-                acc[j] += dk * c
-    return Poly(acc)
+# The Chebyshev basis in x = cos(phi): cos(k*phi) = COS_ROWS[k](x), which is
+# T_k, and sin(k*phi) = sin(phi) * SIN_ROWS[k](x), which is U_(k-1) (0 at k = 0).
+COS_ROWS = _chebyshev([1], [0, 1])
+SIN_ROWS = _chebyshev([], [1])
 
 
 # --- exact integer core -----------------------------------------------------
@@ -212,10 +166,6 @@ def cheb_expand(d: Sequence[float], a: float = 0.0, kind: str = "cosine") -> Pol
 # remainder sequences, Sturm counts and signs at float points are exact in
 # Python ints: no tolerance decides a count.  Integer polynomials are lists
 # in ascending powers.
-
-# Roots this close to an open-interval endpoint are treated as outside.
-BOUNDARY_EXCLUSION = 1e-9
-
 
 def _int_coeffs(coeffs: tuple[float, ...]) -> list[int]:
     """Float coefficients times one common power of two, as ints (exact)."""
@@ -279,14 +229,19 @@ def _sturm(p: list[int], q: list[int]) -> Iterator[list[int]]:
         p, q = q, _primitive(_prem(p, q), -1)
 
 
-def _sign_at(p: list[int], x: float) -> int:
-    """Exact sign of the integer polynomial ``p`` at the float ``x``."""
-    num, den = x.as_integer_ratio()
+def _value(p: list[int], num: int, den: int) -> int:
+    """``den**(len(p) - 1) * p(num/den)`` for ``den > 0``, exact."""
     acc, dpow = 0, 1
-    for c in reversed(p):  # den**deg(p) * p(num/den), den > 0
+    for c in reversed(p):
         acc = acc * num + c * dpow
         dpow *= den
-    return (acc > 0) - (acc < 0)
+    return acc
+
+
+def _sign_at(p: list[int], x: float) -> int:
+    """Exact sign of the integer polynomial ``p`` at the float ``x``."""
+    v = _value(p, *x.as_integer_ratio())
+    return (v > 0) - (v < 0)
 
 
 def _sign_near(p: list[int], x: float, side: int) -> int:
@@ -337,68 +292,71 @@ def _unordered(k: int) -> float:
     return x if k >= 0 else -x
 
 
-def _bisect_simple(q: list[int], ka: int, kb: int) -> float:
-    """The one root of the square-free ``q`` in ``(x_a, x_b]`` (float keys
-    ``ka < kb``), bisected on signs of ``q`` to within one float."""
+def _bisect_simple(q: list[int], ka: int, kb: int) -> int:
+    """Key ``k`` of the float with the one root of the square-free ``q`` in
+    ``(x_a, x_b]`` (float keys ``ka < kb``) in ``(x_(k-1), x_k]``, bisected
+    on signs of ``q``."""
     sa = _sign_near(q, _unordered(ka), 1)
     while kb - ka > 1:
         km = (ka + kb) // 2
         s = _sign_at(q, _unordered(km))
         if s == 0:
-            return _unordered(km)
+            return km
         ka, kb = (km, kb) if s == sa else (ka, km)
-    return _unordered(kb)
+    return kb
 
 
-def real_roots_open(p: Poly, lo: float, hi: float) -> list[float]:
-    """All real roots of ``p`` strictly inside ``(lo, hi)``, sorted ascending.
+def _roots_inside(c: list[int]) -> list[float]:
+    """The real roots of the integer polynomial ``c`` strictly inside
+    (-1, 1), ascending, each the float nearest it (ties to even).
 
-    Roots closer than ``BOUNDARY_EXCLUSION`` to an endpoint are excluded, and
-    near-coincident roots are reported once.  The roots are those of the
-    exact polynomial the float coefficients denote: its square-free part
-    comes from an exact gcd, exact Sturm counts at float points isolate each
-    root, and bisection over the ordered float bit patterns (at most about
-    64 steps) brings it to one float.
+    Its square-free part comes from an exact gcd.  Exact Sturm counts at
+    float points, and just inside -1 and 1, isolate each root between two
+    floats; bisection over the ordered float bit patterns (at most about 64
+    steps) brings it between two adjacent ones, and the count at their
+    midpoint rounds it.
     """
-    if p.is_zero:
-        raise ValueError("cannot isolate roots of the zero polynomial")
-    # An infinite bound acts as the largest float: no float root lies beyond.
-    a = max(lo + BOUNDARY_EXCLUSION, -sys.float_info.max)
-    b = min(hi - BOUNDARY_EXCLUSION, sys.float_info.max)
-    if p.degree < 1 or not a < b:
+    while c and c[-1] == 0:
+        c = c[:-1]
+    if len(c) < 2:
         return []
-    c = _int_coeffs(p.coeffs)
     chain = list(_sturm(c, _derivative(c)))
     if len(chain[-1]) > 1:  # repeated factors: keep the square-free part
         c = _primitive(_pdiv(c, chain[-1]))
         chain = list(_sturm(c, _derivative(c)))
 
-    def var(k: int) -> int:
-        x = _unordered(k)
-        return _sign_changes([_sign_at(s, x) for s in chain])
+    def var(num: int, den: int) -> int:
+        return _sign_changes([_value(s, num, den) for s in chain])
 
+    lo, hi = zip(*map(_end_signs, chain))
     roots: list[float] = []
-    ka, kb = _ordered(a), _ordered(b)
-    stack = [(ka, var(ka), kb, var(kb))]
-    while stack:  # roots in (x_a, x_b] number va - vb
+    stack = [(_ordered(-1.0), _sign_changes(lo), _ordered(1.0), _sign_changes(hi))]
+    # Roots in (x_a, x_b] number va - vb; at x_b = 1, vb is taken just left
+    # of 1, so a root at 1 is not counted.
+    while stack:
         ka, va, kb, vb = stack.pop()
         if va == vb:
             continue
         if va - vb == 1:
-            roots.append(_bisect_simple(c, ka, kb))
-        elif kb - ka == 1:
-            roots.append(_unordered(kb))  # a cluster within one float
-        else:
+            kb = _bisect_simple(c, ka, kb)
+            ka, va = kb - 1, vb + 1
+        elif kb - ka > 1:
             km = (ka + kb) // 2
-            vm = var(km)
+            vm = var(*_unordered(km).as_integer_ratio())
             stack += [(ka, va, km, vm), (km, vm, kb, vb)]
+            continue
+        # Each root in (x_a, x_b] rounds to the nearer end: count those up to
+        # the midpoint, and send one sitting on it to the end with even bits.
+        (na, da), (nb, db) = _unordered(ka).as_integer_ratio(), _unordered(kb).as_integer_ratio()
+        num, den = na * db + nb * da, 2 * da * db
+        below = va - var(num, den) - (kb % 2 == 0 and _value(c, num, den) == 0)
+        roots += [_unordered(ka)] * below + [_unordered(kb)] * (va - vb - below)
+    return sorted(roots)
 
-    roots.sort()
-    out: list[float] = []
-    for x in roots:
-        if out and abs(x - out[-1]) <= 1e-9:
-            continue
-        if x <= a or x >= b:
-            continue
-        out.append(x)
-    return out
+
+def _div(num: int, den: int) -> float:
+    """``num / den`` correctly rounded, signed infinity past the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if (num > 0) == (den > 0) else -math.inf

@@ -15,8 +15,10 @@ degree-dropping remainder to the generic walk, and makes the very same
 integers, so both give the same count.  A count is refused exactly when a
 root lies within ``2**-30`` of the circle, and one radius ``1 -+ 2**-30``
 settles it when it finds every root inside the inner or outside the outer
-circle.  ``characteristic_points`` locates the points themselves, and
-``contour_table`` samples the image for plotting.
+circle; ``boundary`` counts its witness probes at ``rho = 1`` itself.
+``characteristic_points`` locates the points themselves, from the same
+integer profiles with their roots isolated exactly, and ``contour_table``
+samples the image for plotting.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from __future__ import annotations
 import math
 import operator
 
-from .polynomial import MAX_ORDER, Poly, cheb_expand, chebyshev_t, chebyshev_u
-from .polynomial import _cauchy_index, _derivative, _end_signs, _int_coeffs, _primitive
-from .polynomial import real_roots_open
+from .polynomial import COS_ROWS, MAX_ORDER, SIN_ROWS, Poly
+from .polynomial import _cauchy_index, _derivative, _div, _end_signs, _int_coeffs, _primitive
+from .polynomial import _roots_inside, _value
 from .transfer import _check_count, record
 
 __all__ = [
@@ -81,29 +83,36 @@ def _normalized(f: Poly) -> Poly:
     return f if f.leading > 0 else -f
 
 
+def _profiles(coeffs: list[int]) -> tuple[list[int], list[int]]:
+    """``r0`` and ``r1`` of the integer ``(a, d_1, .., d_n)``, ascending in
+    ``x = cos(phi)``: ``W = r0(x) - i*sin(phi)*r1(x)`` on the circle."""
+    t_rows, u_rows, _, _ = _tables(len(coeffs) - 1)
+    return tuple([sum([coeffs[k] * c for k, c in row]) for row in rows] for rows in (t_rows, u_rows))
+
+
 def characteristic_points(f: Poly) -> CharacteristicPoints:
     """Characteristic points of ``W(z) = F(z)/z**n`` on the unit circle.
 
     The polynomial is sign-normalized first (negating ``F`` moves no roots).
     Writing the normalized ``F = a*z**n + sum(d_k * z**(n-k))``, the image is
-    ``W = a + sum(d_k / z**k)``, so on the circle ``Re W`` and
-    ``Im W / sin(phi)`` become polynomials in ``x = cos(phi)`` through the
-    cosine/sine basis conversion; self-intersections are the roots of the
-    sine-kind polynomial strictly inside (-1, 1).
+    ``W = a + sum(d_k / z**k)``, so on the circle ``Re W = r0(x)`` and
+    ``Im W = -sin(phi)*r1(x)`` in ``x = cos(phi)``.  Both are built in
+    integers from the rows ``count_inside_e1`` counts with, at ``rho = 1``;
+    the self-intersections are the roots of ``r1`` strictly inside (-1, 1).
+    ``w_plus``, ``w_minus`` and each ``x`` are the floats nearest the exact
+    values, and each ``re_w`` is the float nearest ``r0`` at that ``x``.
     """
     f = _normalized(f)
-    n = f.degree
-    d = [f.coeffs[n - k] for k in range(1, n + 1)]
-    w_plus = float(f(1.0))
-    w_minus = float(f(-1.0) * (-1.0) ** n)
-    r1 = cheb_expand(d, kind="sine")
-    if r1.is_zero:
-        # W is the constant a: the image is a single point, no crossings.
-        return CharacteristicPoints(w_plus=w_plus, w_minus=w_minus, selfx=())
-    r0 = cheb_expand(d, a=f.leading, kind="cosine")
-    xs = real_roots_open(r1, -1.0, 1.0)
-    selfx = tuple(SelfIntersection(x=x, re_w=float(r0(x))) for x in xs)
-    return CharacteristicPoints(w_plus=w_plus, w_minus=w_minus, selfx=selfx)
+    if f.degree > MAX_ORDER:
+        raise ValueError(f"need degree 1..{MAX_ORDER}, got {f.degree}")
+    *coeffs, unit = _int_coeffs(f.coeffs + (1.0,))  # with 1, times the same 2**S
+    r0, r1 = _profiles(coeffs[::-1])
+    selfx = []
+    for x in _roots_inside(r1):
+        num, den = x.as_integer_ratio()
+        selfx.append(SelfIntersection(x=x, re_w=_div(_value(r0, num, den), den ** (len(r0) - 1) * unit)))
+    return CharacteristicPoints(w_plus=_div(sum(r0), unit), w_minus=_div(sum(r0[::2]) - sum(r0[1::2]), unit),
+                                selfx=tuple(selfx))
 
 
 # Refusal radius: a count is given only when no root lies within 2**-REFUSE_BITS
@@ -120,10 +129,8 @@ def _tables(n: int) -> tuple[list, list, list[int], list[int]]:
     factors scaling those to ``2**(REFUSE_BITS*n) * F(rho*z)`` at the inner
     and the outer radius ``rho = 1 -+ 2**-REFUSE_BITS``."""
     if n not in _TABLES:
-        t = [chebyshev_t(k).coeffs for k in range(n + 1)]
-        u = [()] + [chebyshev_u(k - 1).coeffs for k in range(1, n + 1)]
-        rows = [[[(k, int(p[j])) for k, p in enumerate(basis) if j < len(p) and p[j]]
-                 for j in range(width)] for basis, width in ((t, n + 1), (u, n))]
+        rows = [[[(k, p[j]) for k, p in enumerate(basis[: n + 1]) if j < len(p) and p[j]]
+                 for j in range(width)] for basis, width in ((COS_ROWS, n + 1), (SIN_ROWS, n))]
         one = 1 << REFUSE_BITS
         _TABLES[n] = *rows, *([m ** (n - k) << (REFUSE_BITS * k) for k in range(n + 1)]
                               for m in (one - 1, one + 1))
@@ -244,10 +251,7 @@ def _count_generic(coeffs: list[int], scale: list[int]) -> int | None:
     in (-1, 1) are on the circle).  In the normal case it makes the same
     integers as the kernel."""
     n = len(coeffs) - 1
-    t_rows, u_rows, _, _ = _tables(n)
-    coeffs = list(map(operator.mul, coeffs, scale))
-    r0 = [sum([coeffs[k] * c for k, c in row]) for row in t_rows]
-    r1 = [sum([coeffs[k] * c for k, c in row]) for row in u_rows]
+    r0, r1 = _profiles(list(map(operator.mul, coeffs, scale)))
     while r0[-1] == 0:  # r0 = a when every d_k is 0, else of degree max{k: d_k != 0}
         r0.pop()
     w_plus, w_minus = sum(r0), sum(r0[::2]) - sum(r0[1::2])  # W(1), W(-1)

@@ -4,9 +4,10 @@ boundary events of ``sdmstab``, imported by the tests as ``oracles``.
 The package never calls them.  Each reaches its answer by a different
 route from the production path: companion-matrix roots (``all_roots``,
 ``count_inside_eig``, ``bisect_boundary``), a sampled winding integral
-(``winding_oracle``), a Jury table (``jury_stable``) and a direct scan of
-the crossing parameter (``crossing_param``).  They need numpy; the package
-does not.
+(``winding_oracle``), a Jury table (``jury_stable``), a direct scan of
+the crossing parameter (``crossing_param``) and float unit-circle profiles
+from float Chebyshev polynomials (``cheb_expand``).  They need numpy; the
+package does not.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from sdmstab.boundary import ZeroPointCandidate
-from sdmstab.polynomial import Poly
+from sdmstab.polynomial import MAX_ORDER, Poly
 from sdmstab.transfer import _char_poly, _check_coeffs, _check_result, _check_scalar
 from sdmstab.winding import RootCountResult, _normalized
 
@@ -28,6 +29,7 @@ __all__ = [
     "jury_stable",
     "crossing_param",
     "bisect_boundary",
+    "cheb_expand",
 ]
 
 # Default refusal distance of the eigenvalue oracle ``count_inside_eig``.
@@ -293,3 +295,48 @@ def bisect_boundary(b: Sequence[float], n: int, lo: float, hi: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _cheb_tables(n: int) -> tuple[list[Poly], list[Poly]]:
+    t = [Poly([1.0]), Poly([0.0, 1.0])]
+    u = [Poly([1.0]), Poly([0.0, 2.0])]
+    x2 = Poly([0.0, 2.0])
+    for _ in range(2, n + 1):
+        t.append(x2 * t[-1] - t[-2])
+        u.append(x2 * u[-1] - u[-2])
+    return t, u
+
+
+# T_k and U_k, k = 0..MAX_ORDER, from the float recurrence.
+T_TABLE, U_TABLE = _cheb_tables(MAX_ORDER)
+
+
+def cheb_expand(d: Sequence[float], a: float = 0.0, kind: str = "cosine") -> Poly:
+    """Convert a trigonometric polynomial to an algebraic one in ``x = cos(phi)``.
+
+    ``cosine`` kind returns ``a + sum(d[k-1] * T_k(x))`` — the real part of the
+    unit-circle image.  ``sine`` kind returns ``sum(d[k-1] * U_{k-1}(x))`` — the
+    imaginary part divided by ``sin(phi)``; the offset ``a`` is ignored there.
+    The float reference for the package's integer profiles.
+    """
+    n = len(d)
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"need 1..{MAX_ORDER} coefficients, got {n}")
+    if kind == "cosine":
+        acc, basis = [float(a)], T_TABLE[1 : n + 1]
+    elif kind == "sine":
+        acc, basis = [], U_TABLE[:n]
+    else:
+        raise ValueError(f"kind must be 'cosine' or 'sine', got {kind!r}")
+    # The same sums in the same order as adding the scaled basis Polys one at
+    # a time (zero terms skipped, trailing zeros dropped), so the result is
+    # bit-identical; padding with -0.0 is exact, as x + -0.0 == x for every x.
+    for dk, tk in zip(d, basis):
+        while acc and acc[-1] == 0.0:
+            acc.pop()
+        dk = float(dk)
+        if dk != 0.0:
+            acc += [-0.0] * (len(tk.coeffs) - len(acc))
+            for j, c in enumerate(tk.coeffs):
+                acc[j] += dk * c
+    return Poly(acc)

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from oracles import all_roots, bisect_boundary, winding_oracle
+from oracles import all_roots, bisect_boundary, cheb_expand, winding_oracle
 from sdmstab.boundary import (
     classify_intervals,
     crossing_value,
@@ -17,7 +17,7 @@ from sdmstab.boundary import (
     t2_order5,
     zero_point_candidates,
 )
-from sdmstab.polynomial import Poly, binom_power, cheb_expand, poly_rem
+from sdmstab.polynomial import Poly, binom_power, poly_rem
 from sdmstab.simulator import DcInput, Window, extract_windows, linearized_impulse, run, sweep
 from sdmstab.transfer import DCoeffs, b_from_g, char_poly, g_from_b, ntf_series
 from sdmstab.winding import characteristic_points, count_inside_e1

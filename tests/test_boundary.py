@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sdmstab.boundary as boundary
-from oracles import all_roots, bisect_boundary, crossing_param
+from oracles import T_TABLE, U_TABLE, all_roots, bisect_boundary, cheb_expand, crossing_param
 from sdmstab.boundary import (
     DegenerateBoundaryError,
     classify_intervals,
@@ -18,7 +18,7 @@ from sdmstab.boundary import (
     zero_point_candidates,
 )
 from sdmstab.cli import asdict
-from sdmstab.polynomial import Poly, _int_coeffs, binom_power, cheb_expand, poly_rem
+from sdmstab.polynomial import Poly, _int_coeffs, binom_power, poly_rem
 from sdmstab.transfer import DCoeffs, char_poly, d_coeffs
 from sdmstab.winding import count_inside_e1
 from test_acceptance import stable_b_sample
@@ -406,8 +406,6 @@ class TestZeroPointCandidates:
         # Exact-rational replay of the chain: every reported candidate must
         # have a negligible exact Newton correction on the true terminal
         # equation, whatever the float pipeline's internal conditioning.
-        from sdmstab.polynomial import chebyshev_t, chebyshev_u
-
         def exact_terminal(b, n):
             # polys in x; each coefficient is a list of Fractions in a
             d_lin = [
@@ -430,9 +428,9 @@ class TestZeroPointCandidates:
             r0[0][1] = Fraction(1)
             r1 = [[Fraction(0), Fraction(0)] for _ in range(n)]
             for k in range(1, n + 1):
-                for j, c in enumerate(chebyshev_t(k).coeffs):
+                for j, c in enumerate(T_TABLE[k].coeffs):
                     ap_addto(r0[j], d_lin[k - 1], c)
-                for j, c in enumerate(chebyshev_u(k - 1).coeffs):
+                for j, c in enumerate(U_TABLE[k - 1].coeffs):
                     ap_addto(r1[j], d_lin[k - 1], c)
 
             def trim(el):
@@ -664,7 +662,8 @@ class TestClassifyIntervals:
     def test_nonpositive_sum_is_unstable_even_when_the_probe_rounds_inside(self):
         # fsum(b) == 0 puts an exact root at z = 1, but both roots of the
         # rounded F at a = 1 lie about 3.7e-9 inside the circle, past the
-        # marginal radius, so the probe alone would call it stable.
+        # marginal radius: a count of the rounded F would call it stable.
+        # The probe counts the exact F, whose root on the circle leaves no count.
         v = 2.0**-27 + 2.0**-53 + 2.0**-60
         assert count_inside_e1(char_poly((v, -v), 2, 1.0)).inside == 2
         rep = classify_intervals((v, -v), 2)
@@ -672,8 +671,15 @@ class TestClassifyIntervals:
         assert len(rep.intervals) == 1
         (only,) = rep.intervals
         assert (only.lo, only.hi, only.witness_a) == (0.0, math.inf, 1.0)
-        assert not only.stable
-        assert only.witness_count == 2
+        assert (only.stable, only.witness_count) == (False, None)
+
+    def test_interval_between_adjacent_floats(self):
+        # a_min = 5e-324 leaves (0, 5e-324), which holds no float: the
+        # midpoint rounds to 0, so the witness is the edge 5e-324, where
+        # F = a*(z + 1) has its root on the circle.
+        rep = classify_intervals((1e-323,), 1)
+        assert [(iv.lo, iv.hi, iv.stable, iv.witness_a, iv.witness_count) for iv in rep.intervals] == [
+            (0.0, 5e-324, False, 5e-324, None), (5e-324, math.inf, True, 1.0, 1)]
 
     def test_oracle_driven_classification(self):
         rep = classify_intervals((1.0, 1.0, 1.0), 3)

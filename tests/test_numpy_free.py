@@ -21,7 +21,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 CLI_ARGVS = [
     ["bounds", "--b=3,-3,1"],
     ["bounds", "--b=1,0.5,0.2,0.1,0.05", "--format", "json"],
-    ["bounds", "--b=1e300,-1e300,1e300"],  # a marginal witness probe
+    ["bounds", "--b=1e300,-1e300,1e300"],  # 1e300-sized b: the exact probes count 0 and 1
     ["check", "--b=3,-3,1", "--i-abs=1.5"],
     ["contour", "--b=3,-3,1", "--i-abs=1.5", "--samples", "16"],
     ["from-g", "--g=1,3,3"],

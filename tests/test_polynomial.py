@@ -1,17 +1,20 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import all_roots
+from oracles import T_TABLE, U_TABLE, all_roots, cheb_expand
 from sdmstab.polynomial import (
+    COS_ROWS,
+    MAX_ORDER,
+    SIN_ROWS,
     Poly,
+    _int_coeffs,
+    _roots_inside,
     binom_power,
-    cheb_expand,
-    chebyshev_t,
-    chebyshev_u,
     poly_rem,
-    real_roots_open,
 )
 from sdmstab.transfer import g_from_b
 
@@ -166,43 +169,49 @@ class TestChebExpand:
                 assert abs(r1(x) * math.sin(phi) - sin_sum) <= 1e-10
 
     def test_basis_tables(self):
-        assert chebyshev_t(0) == Poly([1.0])
-        assert chebyshev_u(1) == Poly([0.0, 2.0])
-        with pytest.raises(ValueError):
-            chebyshev_t(6)
+        # The package's integer rows are the float recurrence's, exactly:
+        # COS_ROWS[k] is T_k and SIN_ROWS[k] is U_(k-1), with U_(-1) = 0.
+        assert COS_ROWS[0] == [1] and SIN_ROWS[0] == [] and SIN_ROWS[2] == [0, 2]
+        assert len(COS_ROWS) == len(SIN_ROWS) == MAX_ORDER + 1
+        assert [Poly(row) for row in COS_ROWS] == T_TABLE
+        assert [Poly(row) for row in SIN_ROWS[1:]] == U_TABLE[:MAX_ORDER]
+        assert all(isinstance(c, int) for row in COS_ROWS + SIN_ROWS for c in row)
+
+
+def real_roots_open(p: Poly) -> list[float]:
+    """The package's exact isolation of the roots of ``p`` in (-1, 1)."""
+    return _roots_inside(_int_coeffs(p.coeffs))
 
 
 class TestRealRootsOpen:
+    """The exact isolation of real roots in the open interval (-1, 1)."""
+
     def test_linear(self):
-        assert real_roots_open(Poly([-1.0, 2.0]), -1.0, 1.0) == pytest.approx([0.5])
+        assert real_roots_open(Poly([-1.0, 2.0])) == pytest.approx([0.5])
 
     def test_boundary_root_excluded(self):
-        roots = real_roots_open(Poly([-1.0, 3.0, -2.0]), -1.0, 1.0)
+        roots = real_roots_open(Poly([-1.0, 3.0, -2.0]))
         assert len(roots) == 1
         assert roots[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_no_real_roots(self):
-        assert real_roots_open(Poly([1.0, 0.0, 1.0]), -1.0, 1.0) == []
+        assert real_roots_open(Poly([1.0, 0.0, 1.0])) == []
 
     def test_double_root_found_once(self):
         # (x - 0.375)**2 is exact in floats.  The float square of (x - 0.3)
         # is not a square: its exact roots are the pair 0.3 +- 1.8e-9j.
         p = Poly([-0.375, 1.0]) * Poly([-0.375, 1.0])
-        roots = real_roots_open(p, -1.0, 1.0)
+        roots = real_roots_open(p)
         assert len(roots) == 1
         assert roots[0] == pytest.approx(0.375, abs=1e-7)
-        assert real_roots_open(Poly([-0.3, 1.0]) * Poly([-0.3, 1.0]), -1.0, 1.0) == []
-
-    def test_zero_poly_rejected(self):
-        with pytest.raises(ValueError):
-            real_roots_open(Poly(), -1.0, 1.0)
+        assert real_roots_open(Poly([-0.3, 1.0]) * Poly([-0.3, 1.0])) == []
 
     def test_scale_invariance(self):
         p = Poly([-0.06, 0.1, 0.5, 1.0])  # roots well inside (-1, 1)
-        base = real_roots_open(p, -1.0, 1.0)
+        base = real_roots_open(p)
         assert base  # sanity: it does have interior roots
         for c in (1e-8, 1e8):
-            scaled = real_roots_open(c * p, -1.0, 1.0)
+            scaled = real_roots_open(c * p)
             assert len(scaled) == len(base)
             for a, b in zip(scaled, base):
                 assert abs(a - b) <= 1e-10
@@ -210,23 +219,25 @@ class TestRealRootsOpen:
     def test_close_root_pair_resolved(self):
         sep = 1e-7
         p = Poly([-0.5, 1.0]) * Poly([-(0.5 + sep), 1.0])
-        roots = real_roots_open(p, -1.0, 1.0)
+        roots = real_roots_open(p)
         assert len(roots) == 2
         assert roots[0] == pytest.approx(0.5, abs=1e-9)
         assert roots[1] == pytest.approx(0.5 + sep, abs=1e-9)
 
     def test_triple_root(self):
         lin = Poly([-0.2, 1.0])
-        roots = real_roots_open(lin * lin * lin, -1.0, 1.0)
+        roots = real_roots_open(lin * lin * lin)
         assert len(roots) == 1
         assert roots[0] == pytest.approx(0.2, abs=1e-6)
 
     def test_near_boundary_inclusion(self):
         inside = 1.0 - 1e-6
-        roots = real_roots_open(Poly([-inside, 1.0]), -1.0, 1.0)
+        roots = real_roots_open(Poly([-inside, 1.0]))
         assert roots == pytest.approx([inside])
-        hugging = 1.0 - 1e-10  # inside the exclusion band: treated as outside
-        assert real_roots_open(Poly([-hugging, 1.0]), -1.0, 1.0) == []
+        # No band around the ends: a root is kept up to the last float before 1.
+        for hugging in (1.0 - 1e-10, math.nextafter(1.0, 0.0)):
+            assert real_roots_open(Poly([-hugging, 1.0])) == [hugging]
+            assert real_roots_open(Poly([hugging, 1.0])) == [-hugging]
 
     def test_far_root_does_not_hide_interior_roots(self):
         # A sine-kind profile of an order-5 design whose coefficients span
@@ -235,7 +246,7 @@ class TestRealRootsOpen:
         # unmapped polynomial lost two of the three interior roots.
         p = Poly([8.9e192, -4.4e196, -3.6e193, 8.8e196, -16.0])
         want = [-0.707003409229458, 2.0227271034910457e-4, 0.7072102274281998]  # 40-digit solve
-        assert real_roots_open(p, -1.0, 1.0) == pytest.approx(want, rel=1e-12)
+        assert real_roots_open(p) == pytest.approx(want, rel=1e-12)
 
     def test_interior_roots_next_to_far_roots(self):
         rng = np.random.default_rng(29)
@@ -248,29 +259,19 @@ class TestRealRootsOpen:
                 far = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(6.0, 150.0)
                 # a far real root, or a far conjugate pair +-i*far
                 p = p * (Poly([1.0, -1.0 / far]) if rng.random() < 0.7 else Poly([1.0, 0.0, far**-2]))
-            assert real_roots_open(p, -1.0, 1.0) == pytest.approx(inner, abs=1e-9), p
-
-    def test_far_root_on_an_offset_interval(self):
-        p = Poly([-3.0, 1.0]) * Poly([-4.5, 1.0]) * Poly([1.0, -1e-200])
-        assert real_roots_open(p, 2.0, 5.0) == pytest.approx([3.0, 4.5], rel=1e-14)
-        assert real_roots_open(p, -5.0, -2.0) == []
+            assert real_roots_open(p) == pytest.approx(inner, abs=1e-9), p
 
     def test_root_next_to_a_tiny_root(self):
         # 4x**3 - 2x + 1e-300: the root at +0.7071 was once lost beside the
         # root at 5e-301.
-        roots = real_roots_open(Poly([1e-300, -2.0, 0.0, 4.0]), -1.0, 1.0)
+        roots = real_roots_open(Poly([1e-300, -2.0, 0.0, 4.0]))
         assert roots == pytest.approx([-math.sqrt(0.5), 5e-301, math.sqrt(0.5)], rel=1e-15)
 
     def test_narrow_cluster_resolved(self):
         # The remainder floor of the float Sturm chain once merged this pair.
         p = Poly([-3.41e205, -2.75e88, 2.27e-218, -1.63e-184, 6.78e227])
         want = math.sqrt(3.41e205 / 6.78e227) ** 0.5  # the pair +-(-c0/c4)**(1/4)
-        assert real_roots_open(p, -1.0, 1.0) == pytest.approx([-want, want], rel=1e-12)
-
-    def test_wide_and_infinite_intervals(self):
-        want = [-math.sqrt(2.0), math.sqrt(2.0)]
-        for lo, hi in ((-1e308, 1e308), (-math.inf, math.inf)):
-            assert real_roots_open(Poly([-2.0, 0.0, 1.0]), lo, hi) == pytest.approx(want)
+        assert real_roots_open(p) == pytest.approx([-want, want], rel=1e-12)
 
     def test_residuals_meet_contract(self):
         rng = np.random.default_rng(13)
@@ -278,8 +279,33 @@ class TestRealRootsOpen:
             p = Poly(rng.uniform(-4, 4, int(rng.integers(2, 7))))
             if p.degree < 1:
                 continue
-            for x in real_roots_open(p, -1.0, 1.0):
+            for x in real_roots_open(p):
                 assert abs(p(x)) <= 1e-12 * p.scale_max()
+
+
+    def test_roots_are_the_nearest_floats(self):
+        def value(c, x):
+            return sum(Fraction(k) * x**j for j, k in enumerate(c))
+
+        # Ties between adjacent floats go to the even one, as int / int does:
+        # 0.5 + 2**-54 lies halfway between 0.5 and the float above it.
+        for num in range(2**53 - 4, 2**53 + 5):
+            assert _roots_inside([-num, 2**54]) == [num / 2**54]
+        # Two roots 2**-80 apart, within one float of each other: both are
+        # kept, each rounded on its own.
+        p = 3 * 2**80 // 7
+        assert _roots_inside([p * (p + 1), -(2 * p + 1) * 2**80, 2**160]) == [p / 2**80, (p + 1) / 2**80]
+        # Irrational roots: the exact root lies within half a gap of each float.
+        rng = random.Random(97)
+        checked = 0
+        for _ in range(300):
+            c = [rng.randint(-2**70, 2**70) for _ in range(rng.randint(2, 5))]
+            for x in _roots_inside(c):
+                down, up = (Fraction(math.nextafter(x, t)) for t in (-math.inf, math.inf))
+                lo, hi = (Fraction(x) + down) / 2, (Fraction(x) + up) / 2
+                assert value(c, lo) * value(c, hi) <= 0, (c, x)
+                checked += 1
+        assert checked > 150
 
 
 class TestAllRoots:
@@ -338,7 +364,7 @@ class TestAllRoots:
             expected = sorted(
                 z.real for z in roots if abs(z.imag) <= 1e-9 and abs(z.real) < 1.0
             )
-            got = real_roots_open(p, -1.0, 1.0)
+            got = real_roots_open(p)
             assert len(got) == len(expected)
             for a, b in zip(got, expected):
                 assert abs(a - b) <= 1e-7

@@ -322,24 +322,41 @@ def test_schur_cohn_oracle_matches_root_moduli():
 
 
 def assert_witnesses_exact(b, n):
-    """Every interval's witness verdict agrees with the exact count of the
-    same float polynomial.  A probe the criterion finds marginal (a root
-    within 2**-30 of the circle) must be unstable with no count; a root on
-    the circle (the oracle undecided even at 2**-400) must make the probe
-    marginal."""
+    """Every interval's witness verdict agrees with the exact rational count
+    of the exact ``F(z; witness)``.  A witness count is None only where that
+    ``F`` has a root on the circle: the oracle is undecided at ``rho = 1``
+    (its table singular) and at ``rho = 1 -+ 2**-40`` and ``1 -+ 2**-400``.
+    Returns how many witness counts are None."""
     rep = boundary.classify_intervals(b, n)
     assert rep.intervals
     assert all(math.isfinite(c.a) and math.isfinite(c.x) for c in rep.candidates)
     for iv in rep.intervals:
-        f = transfer._char_poly(b, n, iv.witness_a)  # the polynomial the probe counts
-        want = schur_cohn_inside(f.coeffs)
-        if want is None:
-            want = schur_cohn_inside(f.coeffs, Fraction(1, 2**400))
-        if count_inside_e1(f).marginal:
-            assert not iv.stable and iv.witness_count is None, (b, n, iv)
+        f = exact_f(b, n, iv.witness_a)
+        for eps in (0, Fraction(1, 2**40), Fraction(1, 2**400)):
+            want = schur_cohn_inside(f, eps)
+            if want is not None:
+                break
+        assert (iv.witness_count, iv.stable) == (want, want == n), (b, n, iv, want)
+    return sum(iv.witness_count is None for iv in rep.intervals)
+
+
+@pytest.mark.parametrize("kind", ["ordinary", "log-uniform", "small-integer"])
+def test_witness_counts_match_exact_count(kind):
+    # Half linear-stable and half uniform designs, magnitudes log-uniform
+    # over 1e+-6, and b_k in -3..3, whose reciprocal designs pin a root to
+    # the circle for every a.
+    rng = random.Random(29)
+    nones = 0
+    for i in range(300):
+        n = rng.randint(1, 5)
+        if kind == "ordinary":
+            b = stable_b_sample(rng, n) if i % 2 else tuple(rng.uniform(-4.0, 4.0) for _ in range(n))
+        elif kind == "log-uniform":
+            b = tuple(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6, 6) for _ in range(n))
         else:
-            assert want is not None, (b, n, iv)
-            assert (iv.witness_count, iv.stable) == (want, want == n), (b, n, iv, want)
+            b = tuple(float(rng.randint(-3, 3)) for _ in range(n))
+        nones += assert_witnesses_exact(b, n)
+    assert (nones > 0) == (kind == "small-integer")
 
 
 def exact_f(b, n, a):

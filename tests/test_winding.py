@@ -8,7 +8,7 @@ import pytest
 
 import sdmstab.winding as winding
 from oracles import all_roots, count_inside_eig, jury_stable, winding_oracle
-from sdmstab.polynomial import BOUNDARY_EXCLUSION, Poly, _int_coeffs
+from sdmstab.polynomial import Poly, _int_coeffs
 from sdmstab.transfer import char_poly
 from sdmstab.winding import characteristic_points, contour_table, count_inside_e1
 from test_acceptance import stable_b_sample
@@ -173,14 +173,15 @@ class TestCountInsideE1:
             count_inside_e1(Poly([1.0] * 7))
 
     @pytest.mark.parametrize("edge", [1.0, -1.0])
-    @pytest.mark.parametrize("offset", [0.0, 0.5 * BOUNDARY_EXCLUSION])
+    @pytest.mark.parametrize("offset", [0.0, 5e-10])
     def test_sine_root_next_to_turning_point(self, edge, offset):
-        # r1 = d1 + 2*x has its root at x = edge -+ offset, too close to the
-        # turning point to be isolated; W(edge) = -0.5 sits beside it.
+        # r1 = d1 + 2*x has its root at x = edge -+ offset, next to the
+        # turning point, where W(edge) = -0.5: a root at the turning point
+        # is no self-intersection, and one 5e-10 inside it is.
         x_root = edge - math.copysign(offset, edge)
         f = Poly([1.0, -2.0 * x_root, 0.5])
         cp = characteristic_points(f)
-        assert cp.selfx == ()
+        assert [pt.x for pt in cp.selfx] == ([x_root] if offset else [])
         assert (cp.w_plus if edge > 0 else cp.w_minus) < 0.0
         res = count_inside_e1(f)
         assert not res.marginal
@@ -279,6 +280,51 @@ def _radius_args(f):
     coeffs = _int_coeffs(f.coeffs)[::-1]
     _, _, inner, outer = winding._tables(f.degree)
     return [(coeffs, scale) for scale in (inner, outer, [1] * len(coeffs))]
+
+
+def _log_uniform_corpus():
+    """Seeded designs of orders 1-5 with ``b_k`` and ``a`` log-uniform over
+    1e+-6."""
+    rng = random.Random(67)
+    for _ in range(1500):
+        n = rng.randint(1, 5)
+        b = tuple(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6, 6) for _ in range(n))
+        yield char_poly(b, n, 10.0 ** rng.uniform(-6, 6))
+
+
+CORPORA = {"ordinary": _one_radius_corpus, "log-uniform": _log_uniform_corpus,
+           "small-integer": _small_integer_corpus}
+
+
+@pytest.mark.parametrize("corpus", CORPORA.values(), ids=CORPORA.keys())
+def test_printed_points_give_the_count(corpus):
+    # The count follows from what check prints: w is the sum over the
+    # self-intersections with re_w < 0 of s_left - s_right, plus s_m if
+    # W(1) < 0 and -s_0 if W(-1) < 0, where s_0 .. s_m are the signs of
+    # r1 = -Im W / sin(phi) on the gaps between the points, from left to
+    # right, each read in Fractions at its gap's midpoint.
+    counted = 0
+    for f in corpus():
+        res = count_inside_e1(f)
+        if res.marginal:
+            continue
+        cp = characteristic_points(f)
+        lead, *d = map(Fraction, winding._normalized(f).coeffs[::-1])
+
+        def r1_sign(x):
+            u, u_prev, acc = Fraction(1), Fraction(0), Fraction(0)  # U_0, U_-1
+            for dk in d:
+                acc += dk * u
+                u, u_prev = 2 * x * u - u_prev, u
+            return (acc > 0) - (acc < 0)
+
+        edges = [Fraction(-1), *(Fraction(pt.x) for pt in cp.selfx), Fraction(1)]
+        s = [r1_sign((lo + hi) / 2) for lo, hi in zip(edges, edges[1:])]
+        w = sum(s[i] - s[i + 1] for i, pt in enumerate(cp.selfx) if pt.re_w < 0)
+        w += (s[-1] if cp.w_plus < 0 else 0) - (s[0] if cp.w_minus < 0 else 0)
+        assert f.degree + w == res.inside, (f, cp, s)
+        counted += 1
+    assert counted > 1000
 
 
 class TestKernel:
