@@ -20,8 +20,6 @@ __version__ = "0.1.0"
 # Exported name -> the submodule that defines it.
 _EXPORTS = {
     "Poly": "polynomial",
-    "binom_power": "polynomial",
-    "poly_rem": "polynomial",
     "DCoeffs": "transfer",
     "SdmDesign": "transfer",
     "b_from_g": "transfer",

@@ -24,9 +24,8 @@ import operator
 from itertools import zip_longest
 from typing import Sequence
 
-from .polynomial import COS_ROWS, MAX_ORDER, SIN_ROWS, Poly, _div, _int_coeffs, _prem
-from .transfer import DCoeffs, record
-from .transfer import _SHIFTED, _check_coeffs, _check_result, _check_scalar
+from .polynomial import COS_ROWS, MAX_ORDER, SHIFTED_ROWS, SIN_ROWS, Poly, _div, _int_coeffs, _prem
+from .transfer import DCoeffs, _check_coeffs, _check_result, _check_scalar, record
 from .winding import _count_exact
 
 __all__ = [
@@ -249,22 +248,24 @@ def i_max_order3(b: Sequence[float]) -> tuple[float, bool]:
 
     The flag reports whether the recovered crossing location
     ``x = -(b2 + 2a) / (2*(b3 - a))`` is a genuine interior self-intersection
-    (``|x| < 1`` and ``b3 != a``).  Raises on a zero denominator and when
-    the boundary overflows the float range.
+    (``|x| < 1`` and ``b3 != a``).  Both are exact: with ``b`` scaled to
+    integers by one power of two, ``a`` and ``x`` are ratios of integers,
+    each the float nearest it, and the flag compares the integers.  Raises
+    on a zero denominator and when the exact ``a`` or ``x`` leaves the
+    float range.
     """
-    b = _check_coeffs(b, "b", 3)
-    s = math.fsum(b)
-    if s == 0.0:
+    *ints, unit = _int_coeffs(_check_coeffs(b, "b", 3) + (1.0,))  # b and 1 times the same 2**S
+    b1, b2, b3 = ints
+    s = b1 + b2 + b3
+    if not s:
         raise ValueError("b1 + b2 + b3 must be nonzero")
-    try:
-        a = (b[0] * b[2] - b[2] ** 2) / s
-    except OverflowError:
-        a = math.inf
-    if b[2] == a:
+    num = b3 * (b1 - b3)  # a = num / (unit * s)
+    a = _div(num, unit * s) + 0.0  # +0.0, not -0.0
+    top, bottom = -(b2 * s + 2 * num), 2 * b3 * (b2 + 2 * b3)  # x = top / bottom
+    if not bottom:  # b3 == a
         return a, False
-    x = -(b[1] + 2.0 * a) / (2.0 * (b[2] - a))
-    _check_result((a, x), "the order-3 boundary")
-    return a, abs(x) < 1.0
+    _check_result((a, _div(top, bottom)), "the order-3 boundary")
+    return a, abs(top) < abs(bottom)
 
 
 def t2_order5(d: DCoeffs) -> Poly:
@@ -306,7 +307,7 @@ def _probe(b: tuple[float, ...], n: int, a: float) -> tuple[bool, int | None]:
     count at ``rho = 1`` is exact.  A root on the circle makes the probe
     unstable with no count."""
     *ints, a_int = _int_coeffs(b + (a,))
-    coeffs = [a_int] + [a_int * math.comb(n, k) * (-1) ** k + bk for k, bk in enumerate(ints, 1)]
+    coeffs = [a_int] + [a_int * c + bk for c, bk in zip(SHIFTED_ROWS[n][-2::-1], ints)]
     inside = _count_exact(coeffs, [1] * (n + 1))
     return inside == n, inside
 
@@ -345,7 +346,7 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
     # The witness past the last event is the largest: refuse here, before
     # any probe, when F at it leaves the float range.
     top = 10.0 * events[-1] + 1.0 if events else 1.0
-    _check_result([top * c + d for c, d in zip(_SHIFTED[n], b[::-1])], "the stability boundary")
+    _check_result([top * c + d for c, d in zip(SHIFTED_ROWS[n], b[::-1])], "the stability boundary")
 
     edges = [0.0] + events + [math.inf]
     intervals: list[StabilityInterval] = []

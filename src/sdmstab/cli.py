@@ -165,20 +165,19 @@ def execute(cfg: RunConfig) -> tuple[Report, int]:
         from .boundary import classify_intervals
 
         payload: object = classify_intervals(design.b, design.n)
-    elif cfg.command == "check":
-        from .winding import characteristic_points, count_inside_e1
+    elif cfg.command in ("check", "contour"):
+        from .winding import characteristic_points, contour_table, count_inside_e1
 
         inputs["i_abs"] = cfg.i_abs
         f = char_poly(design.b, design.n, cfg.i_abs)
-        payload = replace(count_inside_e1(f), points=characteristic_points(f))
-        if payload.marginal:
-            code = 1
-    elif cfg.command == "contour":
-        from .winding import contour_table
-
-        inputs["i_abs"] = cfg.i_abs
-        inputs["samples"] = cfg.samples
-        payload = contour_table(char_poly(design.b, design.n, cfg.i_abs), cfg.samples)
+        if f.degree < 1:  # only at i_abs = 0, where F is D
+            raise ValueError("F(z; 0) = D(z) is constant for this design: give --i-abs > 0")
+        if cfg.command == "check":
+            payload = replace(count_inside_e1(f), points=characteristic_points(f))
+            code = int(payload.marginal)
+        else:
+            inputs["samples"] = cfg.samples
+            payload = contour_table(f, cfg.samples)
     elif cfg.command == "from-g":
         payload = {
             "n": design.n,

@@ -1,8 +1,11 @@
-"""Dense real-coefficient polynomial arithmetic, Euclidean remainders, and
-the exact integer core under root counting and real-root isolation.
+"""The ``Poly`` value type, the integer tables of the package, and the
+exact integer core under root counting and real-root isolation.
 
 Polynomials are stored in ascending powers: ``coeffs[k]`` multiplies ``z**k``.
-Everything here is a pure function on immutable values.  Root counts and
+``Poly`` is the value the public API passes around: validated on
+construction and evaluated, with no arithmetic of its own.  The integer
+rows of ``(z - 1)**n`` and of the Chebyshev polynomials are the only
+polynomial tables; everything here is a pure function.  Root counts and
 real-root isolation run on an exact integer core: the float coefficients
 times a power of two are integers, and the integer Chebyshev rows turn
 unit-circle profiles into integer polynomials in ``x = cos(phi)``; signed
@@ -17,13 +20,10 @@ import operator
 import struct
 from typing import Iterable, Iterator
 
-__all__ = ["Poly", "binom_power", "poly_rem"]
-
-# Degree cap for the exact-binomial constructor; analysis never needs more.
-MAX_BINOM_ORDER = 12
+__all__ = ["Poly"]
 
 # Order cap of the modulators the package analyses (orders 1..5), and so of
-# the Chebyshev rows; transfer re-exports it.
+# the integer tables; transfer re-exports it.
 MAX_ORDER = 5
 
 
@@ -58,10 +58,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def scale_max(self) -> float:
-        """Largest coefficient magnitude (0 for the zero polynomial)."""
-        return max((abs(c) for c in self.coeffs), default=0.0)
-
     def __call__(self, z):
         """Horner evaluation at a real or complex point."""
         acc = 0.0
@@ -75,70 +71,8 @@ class Poly:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __neg__(self) -> "Poly":
-        return Poly(-c for c in self.coeffs)
-
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return Poly(out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            if self.is_zero or other.is_zero:
-                return Poly()
-            out = [0.0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0.0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly(out)
-        return Poly(float(other) * c for c in self.coeffs)
-
-    __rmul__ = __mul__
-
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)})"
-
-
-def binom_power(n: int, r: float = 1.0) -> Poly:
-    """Expand ``(z - r)**n`` with exact binomial coefficients, 0 <= n <= 12."""
-    if not 0 <= n <= MAX_BINOM_ORDER:
-        raise ValueError(f"order must be in [0, {MAX_BINOM_ORDER}], got {n}")
-    return Poly(math.comb(n, k) * (-r) ** (n - k) for k in range(n + 1))
-
-
-def poly_rem(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Euclidean division ``num = q*den + r`` with ``deg r < deg den``.
-
-    Returns ``(quotient, remainder)``.  Raises ``ValueError`` for an
-    identically-zero divisor.
-    """
-    if den.is_zero:
-        raise ValueError("division by the zero polynomial")
-    dn, dd = num.degree, den.degree
-    if dn < dd:
-        return Poly(), num
-    r = list(num.coeffs)
-    q = [0.0] * (dn - dd + 1)
-    lead = den.leading
-    dc = den.coeffs
-    for i in range(dn - dd, -1, -1):
-        c = r[i + dd] / lead
-        q[i] = c
-        if c != 0.0:
-            for j in range(dd):
-                r[i + j] -= c * dc[j]
-        r[i + dd] = 0.0
-    return Poly(q), Poly(r[:dd])
 
 
 def _chebyshev(first: list[int], second: list[int]) -> list[list[int]]:
@@ -157,6 +91,10 @@ def _chebyshev(first: list[int], second: list[int]) -> list[list[int]]:
 # T_k, and sin(k*phi) = sin(phi) * SIN_ROWS[k](x), which is U_(k-1) (0 at k = 0).
 COS_ROWS = _chebyshev([1], [0, 1])
 SIN_ROWS = _chebyshev([], [1])
+
+# (z - 1)**n = sum(SHIFTED_ROWS[n][k] * z**k), n = 0..MAX_ORDER: the binomials
+# C(n, k) * (-1)**(n - k), exact integers.
+SHIFTED_ROWS = [[math.comb(n, k) * (-1) ** (n - k) for k in range(n + 1)] for n in range(MAX_ORDER + 1)]
 
 
 # --- exact integer core -----------------------------------------------------

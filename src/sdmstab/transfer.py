@@ -14,7 +14,7 @@ import math
 import operator
 from typing import Sequence
 
-from .polynomial import MAX_ORDER, Poly, binom_power, poly_rem
+from .polynomial import MAX_ORDER, SHIFTED_ROWS, Poly
 
 __all__ = [
     "MAX_ORDER",
@@ -147,36 +147,33 @@ def b_from_g(g: Sequence[float]) -> tuple[float, ...]:
     """Feedback-difference coefficients for cascade coefficients ``g``.
 
     The cascade of n delaying integrators with quantizer feedback ``g[j]``
-    into stage j+1 yields ``D(z) = sum_j g[j] * (z-1)**j``; the result is
-    returned with ``b[k-1]`` multiplying ``z**(n-k)``, zero-padded when the
-    degree drops.  Raises ``ValueError``, naming ``g``, when a derived
-    coefficient passes the input cap.
+    into stage j+1 yields ``D(z) = sum_j g[j] * (z-1)**j``, summed here row
+    by row of ``SHIFTED_ROWS``; the result is returned with ``b[k-1]``
+    multiplying ``z**(n-k)``, zero when the degree drops.  Raises
+    ``ValueError``, naming ``g``, when a derived coefficient passes the
+    input cap.
     """
     g = _check_coeffs(g, "g")
-    n = len(g)
-    d = Poly()
-    for j, gj in enumerate(g):
-        d = d + gj * binom_power(j, 1.0)
-    asc = list(d.coeffs) + [0.0] * (n - len(d.coeffs))
-    return _check_coeffs([asc[n - k] for k in range(1, n + 1)], "the b derived from g")
+    d = [0.0] * len(g)  # ascending
+    for gj, row in zip(g, SHIFTED_ROWS):
+        for k, c in enumerate(row):
+            d[k] += gj * c
+    return _check_coeffs(d[::-1], "the b derived from g")
 
 
 def g_from_b(b: Sequence[float]) -> tuple[float, ...]:
     """Invert :func:`b_from_g`: expand ``D(z)`` in powers of ``(z - 1)``.
 
-    Repeated synthetic division by ``(z - 1)`` peels off one cascade
-    coefficient per step.
+    Synthetic division by ``(z - 1)`` in place on the descending ``b``
+    peels off one cascade coefficient per step, the remainder; a zero one
+    is ``+0.0``.
     """
-    b = _check_coeffs(b, "b")
-    n = len(b)
-    d_poly = _char_poly(b, n, 0.0)
-    shift = Poly([-1.0, 1.0])
-    out = []
-    for _ in range(n):
-        q, r = poly_rem(d_poly, shift)
-        out.append(r.coeffs[0] if not r.is_zero else 0.0)
-        d_poly = q
-    return tuple(out)
+    d, g = list(_check_coeffs(b, "b")), []
+    while d:
+        for i in range(1, len(d)):
+            d[i] += d[i - 1]
+        g.append(d.pop() + 0.0)
+    return tuple(g)
 
 
 def char_poly(b: Sequence[float], n: int, a: float) -> Poly:
@@ -189,15 +186,12 @@ def char_poly(b: Sequence[float], n: int, a: float) -> Poly:
     return _char_poly(b, n, _check_scalar(a, "the integrator magnitude a", nonnegative=True))
 
 
-_SHIFTED = [binom_power(n, 1.0).coeffs for n in range(MAX_ORDER + 1)]  # (z - 1)**n
-
-
 def _char_poly(b: tuple[float, ...], n: int, a: float) -> Poly:
     """:func:`char_poly` for an already checked ``b``; ``a`` may exceed the cap.
-    Bit for bit the Poly sum ``a*(z-1)**n + D(z)``: that adds D's zeros to
-    nonzero terms, and at ``a = 0`` the signed zeros of ``b`` stay."""
+    Each coefficient is ``a*C(n,k)*(-1)**(n-k) + D_k``; at ``a = 0`` it is
+    ``D`` itself, so the signed zeros of ``b`` stay."""
     d = b[::-1]
-    return Poly([a * c + dk for c, dk in zip(_SHIFTED[n], d)] + [a]) if a else Poly(d)
+    return Poly([a * c + dk for c, dk in zip(SHIFTED_ROWS[n], d)] + [a]) if a else Poly(d)
 
 
 @record
@@ -220,7 +214,7 @@ def d_coeffs(b: Sequence[float], n: int, a: float) -> DCoeffs:
     """
     b = _check_coeffs(b, "b", n)
     a = _check_scalar(a, "the integrator magnitude a", nonnegative=True)
-    d = tuple(b[k - 1] + math.comb(n, k) * (-1.0) ** k * a for k in range(1, n + 1))
+    d = tuple(bk + c * a for bk, c in zip(b, SHIFTED_ROWS[n][-2::-1]))
     return DCoeffs(d=d, a=a)
 
 
@@ -256,10 +250,10 @@ def ntf_series(b: Sequence[float], n: int, terms: int) -> list[float]:
     b = _check_coeffs(b, "b", n)
     terms = _check_count(terms, "terms")
     beta = _char_poly(b, n, 1.0).coeffs[::-1]  # descending powers, beta[0] = 1
-    cdesc = _SHIFTED[n][::-1]
+    cdesc = SHIFTED_ROWS[n][::-1]
     h = [0.0] * terms
     for m in range(terms):
-        acc = cdesc[m] if m < len(cdesc) else 0.0
+        acc = float(cdesc[m]) if m < len(cdesc) else 0.0
         for i in range(1, min(m, n) + 1):
             acc -= beta[i] * h[m - i]
         h[m] = acc

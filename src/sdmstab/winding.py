@@ -80,7 +80,7 @@ class RootCountResult:
 def _normalized(f: Poly) -> Poly:
     if f.is_zero or f.degree < 1:
         raise ValueError("need a polynomial of degree >= 1")
-    return f if f.leading > 0 else -f
+    return f if f.leading > 0 else Poly(-c for c in f.coeffs)
 
 
 def _profiles(coeffs: list[int]) -> tuple[list[int], list[int]]:

@@ -16,6 +16,7 @@ import math
 from typing import Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from sdmstab.boundary import ZeroPointCandidate
 from sdmstab.polynomial import MAX_ORDER, Poly
@@ -104,7 +105,7 @@ def winding_oracle(f: Poly, samples: int = 4096) -> int:
     n = f.degree
     # A positive scale leaves the winding unchanged and keeps the sampled
     # products of W values from overflowing on huge coefficients.
-    s = f.scale_max()
+    s = max(map(abs, f.coeffs))
     f = Poly(c / s for c in f.coeffs)
     m = max(16, int(samples))
     z = _unit_circle(m)
@@ -168,7 +169,8 @@ def jury_stable(f: Poly) -> str:
     """
     f = _normalized(f)
     n = f.degree
-    c = [x / f.scale_max() for x in f.coeffs]
+    s = max(map(abs, f.coeffs))
+    c = [x / s for x in f.coeffs]
     tol = 1e-10
 
     f1 = sum(c)
@@ -298,13 +300,12 @@ def bisect_boundary(b: Sequence[float], n: int, lo: float, hi: float) -> float:
 
 
 def _cheb_tables(n: int) -> tuple[list[Poly], list[Poly]]:
-    t = [Poly([1.0]), Poly([0.0, 1.0])]
-    u = [Poly([1.0]), Poly([0.0, 2.0])]
-    x2 = Poly([0.0, 2.0])
+    t = [[1.0], [0.0, 1.0]]
+    u = [[1.0], [0.0, 2.0]]
     for _ in range(2, n + 1):
-        t.append(x2 * t[-1] - t[-2])
-        u.append(x2 * u[-1] - u[-2])
-    return t, u
+        for rows in (t, u):
+            rows.append(P.polysub(P.polymulx(2.0 * np.asarray(rows[-1])), rows[-2]) + 0.0)  # no -0.0
+    return [Poly(c) for c in t], [Poly(c) for c in u]
 
 
 # T_k and U_k, k = 0..MAX_ORDER, from the float recurrence.

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 import sdmstab.boundary as boundary
 from oracles import T_TABLE, U_TABLE, all_roots, bisect_boundary, cheb_expand, crossing_param
@@ -18,7 +19,7 @@ from sdmstab.boundary import (
     zero_point_candidates,
 )
 from sdmstab.cli import asdict
-from sdmstab.polynomial import Poly, _int_coeffs, binom_power, poly_rem
+from sdmstab.polynomial import SHIFTED_ROWS, Poly, _int_coeffs
 from sdmstab.transfer import DCoeffs, char_poly, d_coeffs
 from sdmstab.winding import count_inside_e1
 from test_acceptance import stable_b_sample
@@ -230,12 +231,12 @@ class TestZeroPointCandidates:
             for _ in range(20):
                 b = tuple(rng.uniform(-4, 4, n))
                 p0, p1 = cheb_expand(b), cheb_expand(b, kind="sine")
-                eliminant = (p0 * q1 - p1 * q0).coeffs
+                eliminant = P.polysub(P.polymul(p0.coeffs, q1.coeffs), P.polymul(p1.coeffs, q0.coeffs))
                 event, num, den = _event_poly(b, n)
                 exact = _exact_event_poly(b, n)
                 assert len(event) == len(exact)
                 assert all(r * exact[-1] == e * event[-1] for r, e in zip(event, exact))
-                deflated = (Poly(map(float, event)) * binom_power(n // 2)).coeffs
+                deflated = P.polymul(list(map(float, event)), SHIFTED_ROWS[n // 2])
                 e, r = np.zeros(2 * n), np.zeros(2 * n)
                 e[: len(eliminant)], r[: len(deflated)] = eliminant, deflated
                 c = float(e @ r / (r @ r))
@@ -541,6 +542,40 @@ class TestIMaxOrder3:
         with pytest.raises(ValueError):
             i_max_order3((1.0, -2.0, 1.0))
 
+    @pytest.mark.parametrize("b, want", [
+        ((2.13563380706334, -1.0488567696704658, 0.5244283848352334), True),  # x = -0.536
+        ((-1.8509460352747888, -0.7337483870905733, 0.3668741935452866), False),  # x = 4.02
+        ((1e300, 1.0, 1e10), False),  # a = 1e10, x = -5e289: no overflow
+        ((1e300, 1.0, 1e300), True),  # a = 0, x = -5e-301
+    ])
+    def test_float_rounding_decides_nothing(self, b, want):
+        # The float closed form once got each of these wrong, or refused it.
+        (c,) = zero_point_candidates(b, 3)
+        assert i_max_order3(b) == (c.a, want) and c.valid == want
+
+    def test_equals_the_order3_candidate(self):
+        # At order 3 the event polynomial is linear, so the one candidate is
+        # exact; so is the closed form, which must give the same floats.  At
+        # b2 = -2*b3 exactly its x is 0/0 and it says invalid: not drawn here.
+        def corpus():
+            rng = random.Random(61)
+            for _ in range(1000):
+                yield tuple(rng.uniform(-4.0, 4.0) for _ in range(3))
+                b3 = rng.uniform(-4.0, 4.0)  # b2 next to -2*b3, where b3 - a nearly cancels
+                yield rng.uniform(-4.0, 4.0), -2.0 * b3 * (1.0 + rng.choice((-1, 1)) * rng.randint(1, 4) * 2.0**-52), b3
+                yield tuple(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0) for _ in range(3))
+
+        checked = 0
+        for b in corpus():
+            try:
+                cands = zero_point_candidates(b, 3)
+            except DegenerateBoundaryError:
+                continue
+            for c in cands:
+                assert repr(i_max_order3(b)) == repr((c.a, c.valid)), b
+                checked += 1
+        assert checked > 1200
+
     def test_matches_bisection_on_random_designs(self):
         rng = np.random.default_rng(53)
         checked = 0
@@ -583,11 +618,10 @@ class TestT2Order5:
             a = float(rng.uniform(0, 4))
             r0 = cheb_expand(d, a, "cosine")
             r1 = cheb_expand(d, kind="sine")
-            _, rem = poly_rem(r0, r1)
-            expect = Poly([a]) - t2_order5(DCoeffs(d=d, a=a))
-            scale = max(expect.scale_max(), 1e-30)
-            diff = rem - expect
-            assert diff.scale_max() <= 1e-9 * scale
+            _, rem = P.polydiv(r0.coeffs, r1.coeffs)
+            expect = P.polysub([a], t2_order5(DCoeffs(d=d, a=a)).coeffs)
+            scale = max(np.abs(expect).max(), 1e-30)
+            assert np.abs(P.polysub(rem, expect)).max() <= 1e-9 * scale
 
 
 class TestCrossingParam:

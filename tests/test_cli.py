@@ -296,6 +296,13 @@ class TestMain:
         assert out == ""
         assert err == "error: the stability boundary overflows the float range for this input\n"
 
+    @pytest.mark.parametrize("argv", [["check", "--b=1"], ["check", "--b=0,1"], ["contour", "--b=1"]],
+                             ids=lambda a: "-".join(a))
+    def test_constant_design_at_zero_magnitude_exits_2(self, argv, capsys):
+        # F(z; 0) = D(z) has degree 0 here: the message names it, not a polynomial never given.
+        assert main([*argv, "--i-abs=0"]) == 2
+        assert capsys.readouterr() == ("", "error: F(z; 0) = D(z) is constant for this design: give --i-abs > 0\n")
+
     @pytest.mark.parametrize("argv", [["simulate", "--samples=10"], ["from-g"]], ids=lambda a: a[0])
     def test_b_derived_from_g_past_the_cap_names_g(self, argv, capsys):
         # Each g_k is in range, but D(z) = sum g_k*(z-1)**k has a coefficient -5e300.

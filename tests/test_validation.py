@@ -192,7 +192,7 @@ def test_cli_commands(command, kind, design, x, y, trace):
 REGRESSIONS = {
     "i_min-nan": lambda: boundary.i_min((nan, 1.0, 1.0), 3),
     "i_max_order3-nan": lambda: boundary.i_max_order3((nan, 1.0, 1.0)),
-    "i_max_order3-overflow": lambda: boundary.i_max_order3((1e300, 1.0, 1e300)),
+    "i_max_order3-overflow": lambda: boundary.i_max_order3((-1e300, 1e-300, 1e300)),  # a ~ -2e900
     "crossing_value-nan-phi": lambda: boundary.crossing_value((1.0, 1.0), 2, nan),
     "crossing_value-nan-b": lambda: boundary.crossing_value((nan, 1.0), 2, 1.0),
     "crossing_value-at-z=1": lambda: boundary.crossing_value((1.0,), 1, 0.0),
