@@ -11,8 +11,10 @@ of degree at most two and exact in integers; its real roots, with the ``a``
 of each from a closed form in the same integers, each the float nearest
 it, are the interior boundary events.  Each interval between events takes
 the verdict of one witness ``a`` inside it, from the exact root count of
-``F(z; a)`` on the unit circle: ``b`` and ``a`` scaled to integers, counted
-by ``winding``'s integer rows at ``rho = 1``.  The tests cross-check the
+``F(z; a)`` on the unit circle, counted by ``winding``'s integer rows at
+``rho = 1``: ``b`` is scaled to integers by one power of two once per
+design, for the event polynomial and every witness, and each witness ``a``
+joins that scaling.  The tests cross-check the
 events with a direct crossing-parameter scan and eigenvalue bisection, and
 the verdicts with exact rational counts.
 """
@@ -24,7 +26,7 @@ import operator
 from itertools import zip_longest
 from typing import Sequence
 
-from .polynomial import COS_ROWS, MAX_ORDER, SHIFTED_ROWS, SIN_ROWS, Poly, _div, _int_coeffs, _prem
+from .polynomial import COS_ROWS, MAX_ORDER, SHIFTED_ROWS, SIN_ROWS, Poly, _div, _prem, _scaled
 from .transfer import DCoeffs, _check_coeffs, _check_result, _check_scalar, record
 from .winding import _count_exact
 
@@ -114,8 +116,8 @@ def _i_min(b: tuple[float, ...], n: int) -> float:
 # the deflated event polynomial ``R = sum_k b_k * K_k(x)``, of degree at
 # most ``(n-1)//2``, with ``E = c_n * (1-x)**(n//2) * R``.  Each ``K_k`` is
 # ``+-U_j`` (even n) or ``U_j - U_{j-1}`` (odd n), with integer coefficients,
-# so with ``b`` scaled to integers by one power of two (``_int_coeffs``)
-# ``R`` is exact: it vanishes identically exactly when ``F`` is
+# so with ``b`` scaled to integers by one power of two (``_scaled``) ``R``
+# is exact: it vanishes identically exactly when ``F`` is
 # self-reciprocal for every ``a``, and its real roots come from its exact
 # discriminant.
 #
@@ -158,15 +160,15 @@ def _event_basis(n: int) -> tuple[tuple, tuple, tuple[int, ...]]:
 _EVENT_BASIS = {n: _event_basis(n) for n in range(1, MAX_ORDER + 1)}
 
 
-def _event_poly(b: tuple[float, ...], n: int) -> tuple[list[int], list[int], list[int]]:
+def _event_poly(ints: list[int], s: int, n: int) -> tuple[list[int], list[int], list[int]]:
     """``R`` without trailing zeros (empty when it vanishes), ``A`` and
-    ``2**(n-m) * (1-x)**m``, ascending, times the ``2**S`` making ``b`` integers."""
-    *ints, unit = _int_coeffs(b + (1.0,))  # b and 1 times the same 2**S
+    ``2**(n-m) * (1-x)**m``, ascending, times the ``2**s`` making ``b`` the
+    integers ``ints``."""
     k_cols, l_cols, den = _EVENT_BASIS[n]
     r = [sum(map(operator.mul, ints, column)) for column in k_cols]
     while r and r[-1] == 0:
         r.pop()
-    return r, [sum(map(operator.mul, ints, column)) for column in l_cols], [unit * c for c in den]
+    return r, [sum(map(operator.mul, ints, column)) for column in l_cols], [c << s for c in den]
 
 
 def _event_roots(c: list[int], num: list[int], den: list[int]) -> list[tuple[float, float, bool]]:
@@ -226,12 +228,12 @@ def zero_point_candidates(b: Sequence[float], n: int) -> list[ZeroPointCandidate
     Raises :class:`DegenerateBoundaryError` when the event polynomial
     vanishes identically (a continuum, not isolated candidates).
     """
-    return _zero_point_candidates(_check_coeffs(b, "b", n), n)
+    return _zero_point_candidates(*_scaled(_check_coeffs(b, "b", n)), n)
 
 
-def _zero_point_candidates(b: tuple[float, ...], n: int) -> list[ZeroPointCandidate]:
-    """:func:`zero_point_candidates` for an already checked ``b``."""
-    event, num, den = _event_poly(b, n)
+def _zero_point_candidates(ints: list[int], s: int, n: int) -> list[ZeroPointCandidate]:
+    """:func:`zero_point_candidates` for a checked ``b`` times ``2**s``, the integers ``ints``."""
+    event, num, den = _event_poly(ints, s, n)
     if not event:
         raise DegenerateBoundaryError(
             "event polynomial vanishes identically: the design pins roots "
@@ -246,23 +248,21 @@ def _zero_point_candidates(b: tuple[float, ...], n: int) -> list[ZeroPointCandid
 def i_max_order3(b: Sequence[float]) -> tuple[float, bool]:
     """Closed-form order-3 boundary ``(b1*b3 - b3**2) / (b1 + b2 + b3)``.
 
-    The flag reports whether the recovered crossing location
-    ``x = -(b2 + 2a) / (2*(b3 - a))`` is a genuine interior self-intersection
-    (``|x| < 1`` and ``b3 != a``).  Both are exact: with ``b`` scaled to
-    integers by one power of two, ``a`` and ``x`` are ratios of integers,
-    each the float nearest it, and the flag compares the integers.  Raises
-    on a zero denominator and when the exact ``a`` or ``x`` leaves the
-    float range.
+    The flag reports whether the crossing location ``x = (b3 - b1 - b2) /
+    (2*b3)``, the root of the order-3 event polynomial, is a genuine
+    interior self-intersection (``|x| < 1`` and ``b3 != 0``).  Both are
+    exact: with ``b`` scaled to integers by one power of two, ``a`` and
+    ``x`` are ratios of integers, each the float nearest it, and the flag
+    compares the integers.  Raises on a zero denominator and when the exact
+    ``a`` or ``x`` leaves the float range.
     """
-    *ints, unit = _int_coeffs(_check_coeffs(b, "b", 3) + (1.0,))  # b and 1 times the same 2**S
-    b1, b2, b3 = ints
-    s = b1 + b2 + b3
-    if not s:
+    (b1, b2, b3), s = _scaled(_check_coeffs(b, "b", 3))
+    total = b1 + b2 + b3
+    if not total:
         raise ValueError("b1 + b2 + b3 must be nonzero")
-    num = b3 * (b1 - b3)  # a = num / (unit * s)
-    a = _div(num, unit * s) + 0.0  # +0.0, not -0.0
-    top, bottom = -(b2 * s + 2 * num), 2 * b3 * (b2 + 2 * b3)  # x = top / bottom
-    if not bottom:  # b3 == a
+    a = _div(b3 * (b1 - b3), total << s) + 0.0  # +0.0, not -0.0
+    top, bottom = b3 - b1 - b2, 2 * b3  # x = top / bottom
+    if not bottom:
         return a, False
     _check_result((a, _div(top, bottom)), "the order-3 boundary")
     return a, abs(top) < abs(bottom)
@@ -301,14 +301,26 @@ def crossing_value(b: Sequence[float], n: int, phi: float) -> complex:
     return val
 
 
-def _probe(b: tuple[float, ...], n: int, a: float) -> tuple[bool, int | None]:
+# Per order: the binomials of (z - 1)**n multiplying a in F's d_1 .. d_n,
+# and the unit scale of a count at rho = 1.
+_PROBE_ROWS = [(row[-2::-1], [1] * len(row)) for row in SHIFTED_ROWS]
+
+
+def _probe(ints: list[int], s: int, n: int, a: float) -> tuple[bool, int | None]:
     """Stability verdict at one ``a > 0`` and its root count, from the exact
-    ``F(z; a)``: ``b`` and ``a`` times one power of two are integers, whose
+    ``F(z; a)``.  ``b`` is scaled once per design, to the integers ``ints``
+    times ``2**-s``; ``a`` joins that scaling, which takes more fractional
+    bits when ``a`` needs them, so ``F``'s coefficients are integers whose
     count at ``rho = 1`` is exact.  A root on the circle makes the probe
     unstable with no count."""
-    *ints, a_int = _int_coeffs(b + (a,))
-    coeffs = [a_int] + [a_int * c + bk for c, bk in zip(SHIFTED_ROWS[n][-2::-1], ints)]
-    inside = _count_exact(coeffs, [1] * (n + 1))
+    num, den = a.as_integer_ratio()
+    shift = den.bit_length() - 1 - s  # a's fractional bits past b's
+    if shift > 0:
+        ints = [c << shift for c in ints]
+    else:
+        num <<= -shift
+    rows, scale = _PROBE_ROWS[n]
+    inside = _count_exact([num] + [num * c + bk for c, bk in zip(rows, ints)], scale)
     return inside == n, inside
 
 
@@ -330,17 +342,20 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
     b = _check_coeffs(b, "b", n)
     sum_b = math.fsum(b)
     a_min = _i_min(b, n)
+    ints, s = _scaled(b)  # b times 2**s, for the event search and every probe
 
     candidates, events = [], []
     # F(1) = sum(b) <= 0 puts a root at or beyond z = 1 for every a: no a is
     # stable, and the one interval, probed at a = 1, needs no events.
     if sum_b > 0.0:
-        try:
-            candidates = _zero_point_candidates(b, n)
-        except DegenerateBoundaryError:
-            # F is self-reciprocal for every a: there is no isolated interior
-            # event, so the only edge is a_min and the probes decide.
-            pass
+        # Below order 3 the event polynomial is a constant: no interior event.
+        if n > 2:
+            try:
+                candidates = _zero_point_candidates(ints, s, n)
+            except DegenerateBoundaryError:
+                # F is self-reciprocal for every a: there is no isolated
+                # interior event, so the only edge is a_min and the probes decide.
+                pass
         # Exactly equal events meet in the set: an interior event at a_min is one edge.
         events = sorted(a for a in {a_min, *(c.a for c in candidates if c.valid)} if a > 0.0)
     # The witness past the last event is the largest: refuse here, before
@@ -358,7 +373,7 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
             witness = 1.0
         else:
             witness = top if math.isinf(hi) else 0.5 * (lo + hi) or hi
-        stable, count = _probe(b, n, witness)
+        stable, count = _probe(ints, s, n, witness)
         intervals.append(StabilityInterval(lo=lo, hi=hi, stable=stable, witness_a=witness, witness_count=count))
     return StabilityReport(
         sum_b=sum_b,

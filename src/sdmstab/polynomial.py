@@ -105,11 +105,17 @@ SHIFTED_ROWS = [[math.comb(n, k) * (-1) ** (n - k) for k in range(n + 1)] for n 
 # Python ints: no tolerance decides a count.  Integer polynomials are lists
 # in ascending powers.
 
-def _int_coeffs(coeffs: tuple[float, ...]) -> list[int]:
-    """Float coefficients times one common power of two, as ints (exact)."""
+def _scaled(coeffs: tuple[float, ...]) -> tuple[list[int], int]:
+    """Float coefficients times ``2**s``, the least power of two making them
+    all integers, as ints (exact), and ``s``."""
     ratios = [c.as_integer_ratio() for c in coeffs]
     bits = max(d for _, d in ratios).bit_length()  # every d is a power of two
-    return [num << (bits - d.bit_length()) for num, d in ratios]
+    return [num << (bits - d.bit_length()) for num, d in ratios], bits - 1
+
+
+def _int_coeffs(coeffs: tuple[float, ...]) -> list[int]:
+    """Float coefficients times one common power of two, as ints (exact)."""
+    return _scaled(coeffs)[0]
 
 
 def _primitive(p: list[int], sign: int = 1) -> list[int]:

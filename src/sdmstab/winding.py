@@ -27,7 +27,7 @@ import math
 import operator
 
 from .polynomial import COS_ROWS, MAX_ORDER, SIN_ROWS, Poly
-from .polynomial import _cauchy_index, _derivative, _div, _end_signs, _int_coeffs, _primitive
+from .polynomial import _cauchy_index, _derivative, _div, _end_signs, _int_coeffs, _primitive, _scaled
 from .polynomial import _roots_inside, _value
 from .transfer import _check_count, record
 
@@ -105,7 +105,8 @@ def characteristic_points(f: Poly) -> CharacteristicPoints:
     f = _normalized(f)
     if f.degree > MAX_ORDER:
         raise ValueError(f"need degree 1..{MAX_ORDER}, got {f.degree}")
-    *coeffs, unit = _int_coeffs(f.coeffs + (1.0,))  # with 1, times the same 2**S
+    coeffs, s = _scaled(f.coeffs)
+    unit = 1 << s
     r0, r1 = _profiles(coeffs[::-1])
     selfx = []
     for x in _roots_inside(r1):

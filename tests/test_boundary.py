@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -19,7 +20,7 @@ from sdmstab.boundary import (
     zero_point_candidates,
 )
 from sdmstab.cli import asdict
-from sdmstab.polynomial import SHIFTED_ROWS, Poly, _int_coeffs
+from sdmstab.polynomial import SHIFTED_ROWS, Poly, _int_coeffs, _scaled
 from sdmstab.transfer import DCoeffs, char_poly, d_coeffs
 from sdmstab.winding import count_inside_e1
 from test_acceptance import stable_b_sample
@@ -232,7 +233,7 @@ class TestZeroPointCandidates:
                 b = tuple(rng.uniform(-4, 4, n))
                 p0, p1 = cheb_expand(b), cheb_expand(b, kind="sine")
                 eliminant = P.polysub(P.polymul(p0.coeffs, q1.coeffs), P.polymul(p1.coeffs, q0.coeffs))
-                event, num, den = _event_poly(b, n)
+                event, num, den = _event_poly(*_scaled(b), n)
                 exact = _exact_event_poly(b, n)
                 assert len(event) == len(exact)
                 assert all(r * exact[-1] == e * event[-1] for r, e in zip(event, exact))
@@ -547,22 +548,25 @@ class TestIMaxOrder3:
         ((-1.8509460352747888, -0.7337483870905733, 0.3668741935452866), False),  # x = 4.02
         ((1e300, 1.0, 1e10), False),  # a = 1e10, x = -5e289: no overflow
         ((1e300, 1.0, 1e300), True),  # a = 0, x = -5e-301
+        ((3.0, -2.0, 1.0), True),  # b2 = -2*b3: a = b3 = 1, x = 0
+        ((5.0, -4.0, 2.0), True),  # b2 = -2*b3: a = b3 = 2, x = 0.25
     ])
     def test_float_rounding_decides_nothing(self, b, want):
-        # The float closed form once got each of these wrong, or refused it.
+        # The float closed form once got the first four wrong, or refused
+        # them; the form with x = 0/0 at b2 = -2*b3 called the last two invalid.
         (c,) = zero_point_candidates(b, 3)
         assert i_max_order3(b) == (c.a, want) and c.valid == want
 
     def test_equals_the_order3_candidate(self):
         # At order 3 the event polynomial is linear, so the one candidate is
-        # exact; so is the closed form, which must give the same floats.  At
-        # b2 = -2*b3 exactly its x is 0/0 and it says invalid: not drawn here.
+        # exact; so is the closed form, which must give the same floats.
         def corpus():
             rng = random.Random(61)
             for _ in range(1000):
                 yield tuple(rng.uniform(-4.0, 4.0) for _ in range(3))
                 b3 = rng.uniform(-4.0, 4.0)  # b2 next to -2*b3, where b3 - a nearly cancels
                 yield rng.uniform(-4.0, 4.0), -2.0 * b3 * (1.0 + rng.choice((-1, 1)) * rng.randint(1, 4) * 2.0**-52), b3
+                yield rng.uniform(-4.0, 4.0), -2.0 * b3, b3  # exactly, where a = b3
                 yield tuple(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0) for _ in range(3))
 
         checked = 0
@@ -574,7 +578,7 @@ class TestIMaxOrder3:
             for c in cands:
                 assert repr(i_max_order3(b)) == repr((c.a, c.valid)), b
                 checked += 1
-        assert checked > 1200
+        assert checked > 1900
 
     def test_matches_bisection_on_random_designs(self):
         rng = np.random.default_rng(53)
@@ -823,6 +827,22 @@ class TestClassifyIntervals:
             classify_intervals(b, len(b))
             assert len(calls) == 1
 
+    def test_b_is_scaled_once_per_call(self, monkeypatch):
+        scaled, calls = boundary._scaled, []
+
+        def counting(*args):
+            calls.append(args)
+            return scaled(*args)
+
+        monkeypatch.setattr(boundary, "_scaled", counting)
+        # worked, sum(b) <= 0, reciprocal (a continuum) and first-order
+        # designs, and one whose witness 3/32 has more fractional bits than b
+        designs = (B3, (1.0, -2.0, 1.0), (1.0, 0.5, 1.0, 0.0), (1.0,), [2, -1.5, 0.75, -0.125], (4.0, 0.0, 2.0, 3.0))
+        for b in designs:
+            calls.clear()
+            rep = classify_intervals(b, len(b))
+            assert len(calls) == 1 and len(rep.intervals) >= 1
+
     def test_boundary_past_the_float_range_is_refused_before_any_probe(self, monkeypatch):
         probe, calls = boundary._probe, []
 
@@ -838,6 +858,71 @@ class TestClassifyIntervals:
         assert calls == []
         # An ordinary design takes one probe per interval, no more.
         assert len(classify_intervals(B3, 3).intervals) == len(calls) == 3
+
+
+def classify_pin_corpus():
+    """Seeded designs of orders 1-5 from five coefficient families, and edge
+    designs: reciprocal (a continuum), refused past the float range, and
+    ``bounds --b=1e-323``, whose interval ``(0, 5e-324)`` has a root on the
+    circle at its witness."""
+    rng = random.Random(1702)
+    draws = {
+        "uniform": lambda: rng.uniform(-4.0, 4.0),
+        "log-uniform 1e+-300": lambda: rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0),
+        "small integers": lambda: float(rng.randint(-4, 4)),
+        "subnormal": lambda: rng.randint(-9, 9) * 5e-324,
+        "log-uniform 1e+-12": lambda: rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, 12.0),
+    }
+    corpus = {name: [tuple(draw() for _ in range(i % 5 + 1)) for i in range(500)]
+              for name, draw in draws.items()}
+    reciprocal = []
+    for i in range(60):
+        n = i % 3 + 3
+        b = [rng.uniform(-4.0, 4.0) for _ in range(n)]
+        b[n - 1] = 0.0
+        for k in range(n // 2 + 1, n):
+            b[k - 1] = (-1.0) ** n * b[n - k - 1]
+        reciprocal.append(tuple(b))
+    corpus["edges"] = reciprocal + [
+        (1e-323,), (1e-10,), (2e-9,), B3, (3.0, -2.0, 1.0), (4.0, 0.0, 2.0, 3.0), (1.0, 0.0),
+        (2e299, -2.99999999e299, 1e299), (1e300, -1e300, 1e300),
+    ]
+    return corpus
+
+
+# sha256 of the reprs (or exception types and messages) of each family's
+# reports, taken before the probes shared one scaling of b per design.
+CLASSIFY_PINS = {
+    "uniform": "fc136647f291a06dd46c264b61e020133d2f60007280146014d8cdb5b3695c03",
+    "log-uniform 1e+-300": "64f7fd48fcbe9fcff1c1972cd12b116b7e8d1cf9664fe0a9163add5f7244668f",
+    "small integers": "7b5a5356447a42437cb2d403743bb1db3c5b6788543067a512701568e9bc2bd7",
+    "subnormal": "4985577076c58c4996cf65a350e20a92246b593efdb4ad12103f0515b860e5ba",
+    "log-uniform 1e+-12": "88f79aab9f4e8e5f6276479064498da6cbc5740f082e543776aa49425f98ec6b",
+    "edges": "daf999111a2bc8dbc5537a0ed06af91fdc2c357d62b8d1f41c7109c992b42b0d",
+}
+
+
+def test_classify_intervals_repr_pinned():
+    def report(b):
+        try:
+            return classify_intervals(b, len(b))
+        except ValueError as exc:
+            return exc
+
+    got, finer, refused = {}, 0, 0
+    for name, designs in classify_pin_corpus().items():
+        reports = [report(b) for b in designs]
+        shown = [f"{type(r).__name__}: {r}" if isinstance(r, ValueError) else repr(r) for r in reports]
+        got[name] = hashlib.sha256("\n".join(shown).encode()).hexdigest()
+        for b, rep in zip(designs, reports):
+            if isinstance(rep, ValueError):
+                refused += 1
+                continue
+            # witnesses with more fractional bits than every b_k
+            bits = max(v.as_integer_ratio()[1] for v in b)
+            finer += sum(iv.witness_a.as_integer_ratio()[1] > bits for iv in rep.intervals)
+    assert finer > 100 and refused > 0
+    assert got == CLASSIFY_PINS
 
 
 class TestBisectBoundary:
