@@ -13,8 +13,17 @@ it, are the interior boundary events.  Each interval between events takes
 the verdict of one witness ``a`` inside it, from the exact root count of
 ``F(z; a)`` on the unit circle, counted by ``winding``'s integer rows at
 ``rho = 1``: ``b`` is scaled to integers by one power of two once per
-design, for the event polynomial and every witness, and each witness ``a``
-joins that scaling.  The tests cross-check the
+design, for ``a_min``, the event polynomial and every witness, and each
+witness ``a`` joins that scaling.
+
+Past the last event the count is its limit as ``a -> inf``, with no probe.
+Near ``z = 1``, ``D(z) ~ D(1) = sum(b)``, so the roots gather at
+``z = 1 + (sum(b)/a)**(1/n) * w`` with ``w**n = -1``; those with
+``Re w < 0`` are inside: 1, 1, 2, 3 of them at orders 1, 3, 4, 5 (order
+2's pair ``w = +-i`` is marginal, and its limit hangs on ``b2``).  This
+holds when (1) ``sum(b) > 0``, (2) the order is 1, or 3 to 5 with an event
+polynomial that does not vanish identically, and (3) no valid event lies
+past the float range, where it would be no edge.  The tests cross-check the
 events with a direct crossing-parameter scan and eigenvalue bisection, and
 the verdicts with exact rational counts.
 """
@@ -87,16 +96,16 @@ class StabilityReport:
 def i_min(b: Sequence[float], n: int) -> float:
     """Lower stability bound: the ``a`` at which a root crosses at ``z = -1``.
 
-    Evaluates ``-sum((-1)**k * b_k) / 2**n`` with an exactly-rounded sum, so
-    the value is as accurate as the inputs allow; ``F(-1; a_min) = 0``.
+    Evaluates ``-sum((-1)**k * b_k) / 2**n`` exactly in integers and rounds
+    once, so the value is the float nearest it; ``F(-1; a_min) = 0``.
     """
-    return _i_min(_check_coeffs(b, "b", n), n)
+    return _i_min(*_scaled(_check_coeffs(b, "b", n)), n)
 
 
-def _i_min(b: tuple[float, ...], n: int) -> float:
-    """:func:`i_min` for an already checked ``b``."""
-    alt = math.fsum((-1.0) ** k * b[k - 1] for k in range(1, n + 1))
-    return (0.0 - alt) / 2.0**n  # not -alt: +0.0, not -0.0, when alt is 0
+def _i_min(ints: list[int], s: int, n: int) -> float:
+    """:func:`i_min` for a checked ``b`` times ``2**s``, the integers ``ints``:
+    +0.0 when the sum vanishes, -0.0 when it is negative and rounds to 0."""
+    return _div(sum(ints[::2]) - sum(ints[1::2]), 1 << (s + n))
 
 
 # --- boundary events ----------------------------------------------------------
@@ -228,11 +237,12 @@ def zero_point_candidates(b: Sequence[float], n: int) -> list[ZeroPointCandidate
     Raises :class:`DegenerateBoundaryError` when the event polynomial
     vanishes identically (a continuum, not isolated candidates).
     """
-    return _zero_point_candidates(*_scaled(_check_coeffs(b, "b", n)), n)
+    return _zero_point_candidates(*_scaled(_check_coeffs(b, "b", n)), n)[0]
 
 
-def _zero_point_candidates(ints: list[int], s: int, n: int) -> list[ZeroPointCandidate]:
-    """:func:`zero_point_candidates` for a checked ``b`` times ``2**s``, the integers ``ints``."""
+def _zero_point_candidates(ints: list[int], s: int, n: int) -> tuple[list[ZeroPointCandidate], bool]:
+    """:func:`zero_point_candidates` for a checked ``b`` times ``2**s``, the
+    integers ``ints``, and whether a valid event was dropped past the float range."""
     event, num, den = _event_poly(ints, s, n)
     if not event:
         raise DegenerateBoundaryError(
@@ -240,9 +250,10 @@ def _zero_point_candidates(ints: list[int], s: int, n: int) -> list[ZeroPointCan
             "to the unit circle over a continuum of a values"
         )
     if len(event) < 2:
-        return []
+        return [], False
     events = _event_roots(event, _prem(num, event), _prem(den, event))
-    return [ZeroPointCandidate(a, x, valid) for a, x, valid in events if 0.0 <= a < math.inf]
+    kept = [ZeroPointCandidate(a, x, valid) for a, x, valid in events if 0.0 <= a < math.inf]
+    return kept, any(valid and a == math.inf for a, _, valid in events)
 
 
 def i_max_order3(b: Sequence[float]) -> tuple[float, bool]:
@@ -306,6 +317,11 @@ def crossing_value(b: Sequence[float], n: int, phi: float) -> complex:
 _PROBE_ROWS = [(row[-2::-1], [1] * len(row)) for row in SHIFTED_ROWS]
 
 
+# Per order, the roots of F inside the circle as a -> inf when sum(b) > 0
+# (the module docstring derives them); order 2 has no such count.
+_LIMIT_COUNTS = (None, 1, None, 1, 2, 3)
+
+
 def _probe(ints: list[int], s: int, n: int, a: float) -> tuple[bool, int | None]:
     """Stability verdict at one ``a > 0`` and its root count, from the exact
     ``F(z; a)``.  ``b`` is scaled once per design, to the integers ``ints``
@@ -334,28 +350,42 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
     of ``F(z; witness)`` inside the unit circle.  The linear-model point
     ``a = 1`` is the witness whenever it lies inside an interval; an
     interval between adjacent floats holds no float, and its witness is an
-    edge.  If ``sum(b) <= 0`` the turning point ``F(1) = sum(b)`` is never
-    positive: there is no event search, and the one interval is unstable.
-    Raises ``ValueError`` when ``F`` at the witness past the last event
-    would leave the float range.
+    edge.  The last interval takes, with no probe, the count of the limit
+    ``a -> inf``: the roots gather at ``z = 1 + (sum(b)/a)**(1/n) * w``,
+    ``w**n = -1``, inside where ``Re w < 0``, so 1 at order 1 and ``n - 2``
+    at orders 3-5.  That holds when ``sum(b) > 0``, the order is not 2, the
+    event polynomial does not vanish identically, and no valid event is
+    past the float range; otherwise the last interval is probed too.  If
+    ``sum(b) <= 0`` the turning point ``F(1) = sum(b)`` is never positive:
+    there is no event search, and the one interval is unstable.  Raises
+    ``ValueError`` when ``F`` at the witness past the last event would
+    leave the float range.
     """
     b = _check_coeffs(b, "b", n)
     sum_b = math.fsum(b)
-    a_min = _i_min(b, n)
-    ints, s = _scaled(b)  # b times 2**s, for the event search and every probe
+    ints, s = _scaled(b)  # b times 2**s, for a_min, the event search and every probe
+    a_min = _i_min(ints, s, n)
 
     candidates, events = [], []
+    limit = None  # the count inside past the last event, when it is the a -> inf limit
     # F(1) = sum(b) <= 0 puts a root at or beyond z = 1 for every a: no a is
     # stable, and the one interval, probed at a = 1, needs no events.
     if sum_b > 0.0:
+        limit = _LIMIT_COUNTS[n]
         # Below order 3 the event polynomial is a constant: no interior event.
         if n > 2:
             try:
-                candidates = _zero_point_candidates(ints, s, n)
+                candidates, beyond = _zero_point_candidates(ints, s, n)
             except DegenerateBoundaryError:
                 # F is self-reciprocal for every a: there is no isolated
-                # interior event, so the only edge is a_min and the probes decide.
-                pass
+                # interior event, so the only edge is a_min and the probes
+                # decide, the last one too.
+                limit = None
+            else:
+                if beyond:
+                    # A valid event past the float range is no edge, so the
+                    # limit need not hold past the last one: the probe decides.
+                    limit = None
         # Exactly equal events meet in the set: an interior event at a_min is one edge.
         events = sorted(a for a in {a_min, *(c.a for c in candidates if c.valid)} if a > 0.0)
     # The witness past the last event is the largest: refuse here, before
@@ -373,7 +403,10 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
             witness = 1.0
         else:
             witness = top if math.isinf(hi) else 0.5 * (lo + hi) or hi
-        stable, count = _probe(ints, s, n, witness)
+        if limit is not None and math.isinf(hi):
+            stable, count = limit == n, limit
+        else:
+            stable, count = _probe(ints, s, n, witness)
         intervals.append(StabilityInterval(lo=lo, hi=hi, stable=stable, witness_a=witness, witness_count=count))
     return StabilityReport(
         sum_b=sum_b,

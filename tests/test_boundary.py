@@ -27,6 +27,10 @@ from test_acceptance import stable_b_sample
 
 B3 = (3.0, -3.0, 1.0)
 
+# Its valid event, at x = 0.999999999999999, has a ~ 7e314, past the float
+# range: the last interval (a_min, inf) is stable for every float a.
+OVERFLOW_EVENT_B = (6e299, -8.999999999999995e299, 3e299)
+
 # The least magnitude that rounds to an infinite float.
 _EDGE = Fraction(2**1024 - 2**970)
 
@@ -175,6 +179,25 @@ class TestIMin:
         # +0.0, not -0.0: -0.0 == 0.0, but repr and json print its sign.
         assert math.copysign(1.0, i_min((1.0, 1.0), 2)) == 1.0
         assert math.copysign(1.0, i_min((0.0,), 1)) == 1.0
+
+    def test_one_rounding_to_the_nearest_float(self):
+        # -sum((-1)**k * b_k) / 2**n rounds once: a subnormal a_min is the
+        # float nearest it (an fsum, then / 2**n, gave 1.1125369292536017e-308
+        # here), a vanishing sum is +0.0 and a tiny negative one -0.0.
+        b = (math.ldexp(2**52 + 3, -1070), 0.0, -5e-324, 0.0, 0.0)
+        assert i_min(b, 5) == classify_intervals(b, 5).a_min == 1.112536929253601e-308
+        rng = random.Random(1703)
+        draws = (lambda: rng.randint(-9, 9) * 5e-324,
+                 lambda: rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0))
+        negative_zero = 0
+        for i in range(4000):
+            n = i % 5 + 1
+            b = tuple(draws[i % 2]() for _ in range(n))
+            nearest = float(-sum((-1) ** k * Fraction(b[k - 1]) for k in range(1, n + 1)) / 2**n)
+            got = i_min(b, n)
+            assert (got, math.copysign(1.0, got)) == (nearest, math.copysign(1.0, nearest)), (b, n)
+            negative_zero += repr(got) == "-0.0"
+        assert negative_zero > 10
 
 
 class TestZeroPointCandidates:
@@ -856,8 +879,54 @@ class TestClassifyIntervals:
         with pytest.raises(ValueError, match="^the stability boundary overflows the float range"):
             classify_intervals((2e299, -2.99999999e299, 1e299), 3)
         assert calls == []
-        # An ordinary design takes one probe per interval, no more.
-        assert len(classify_intervals(B3, 3).intervals) == len(calls) == 3
+        # An ordinary design takes one probe per interval but the last,
+        # whose count is the a -> inf limit.
+        assert len(classify_intervals(B3, 3).intervals) - 1 == len(calls) == 2
+        # Order 2, sum(b) <= 0, a reciprocal design (a continuum) and a valid
+        # event past the float range keep the probe past the last edge.
+        for b in ((1.0, 0.5), (1.0, -2.0, 1.0), (1.0, 0.5, 1.0, 0.0), OVERFLOW_EVENT_B):
+            calls.clear()
+            assert len(classify_intervals(b, len(b)).intervals) == len(calls), b
+
+    def test_past_the_last_event_the_count_is_the_limit(self):
+        # With sum(b) > 0 the roots gather at z = 1 + (sum(b)/a)**(1/n) * w,
+        # w**n = -1, as a -> inf, and those with Re w < 0 are inside: the
+        # last interval's count is the probe's at its witness, designs whose
+        # valid event lies past the float range included (there the limit
+        # does not hold past the last edge).
+        rng = random.Random(1704)
+
+        def near_cancelling(n):
+            # |b_k| up to 1e300 and sum(b) a few ulps from 0: events overflow.
+            scale = 10.0 ** rng.uniform(250.0, 300.0) / n
+            b = [rng.uniform(-1.0, 1.0) * scale for _ in range(n - 1)]
+            last = -math.fsum(b)
+            for _ in range(rng.randint(1, 4)):
+                last = math.nextafter(last, math.inf)
+            return tuple(b + [last])
+
+        designs = [b for family in classify_pin_corpus().values() for b in family]
+        designs += [near_cancelling(i % 5 + 1) for i in range(4000)]
+        checked = beyond = 0
+        for b in designs:
+            n = len(b)
+            try:
+                rep = classify_intervals(b, n)
+            except ValueError:
+                continue
+            last = rep.intervals[-1]
+            _, count = boundary._probe(*_scaled(b), n, last.witness_a)
+            assert (last.witness_count, last.stable) == (count, count == n), (b, n)
+            checked += 1
+            if n > 2 and rep.sum_b > 0.0:
+                try:
+                    beyond += boundary._zero_point_candidates(*_scaled(b), n)[1]
+                except DegenerateBoundaryError:
+                    pass
+        assert checked > 5000 and beyond > 100
+        last = classify_intervals(OVERFLOW_EVENT_B, 3).intervals[-1]
+        assert (last.lo, last.hi, last.stable, last.witness_count) == (2.2499999999999994e299, math.inf, True, 3)
+        assert zero_point_candidates(OVERFLOW_EVENT_B, 3) == []
 
 
 def classify_pin_corpus():
