@@ -13,9 +13,10 @@ generated straight-line kernel per order, built on first use; the kernel
 leaves ``F(0) = 0``, a member vanishing at -1 or 1, and a zero or
 degree-dropping remainder to the generic walk, and makes the very same
 integers, so both give the same count.  A count is refused exactly when a
-root lies within ``2**-30`` of the circle, and one radius ``1 -+ 2**-30``
-settles it when it finds every root inside the inner or outside the outer
-circle; ``boundary`` counts its witness probes at ``rho = 1`` itself.
+root lies within ``2**-30`` of the circle; the radii ``1 -+ 2**-8`` decide
+it first, in smaller integers, and ``1 -+ 2**-30`` are counted only where a
+root lies within ``2**-8``.  ``boundary`` counts its witness probes at
+``rho = 1`` itself.
 ``characteristic_points`` locates the points themselves, from the same
 integer profiles with their roots isolated exactly, and ``contour_table``
 samples the image for plotting.
@@ -86,7 +87,7 @@ def _normalized(f: Poly) -> Poly:
 def _profiles(coeffs: list[int]) -> tuple[list[int], list[int]]:
     """``r0`` and ``r1`` of the integer ``(a, d_1, .., d_n)``, ascending in
     ``x = cos(phi)``: ``W = r0(x) - i*sin(phi)*r1(x)`` on the circle."""
-    t_rows, u_rows, _, _ = _tables(len(coeffs) - 1)
+    t_rows, u_rows, _ = _tables(len(coeffs) - 1)
     return tuple([sum([coeffs[k] * c for k, c in row]) for row in rows] for rows in (t_rows, u_rows))
 
 
@@ -117,24 +118,28 @@ def characteristic_points(f: Poly) -> CharacteristicPoints:
 
 
 # Refusal radius: a count is given only when no root lies within 2**-REFUSE_BITS
-# of the circle.  A dyadic radius keeps both counts exact.
+# of the circle.  The filter radius 2**-FILTER_BITS decides that first, with
+# integers 22*n bits shorter, wherever no root lies within it.  Dyadic radii
+# keep every count exact.
+FILTER_BITS = 8
 REFUSE_BITS = 30
 
 _TABLES: dict = {}
 
 
-def _tables(n: int) -> tuple[list, list, list[int], list[int]]:
+def _tables(n: int) -> tuple[list, list, list[tuple[list[int], list[int]]]]:
     """Order-``n`` tables, built on first use: rows giving each coefficient of
     ``r0`` and ``r1`` as small multiples of ``(a, d_1, .., d_n)``
-    (``cos(k*phi) = T_k(x)``, ``sin(k*phi) = sin(phi)*U_(k-1)(x)``), and the
-    factors scaling those to ``2**(REFUSE_BITS*n) * F(rho*z)`` at the inner
-    and the outer radius ``rho = 1 -+ 2**-REFUSE_BITS``."""
+    (``cos(k*phi) = T_k(x)``, ``sin(k*phi) = sin(phi)*U_(k-1)(x)``), and, for
+    ``bits`` = ``FILTER_BITS`` then ``REFUSE_BITS``, the pair of factors
+    scaling those to ``2**(bits*n) * F(rho*z)`` at the inner and the outer
+    radius ``rho = 1 -+ 2**-bits``."""
     if n not in _TABLES:
         rows = [[[(k, p[j]) for k, p in enumerate(basis[: n + 1]) if j < len(p) and p[j]]
                  for j in range(width)] for basis, width in ((COS_ROWS, n + 1), (SIN_ROWS, n))]
-        one = 1 << REFUSE_BITS
-        _TABLES[n] = *rows, *([m ** (n - k) << (REFUSE_BITS * k) for k in range(n + 1)]
-                              for m in (one - 1, one + 1))
+        _TABLES[n] = *rows, [tuple([m ** (n - k) << (bits * k) for k in range(n + 1)]
+                                   for m in ((1 << bits) - 1, (1 << bits) + 1))
+                             for bits in (FILTER_BITS, REFUSE_BITS)]
     return _TABLES[n]
 
 
@@ -183,7 +188,7 @@ def _kernel(n: int):
     """``kernel(coeffs, scale)``: the normal case of ``_count_exact`` at
     order ``n``, -1 outside it."""
     if n not in _KERNELS:
-        t_rows, u_rows, _, _ = _tables(n)
+        t_rows, u_rows, _ = _tables(n)
         cs = ", ".join(f"c{k}" for k in range(n + 1))
         lines = [
             f"{cs}, = coeffs",
@@ -289,25 +294,33 @@ def count_inside_e1(f: Poly) -> RootCountResult:
     sequence of ``(r1, r0)`` at the ends give without isolating any root;
     ``W(1) < 0`` adds ``s_m`` and ``W(-1) < 0`` adds ``-s_0``.  All of it is
     exact integer arithmetic on the float coefficients scaled by a power of
-    two.  The count is taken for ``F(rho*z)`` at ``rho = 1 -+ 2**-30``; if the
-    two differ, or either has a root on the circle, a root lies within
-    ``2**-30`` of the circle and the result is marginal with no count.  One
-    radius settles it when it gives ``n`` at ``1 - 2**-30`` or 0 at
-    ``1 + 2**-30``: the other could only agree.  The product of the root
-    moduli is ``|F(0)/a|``, so the inner radius comes first if ``|F(0)| < a``
-    (no count can be 0) and the outer one otherwise (none can be ``n``).
+    two.  The count is taken for ``F(rho*z)`` at a pair of radii
+    ``rho = 1 -+ eps``: if the two agree and neither has a root on its circle,
+    no root lies within ``eps`` of the unit circle and that is the count.
+    One radius settles it when it gives ``n`` at ``1 - eps`` or 0 at
+    ``1 + eps``: the other could only agree.  The product of the root moduli
+    is ``|F(0)/a|``, so the inner radius comes first if ``|F(0)| < a`` (no
+    count can be 0 at ``rho = 1``) and the outer one otherwise (none can be
+    ``n``).  The pair ``eps = 2**-8`` is counted first; only if it fails, a
+    root lying within ``2**-8`` of the circle, is the pair ``eps = 2**-30``
+    counted, and if that fails too a root lies within ``2**-30`` of the
+    circle and the result is marginal with no count.  The roots inside
+    ``|z| < rho`` only grow with ``rho``, so the first pair can decide only
+    where the second would give the same count.
     """
     f = _normalized(f)
     n = f.degree
     if n > MAX_ORDER:
         raise ValueError(f"need degree 1..{MAX_ORDER}, got {n}")
     coeffs = _int_coeffs(f.coeffs)[::-1]
-    _, _, inner, outer = _tables(n)
-    first, second, settled = (inner, outer, n) if abs(coeffs[-1]) < coeffs[0] else (outer, inner, 0)
-    inside = _count_exact(coeffs, first)
-    if inside != settled and (inside is None or inside != _count_exact(coeffs, second)):
-        return RootCountResult(inside=None, marginal=True)
-    return RootCountResult(inside=inside, winding=inside - n)
+    inner_first = abs(coeffs[-1]) < coeffs[0]
+    settled = n if inner_first else 0
+    for inner, outer in _tables(n)[2]:
+        first, second = (inner, outer) if inner_first else (outer, inner)
+        inside = _count_exact(coeffs, first)
+        if inside == settled or inside is not None and inside == _count_exact(coeffs, second):
+            return RootCountResult(inside=inside, winding=inside - n)
+    return RootCountResult(inside=None, marginal=True)
 
 
 def contour_table(f: Poly, samples: int) -> list[tuple[float, float, float]]:

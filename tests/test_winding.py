@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import warnings
@@ -222,6 +223,17 @@ MARGINAL = [
         (-OUTER, *LATE[: n - 1]),  # on the outer circle
     )
 ]
+# A root at +-(1 -+ 2**-k), k = 6..32, beside roots well inside or well
+# outside: (k, polynomial).  k = 8 puts it on a filter circle, k = 30 on a
+# refusal circle.
+NEAR_CIRCLE = [
+    (k, _from_roots((sign * (1.0 + side * 2.0**-k), *companions[: n - 1])))
+    for n in range(1, 6)
+    for k in range(6, 33)
+    for sign in (1.0, -1.0)
+    for side in (-1.0, 1.0)
+    for companions in ((EARLY, LATE) if n > 1 else (EARLY,))
+]
 
 
 class TestOneRadius:
@@ -240,25 +252,47 @@ class TestOneRadius:
             res = count_inside_e1(f)
             assert res.marginal and res.inside is None
 
+    def test_near_circle_roots_are_counted_outside_the_refusal_radius(self):
+        for k, f in NEAR_CIRCLE:
+            want = schur_cohn_inside(f.coeffs, eps=Fraction(1, 2**30))
+            res = count_inside_e1(f)
+            assert (res.inside, res.marginal) == (want, want is None), (k, f)
+            assert (want is None) == (k >= 30)
+
     def test_one_count_settles_0_n_and_first_radius_refusals(self, monkeypatch):
+        # The filter pair 1 -+ 2**-8 decides unless a root lies within 2**-8
+        # of the circle; only then is the refusal pair 1 -+ 2**-30 counted,
+        # by the same rule.  Within a pair, a count of 0 or n takes one call.
         count_exact, calls = winding._count_exact, []
 
-        def counting(*args):
-            calls.append(count_exact(*args))
-            return calls[-1]
+        def counting(coeffs, scale):
+            calls.append((scale, count_exact(coeffs, scale)))
+            return calls[-1][1]
 
         monkeypatch.setattr(winding, "_count_exact", counting)
-        one = two = 0
-        for f in [*_one_radius_corpus(), *MARGINAL]:
+        one = two = fine = 0
+        for f in [*_one_radius_corpus(), *MARGINAL, *(f for _, f in NEAR_CIRCLE)]:
             calls.clear()
             res = count_inside_e1(f)
-            if res.inside in (0, f.degree) or calls[0] is None:
-                assert len(calls) == 1
+            coarse, refuse = winding._tables(f.degree)[2]
+            steps = [[inside for scale, inside in calls if scale in pair] for pair in (coarse, refuse)]
+            assert [inside for _, inside in calls] == steps[0] + steps[1]
+            near = schur_cohn_inside(f.coeffs, eps=Fraction(1, 2**8)) is None
+            assert bool(steps[1]) == near, f
+            if near:
+                assert len(steps[0]) in (1, 2)
+                fine += 1
+            elif res.inside in (0, f.degree):
                 one += 1
             else:
-                assert len(calls) == 2
                 two += 1
-        assert one > 400 and two > 400
+            last = steps[near]
+            assert len(last) == (1 if res.inside in (0, f.degree) or last[0] is None else 2)
+        assert one > 400 and two > 400 and fine > 400
+        for f in MARGINAL:
+            calls.clear()
+            count_inside_e1(f)
+            assert any(scale in winding._tables(f.degree)[2][1] for scale, _ in calls)
 
 
 GENERIC = winding._count_generic  # the kernels' fallback, unwrapped
@@ -275,12 +309,12 @@ def _small_integer_corpus():
 
 
 def _radius_args(f):
-    """``_count_exact`` arguments for ``f`` at the inner, the outer and the
-    unit radius."""
+    """``_count_exact`` arguments for ``f`` at the inner and the outer radius
+    of the filter and of the refusal pair, and at the unit radius."""
     f = winding._normalized(f)
     coeffs = _int_coeffs(f.coeffs)[::-1]
-    _, _, inner, outer = winding._tables(f.degree)
-    return [(coeffs, scale) for scale in (inner, outer, [1] * len(coeffs))]
+    coarse, refuse = winding._tables(f.degree)[2]
+    return [(coeffs, scale) for scale in (*coarse, *refuse, [1] * len(coeffs))]
 
 
 def _log_uniform_corpus():
@@ -326,6 +360,23 @@ def test_printed_points_give_the_count(corpus):
         assert f.degree + w == res.inside, (f, cp, s)
         counted += 1
     assert counted > 1000
+
+
+# sha256 of the reprs of each family's counts, taken before the filter pair
+# 1 -+ 2**-8 came in front of the refusal pair 1 -+ 2**-30.
+COUNT_PINS = {
+    "ordinary": "c894f2408efe1cfed0f3ec1ffd00c6b22c629f2363f8b247522a71b223e97128",
+    "log-uniform": "23105c0a95e775dc66e37e972c6b7ad8eb34b9a659888432425c8e67f5637a6a",
+    "small-integer": "6cc04e19a391caae6ba4f745b5eb006c055a79befc309ff561c246ccf9f3c8f7",
+    "near-circle": "4950011e1d07ef02a370ebd725a0ba688d5e516553a19d3c5166c1824ba2649b",
+}
+
+
+def test_count_inside_e1_repr_pinned():
+    families = {**CORPORA, "near-circle": lambda: (f for _, f in NEAR_CIRCLE)}
+    got = {name: hashlib.sha256("\n".join(repr(count_inside_e1(f)) for f in corpus()).encode()).hexdigest()
+           for name, corpus in families.items()}
+    assert got == COUNT_PINS
 
 
 class TestKernel:
