@@ -9,23 +9,43 @@ or at an interior angle.  Both unit-circle profiles of ``F`` are linear in
 variable order swapped) leaves one event polynomial in ``x = cos(phi)``,
 of degree at most two and exact in integers; its real roots, with the ``a``
 of each from a closed form in the same integers, each the float nearest
-it, are the interior boundary events.  Each interval between events takes
-the verdict of one witness ``a`` inside it, from the exact root count of
-``F(z; a)`` on the unit circle, counted by ``winding``'s integer rows at
-``rho = 1``: ``b`` is scaled to integers by one power of two once per
-design, for ``a_min``, the event polynomial and every witness, and each
-witness ``a`` joins that scaling.
+it, are the interior boundary events.  ``b`` is scaled to integers by one
+power of two once per design, for ``a_min``, the event polynomial and every
+witness probe.
 
-Past the last event the count is its limit as ``a -> inf``, with no probe.
-Near ``z = 1``, ``D(z) ~ D(1) = sum(b)``, so the roots gather at
-``z = 1 + (sum(b)/a)**(1/n) * w`` with ``w**n = -1``; those with
-``Re w < 0`` are inside: 1, 1, 2, 3 of them at orders 1, 3, 4, 5 (order
-2's pair ``w = +-i`` is marginal, and its limit hangs on ``b2``).  This
-holds when (1) ``sum(b) > 0``, (2) the order is 1, or 3 to 5 with an event
-polynomial that does not vanish identically, and (3) no valid event lies
-past the float range, where it would be no edge.  The tests cross-check the
-events with a direct crossing-parameter scan and eigenvalue bisection, and
-the verdicts with exact rational counts.
+Each interval between events is reported with one witness ``a`` inside it
+and the count of roots inside there.  Past the last event that count is its
+limit as ``a -> inf``.  Near ``z = 1``, ``D(z) ~ D(1) = sum(b)``, so the
+roots gather at ``z = 1 + (sum(b)/a)**(1/n) * w`` with ``w**n = -1``; those
+with ``Re w < 0`` are inside: 1, 1, 2, 3 of them at orders 1, 3, 4, 5.
+Order 2's pair ``w = +-i`` has ``|z|**2 = 1 + b2/a``, inside when
+``b2 < 0`` and outside when ``b2 > 0``.  This holds when (1) ``sum(b) > 0``,
+(2) the event polynomial does not vanish identically (at order 2, when
+``b2 != 0``), and (3) no valid event lies past the float range, where it
+would be no edge.  Each edge below steps the count down by the roots that
+cross there as ``a`` grows, each with an exact sign:
+
+* at ``a_min`` the real root at ``z = -1`` enters the circle when
+  ``v = sum_k (-1)**(k-1) * (2k - n) * b_k`` is positive and leaves when it
+  is negative, from ``dz/da = -(z-1)**n / F'(z)``: ``v`` is
+  ``-2*(-1)**n * F'(-1)`` at ``a_min``;
+* at an interior event ``x0`` a conjugate pair enters when ``E'(x0) > 0``
+  and leaves when ``E'(x0) < 0``, with ``E = p0*q1 - p1*q0 = c_n *
+  (1-x)**m * R`` below and ``c_3 = -2``, ``c_4 = -4``, ``c_5 = 4``; as
+  ``(1-x)**m > 0`` there, that is the sign of ``c_n`` times that of ``R'``
+  at the root, which the root solve already has.
+
+Equal edges sum their crossings.  Witness probes decide the rest: every
+interval of a design where ``sum(b) <= 0`` (``F(1)`` is never positive, so
+no ``a`` is stable), where the limit does not hold, or where a crossing has
+no sign (a double root at ``z = -1``, ``v = 0``, or a tangent interior
+event, a double root of ``R``); and an interval between adjacent floats,
+which holds no float, so that its witness is an edge.  A probe counts the
+exact ``F(z; witness)`` on the unit circle with ``winding``'s integer rows
+at ``rho = 1``; the witness ``a`` joins ``b``'s scaling.  The tests check
+every stepped count against that probe, the events against a direct
+crossing-parameter scan and eigenvalue bisection, and the verdicts against
+exact rational counts.
 """
 
 from __future__ import annotations
@@ -180,11 +200,13 @@ def _event_poly(ints: list[int], s: int, n: int) -> tuple[list[int], list[int], 
     return r, [sum(map(operator.mul, ints, column)) for column in l_cols], [c << s for c in den]
 
 
-def _event_roots(c: list[int], num: list[int], den: list[int]) -> list[tuple[float, float, bool]]:
-    """Events ``(a, x, valid)`` at the real roots of the integer polynomial
-    ``c`` of degree 1 or 2, ascending, each once, none past the float
-    range: ``a = num(x)/den(x)`` for integer forms of lower degree (``inf``
-    at ``den = 0``: the exact ``x = 1``), and ``valid = |x| < 1``, exact.
+def _event_roots(c: list[int], num: list[int], den: list[int]) -> list[tuple[float, float, bool, int]]:
+    """Events ``(a, x, valid, slope)`` at the real roots of the integer
+    polynomial ``c`` of degree 1 or 2, ascending, each once, none past the
+    float range: ``a = num(x)/den(x)`` for integer forms of lower degree
+    (``inf`` at ``den = 0``: the exact ``x = 1``), ``valid = |x| < 1``, and
+    ``slope`` the sign of ``c'`` at the root, all exact; ``slope`` is 0 at a
+    double root and where two roots give one event.
 
     ``x`` and ``a`` are the floats nearest them.  The quadratic's roots are
     ``q/c2`` and ``c0/q`` with ``q = -(c1 + sign(c1)*sqrt(disc))/2``, which
@@ -203,12 +225,12 @@ def _event_roots(c: list[int], num: list[int], den: list[int]) -> list[tuple[flo
         return (a, _div(u, v) + 0.0, abs(u) < v), bottom > 0
 
     if len(c) == 2:
-        ends = [at(-c[0], c[1])]
+        found = [(at(-c[0], c[1])[0], 1 if c[1] > 0 else -1)]
     else:
         c0, c1, c2 = c
         disc = c1 * c1 - 4 * c0 * c2
         if disc <= 0:
-            ends = [at(-c1, 2 * c2)] if disc == 0 else []
+            found = [(at(-c1, 2 * c2)[0], 0)] if disc == 0 else []
         else:
             sign = 1 if c1 >= 0 else -1
             k = max(1, 64 - disc.bit_length() // 2)  # s carries 64 or more bits
@@ -221,7 +243,11 @@ def _event_roots(c: list[int], num: list[int], den: list[int]) -> list[tuple[flo
                 if ends == upper:
                     break
                 k *= 2
-    return sorted({event for event, _ in ends if math.isfinite(event[1])})
+            # R' is -sign*sqrt(disc) at q/c2 and +sign*sqrt(disc) at c0/q;
+            # two roots that round alike merge, their slopes cancelling.
+            (first, _), (second, _) = ends
+            found = [(first, 0)] if first == second else [(first, -sign), (second, sign)]
+    return sorted((*event, slope) for event, slope in found if math.isfinite(event[1]))
 
 
 def zero_point_candidates(b: Sequence[float], n: int) -> list[ZeroPointCandidate]:
@@ -240,9 +266,10 @@ def zero_point_candidates(b: Sequence[float], n: int) -> list[ZeroPointCandidate
     return _zero_point_candidates(*_scaled(_check_coeffs(b, "b", n)), n)[0]
 
 
-def _zero_point_candidates(ints: list[int], s: int, n: int) -> tuple[list[ZeroPointCandidate], bool]:
+def _zero_point_candidates(ints: list[int], s: int, n: int) -> tuple[list[ZeroPointCandidate], bool, list[int]]:
     """:func:`zero_point_candidates` for a checked ``b`` times ``2**s``, the
-    integers ``ints``, and whether a valid event was dropped past the float range."""
+    integers ``ints``, whether a valid event was dropped past the float
+    range, and the sign of ``R'`` at each candidate (see ``_event_roots``)."""
     event, num, den = _event_poly(ints, s, n)
     if not event:
         raise DegenerateBoundaryError(
@@ -250,10 +277,11 @@ def _zero_point_candidates(ints: list[int], s: int, n: int) -> tuple[list[ZeroPo
             "to the unit circle over a continuum of a values"
         )
     if len(event) < 2:
-        return [], False
+        return [], False, []
     events = _event_roots(event, _prem(num, event), _prem(den, event))
-    kept = [ZeroPointCandidate(a, x, valid) for a, x, valid in events if 0.0 <= a < math.inf]
-    return kept, any(valid and a == math.inf for a, _, valid in events)
+    kept = [e for e in events if 0.0 <= e[0] < math.inf]
+    return ([ZeroPointCandidate(a, x, valid) for a, x, valid, _ in kept],
+            any(valid and a == math.inf for a, _, valid, _ in events), [e[3] for e in kept])
 
 
 def i_max_order3(b: Sequence[float]) -> tuple[float, bool]:
@@ -318,8 +346,14 @@ _PROBE_ROWS = [(row[-2::-1], [1] * len(row)) for row in SHIFTED_ROWS]
 
 
 # Per order, the roots of F inside the circle as a -> inf when sum(b) > 0
-# (the module docstring derives them); order 2 has no such count.
+# (the module docstring derives them); order 2's hangs on the sign of b2.
 _LIMIT_COUNTS = (None, 1, None, 1, 2, 3)
+
+# Per order: the roots entering the circle as a grows past an interior event,
+# per unit of the sign of R' there, 2*sign(c_n); and the weights
+# (-1)**(k-1) * (2k - n) of b_k in v, whose sign is the root entering at a_min.
+_PAIR_TURNS = (None, None, None, -2, -2, 2)
+_MIN_ROWS = [[(-1) ** (k - 1) * (2 * k - n) for k in range(1, n + 1)] for n in range(MAX_ORDER + 1)]
 
 
 def _probe(ints: list[int], s: int, n: int, a: float) -> tuple[bool, int | None]:
@@ -345,21 +379,27 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
 
     Events are the lower bound (when positive) plus every valid zero-point
     candidate (none for a reciprocal-symmetric design, whose event
-    polynomial vanishes identically); each open interval between
-    consecutive events is classified at a witness probe, the exact count
-    of ``F(z; witness)`` inside the unit circle.  The linear-model point
+    polynomial vanishes identically).  Each open interval between
+    consecutive events gets a witness ``a`` and the count of roots of
+    ``F(z; witness)`` inside the unit circle.  The linear-model point
     ``a = 1`` is the witness whenever it lies inside an interval; an
     interval between adjacent floats holds no float, and its witness is an
-    edge.  The last interval takes, with no probe, the count of the limit
-    ``a -> inf``: the roots gather at ``z = 1 + (sum(b)/a)**(1/n) * w``,
-    ``w**n = -1``, inside where ``Re w < 0``, so 1 at order 1 and ``n - 2``
-    at orders 3-5.  That holds when ``sum(b) > 0``, the order is not 2, the
-    event polynomial does not vanish identically, and no valid event is
-    past the float range; otherwise the last interval is probed too.  If
-    ``sum(b) <= 0`` the turning point ``F(1) = sum(b)`` is never positive:
-    there is no event search, and the one interval is unstable.  Raises
-    ``ValueError`` when ``F`` at the witness past the last event would
-    leave the float range.
+    edge.  The last interval's count is the limit ``a -> inf``: ``n - 2``
+    at orders 3-5, 1 at order 1, and at order 2 two for ``b2 < 0``, none
+    for ``b2 > 0``.  Each edge below steps the count down by the roots
+    entering there as ``a`` grows: ``sign(v)`` at ``a_min``, with
+    ``v = sum_k (-1)**(k-1) * (2k - n) * b_k``, and ``2*sign(c_n)`` times
+    the sign of ``R'`` at each interior event, with ``c_3 = -2``,
+    ``c_4 = -4`` and ``c_5 = 4`` (the module docstring derives both).
+    Every interval is probed instead, its count that of the exact ``F`` at
+    the witness, when ``sum(b) <= 0``, when the event polynomial vanishes
+    identically (at order 2, ``b2 = 0``), when a valid event is past the
+    float range, or when an edge's crossing has no sign (``v = 0`` or a
+    tangent interior event); so is an interval whose witness is an edge.
+    If ``sum(b) <= 0`` the turning point ``F(1) = sum(b)`` is never
+    positive: there is no event search, and the one interval is unstable.
+    Raises ``ValueError`` when ``F`` at the witness past the last event
+    would leave the float range.
     """
     b = _check_coeffs(b, "b", n)
     sum_b = math.fsum(b)
@@ -371,11 +411,14 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
     # F(1) = sum(b) <= 0 puts a root at or beyond z = 1 for every a: no a is
     # stable, and the one interval, probed at a = 1, needs no events.
     if sum_b > 0.0:
-        limit = _LIMIT_COUNTS[n]
+        # Order 2's pair has |z|**2 = 1 + b2/a: inside for b2 < 0, and on the
+        # circle for every a when b2 = 0, the continuum the probes decide.
+        limit = _LIMIT_COUNTS[n] if n != 2 else 2 if ints[1] < 0 else 0 if ints[1] else None
+        slopes = []
         # Below order 3 the event polynomial is a constant: no interior event.
         if n > 2:
             try:
-                candidates, beyond = _zero_point_candidates(ints, s, n)
+                candidates, beyond, slopes = _zero_point_candidates(ints, s, n)
             except DegenerateBoundaryError:
                 # F is self-reciprocal for every a: there is no isolated
                 # interior event, so the only edge is a_min and the probes
@@ -386,8 +429,20 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
                     # A valid event past the float range is no edge, so the
                     # limit need not hold past the last one: the probe decides.
                     limit = None
-        # Exactly equal events meet in the set: an interior event at a_min is one edge.
-        events = sorted(a for a in {a_min, *(c.a for c in candidates if c.valid)} if a > 0.0)
+        # turns[a]: the roots entering the circle as a grows past the edge a.
+        # Exactly equal events meet in one key: an interior event at a_min is
+        # one edge.  A zero turn (a tangency, or a double root at z = -1)
+        # leaves the count to the probes.
+        v = sum(map(operator.mul, ints, _MIN_ROWS[n]))
+        turns = {a_min: (v > 0) - (v < 0)}
+        zero = a_min > 0.0 and not v
+        for c, slope in zip(candidates, slopes):
+            if c.valid:
+                turns[c.a] = turns.get(c.a, 0) + _PAIR_TURNS[n] * slope
+                zero = zero or (c.a > 0.0 and not slope)
+        if zero:
+            limit = None
+        events = sorted(a for a in turns if a > 0.0)
     # The witness past the last event is the largest: refuse here, before
     # any probe, when F at it leaves the float range.
     top = 10.0 * events[-1] + 1.0 if events else 1.0
@@ -395,7 +450,10 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
 
     edges = [0.0] + events + [math.inf]
     intervals: list[StabilityInterval] = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    count = limit  # the exact count inside, stepped down across each edge from the limit
+    for lo, hi in zip(edges[-2::-1], edges[:0:-1]):
+        if count is not None and hi < math.inf:
+            count -= turns[hi]
         # Each edge is the float nearest its exact event, so a float strictly
         # between two edges is strictly inside the exact interval.  Between
         # adjacent floats the midpoint rounds to an edge; at 0 it takes hi.
@@ -403,11 +461,12 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
             witness = 1.0
         else:
             witness = top if math.isinf(hi) else 0.5 * (lo + hi) or hi
-        if limit is not None and math.isinf(hi):
-            stable, count = limit == n, limit
+        if count is not None and lo < witness < hi:
+            stable, inside = count == n, count
         else:
-            stable, count = _probe(ints, s, n, witness)
-        intervals.append(StabilityInterval(lo=lo, hi=hi, stable=stable, witness_a=witness, witness_count=count))
+            stable, inside = _probe(ints, s, n, witness)
+        intervals.append(StabilityInterval(lo=lo, hi=hi, stable=stable, witness_a=witness, witness_count=inside))
+    intervals.reverse()
     return StabilityReport(
         sum_b=sum_b,
         a_min=a_min,

@@ -63,6 +63,14 @@ def _roots_between(c, lo, hi):
     return 2 if lo < vertex < hi and (_value(c, vertex) > 0) != up else 0
 
 
+def _slope_at_root(c, lo, hi):
+    """Exact sign of ``c'`` at the one root of ``c`` in ``(lo, hi)``, a
+    simple one: that of ``c`` just right of it, so at ``hi``, or minus that
+    at ``lo`` when ``hi`` is another root."""
+    right = _value(c, hi) or -_value(c, lo)
+    return (right > 0) - (right < 0)
+
+
 def _mul(p, q):
     out = [Fraction(0)] * (len(p) + len(q) - 1)
     for i, pi in enumerate(p):
@@ -282,7 +290,8 @@ class TestZeroPointCandidates:
         # integer forms, some with a pole next to a root.  Each x's rounding
         # cell holds a root, the cells of all x hold every distinct root
         # inside the float range, a's cell holds num/den at the root in x's
-        # cell, and valid is the exact |x| < 1.
+        # cell, valid is the exact |x| < 1, and slope is the exact sign of
+        # c' at that root (0 at a double root).
         from sdmstab.boundary import _event_roots
 
         rng = random.Random(61)
@@ -344,22 +353,32 @@ class TestZeroPointCandidates:
         while q < 2**120:
             p, q = p + 2 * q, p + q
         forms.append(([-2, 0, 1], [1 - p, q], [-p, q]))
+        tangent, slopes = 0, {-1: 0, 1: 0}
         for c, num, den in forms:
             got = _event_roots(c, num, den)
             assert got == sorted(set(got)), (c, got)
-            xs = sorted({x for _, x, _ in got})
+            assert len({event[:3] for event in got}) == len(got), (c, got)
+            xs = sorted({x for _, x, _, _ in got})
             assert all(map(math.isfinite, xs)), (c, got)
-            assert all(math.copysign(1.0, v) == 1.0 for a, x, _ in got for v in (a, x) if v == 0.0)
+            assert all(math.copysign(1.0, v) == 1.0 for a, x, _, _ in got for v in (a, x) if v == 0.0)
             held = [_roots_between(c, *_rounding_cell(x)) for x in xs]
             assert min(held, default=1) >= 1, (c, got)
             assert sum(held) == _roots_between(c, -_EDGE, _EDGE), (c, got)
-            if len(c) == 3 and c[1] ** 2 == 4 * c[0] * c[2]:
+            double = len(c) == 3 and c[1] ** 2 == 4 * c[0] * c[2]
+            if double:
                 assert xs == [float(Fraction(-c[1], 2 * c[2]))] or not xs, (c, got)
-            for a, x, valid in got:
-                if _roots_between(c, *_rounding_cell(x)) == 1:  # else two roots round to x
+                assert all(slope == 0 for *_, slope in got), (c, got)
+                tangent += bool(got)
+            for a, x, valid, slope in got:
+                cell = _rounding_cell(x)
+                if _roots_between(c, *cell) == 1:  # else two roots round to x
                     assert _a_at_root(c, num, den, x, a), (c, num, den, x, a)
                     assert valid == _exactly_inside(c, x), (c, x, valid)
-        assert _event_roots([-1, 0, 1], [2, 3], [1, -1]) == [(-0.5, -1.0, False), (math.inf, 1.0, False)]
+                    if not double:
+                        assert slope == _slope_at_root(c, *cell), (c, x, slope)
+                        slopes[slope] += 1
+        assert tangent > 250 and min(slopes.values()) > 2000, (tangent, slopes)
+        assert _event_roots([-1, 0, 1], [2, 3], [1, -1]) == [(-0.5, -1.0, False, -1), (math.inf, 1.0, False, 1)]
 
     def test_candidates_sit_on_the_nearest_floats(self):
         # The event polynomial rebuilt independently in Fractions, as the
@@ -836,6 +855,67 @@ class TestClassifyIntervals:
                 edges += 1
         assert edges > 2000
 
+    def test_every_stepped_count_is_the_probes(self, monkeypatch):
+        # Only sum(b) <= 0, a continuum, a valid event past the float range,
+        # a zero turn and an interval holding no float are probed; every
+        # other count is stepped down from the a -> inf limit by the turn
+        # at each edge.  Each interval's verdict and count equal the exact
+        # probe's at its witness, stepped or not.
+        probe, probed = boundary._probe, []
+
+        def recording(ints, s, n, a):
+            probed.append(a)
+            return probe(ints, s, n, a)
+
+        rng = random.Random(2106)
+        designs = [b for family in classify_pin_corpus().values() for b in family]
+        designs += near_cancelling_corpus()
+        designs += [stable_b_sample(rng, i % 5 + 1) if i % 2 else tuple(rng.uniform(-4, 4) for _ in range(i % 5 + 1))
+                    for i in range(6000)]
+        monkeypatch.setattr(boundary, "_probe", recording)
+        stepped, pairs = [0] * 6, {-2: 0, 2: 0}
+        for b in designs:
+            n = len(b)
+            probed.clear()
+            try:
+                rep = classify_intervals(b, n)
+            except ValueError:
+                continue
+            ints, s = _scaled(b)
+            for iv in rep.intervals:
+                assert (iv.stable, iv.witness_count) == probe(ints, s, n, iv.witness_a), (b, n, iv)
+                stepped[n] += iv.witness_a not in probed
+            valid = {c.a for c in rep.candidates if c.valid}
+            for below, above in zip(rep.intervals, rep.intervals[1:]):
+                if below.hi in valid and below.hi != rep.a_min and not probed:
+                    turn = above.witness_count - below.witness_count
+                    assert turn in pairs, (b, n, below, above)
+                    pairs[turn] += 1
+        assert min(stepped[1:]) > 3000 and min(pairs.values()) > 1000, (stepped, pairs)
+
+    @pytest.mark.parametrize(
+        "b, a_min, candidates, intervals",
+        [
+            # A tangent interior event (a double root of R): a zero turn.
+            ((-4.0, 2.0, 1.0, 1.0, 3.0), -0.09375, [(6.0, 0.5, True)],
+             [(0.0, 6.0, False, 1.0, 3), (6.0, math.inf, False, 61.0, 3)]),
+            # R's double root is at a < 0, so a_min is the one edge.
+            ((3.0, 5.0, 5.0, 3.0, 2.0), 0.0625, [],
+             [(0.0, 0.0625, False, 0.03125, 2), (0.0625, math.inf, False, 1.0, 3)]),
+            # v = 0: two real roots meet at z = -1 at a_min, a zero turn.
+            ((3.0, 0.0, 1.0), 0.5, [(0.5, -1.0, False)],
+             [(0.0, 0.5, False, 0.25, 2), (0.5, math.inf, False, 1.0, 1)]),
+            # Order 2 with b2 < 0: the pair's limit is inside.
+            ((1.0, -0.5), 0.375, [],
+             [(0.0, 0.375, False, 0.1875, 1), (0.375, math.inf, True, 1.0, 2)]),
+        ],
+    )
+    def test_turn_fallbacks_and_order2_limits_pinned(self, b, a_min, candidates, intervals):
+        rep = classify_intervals(b, len(b))
+        assert rep.a_min == a_min
+        assert [(c.a, c.x, c.valid) for c in rep.candidates] == candidates
+        assert [(iv.lo, iv.hi, iv.stable, iv.witness_a, iv.witness_count) for iv in rep.intervals] == intervals
+
     def test_b_is_checked_once_per_call(self, monkeypatch):
         check, calls = boundary._check_coeffs, []
 
@@ -879,14 +959,22 @@ class TestClassifyIntervals:
         with pytest.raises(ValueError, match="^the stability boundary overflows the float range"):
             classify_intervals((2e299, -2.99999999e299, 1e299), 3)
         assert calls == []
-        # An ordinary design takes one probe per interval but the last,
-        # whose count is the a -> inf limit.
-        assert len(classify_intervals(B3, 3).intervals) - 1 == len(calls) == 2
-        # Order 2, sum(b) <= 0, a reciprocal design (a continuum) and a valid
-        # event past the float range keep the probe past the last edge.
-        for b in ((1.0, 0.5), (1.0, -2.0, 1.0), (1.0, 0.5, 1.0, 0.0), OVERFLOW_EVENT_B):
+        # Each count is stepped down from the a -> inf limit by the exact
+        # turn at each edge: no probe for B3 (a_min and an interior event),
+        # order 2 with b2 > 0 and b2 < 0, and (3, 5, 5, 3, 2), whose tangent
+        # event has a < 0 and so is no edge.
+        for b in (B3, (1.0, 0.5), (1.0, -0.5), (3.0, 5.0, 5.0, 3.0, 2.0)):
             calls.clear()
-            assert len(classify_intervals(b, len(b)).intervals) == len(calls), b
+            assert len(classify_intervals(b, len(b)).intervals) > 1 and calls == [], b
+        # sum(b) <= 0 takes one probe for its one interval.
+        calls.clear()
+        assert len(classify_intervals((1.0, -2.0, 1.0), 3).intervals) == len(calls) == 1
+        # A reciprocal design (a continuum), a valid event past the float
+        # range, a tangent interior event (a zero turn) and a double root at
+        # z = -1 at a_min (v = 0, a zero turn) are probed at every interval.
+        for b in ((1.0, 0.5, 1.0, 0.0), OVERFLOW_EVENT_B, (-4.0, 2.0, 1.0, 1.0, 3.0), (3.0, 0.0, 1.0)):
+            calls.clear()
+            assert len(classify_intervals(b, len(b)).intervals) == len(calls) > 1, b
 
     def test_past_the_last_event_the_count_is_the_limit(self):
         # With sum(b) > 0 the roots gather at z = 1 + (sum(b)/a)**(1/n) * w,
@@ -894,19 +982,8 @@ class TestClassifyIntervals:
         # last interval's count is the probe's at its witness, designs whose
         # valid event lies past the float range included (there the limit
         # does not hold past the last edge).
-        rng = random.Random(1704)
-
-        def near_cancelling(n):
-            # |b_k| up to 1e300 and sum(b) a few ulps from 0: events overflow.
-            scale = 10.0 ** rng.uniform(250.0, 300.0) / n
-            b = [rng.uniform(-1.0, 1.0) * scale for _ in range(n - 1)]
-            last = -math.fsum(b)
-            for _ in range(rng.randint(1, 4)):
-                last = math.nextafter(last, math.inf)
-            return tuple(b + [last])
-
         designs = [b for family in classify_pin_corpus().values() for b in family]
-        designs += [near_cancelling(i % 5 + 1) for i in range(4000)]
+        designs += near_cancelling_corpus()
         checked = beyond = 0
         for b in designs:
             n = len(b)
@@ -927,6 +1004,22 @@ class TestClassifyIntervals:
         last = classify_intervals(OVERFLOW_EVENT_B, 3).intervals[-1]
         assert (last.lo, last.hi, last.stable, last.witness_count) == (2.2499999999999994e299, math.inf, True, 3)
         assert zero_point_candidates(OVERFLOW_EVENT_B, 3) == []
+
+
+def near_cancelling_corpus():
+    """4,000 seeded designs of orders 1-5 with ``|b_k|`` up to 1e300 and
+    ``sum(b)`` a few ulps above 0, so that their events overflow."""
+    rng = random.Random(1704)
+
+    def near_cancelling(n):
+        scale = 10.0 ** rng.uniform(250.0, 300.0) / n
+        b = [rng.uniform(-1.0, 1.0) * scale for _ in range(n - 1)]
+        last = -math.fsum(b)
+        for _ in range(rng.randint(1, 4)):
+            last = math.nextafter(last, math.inf)
+        return tuple(b + [last])
+
+    return [near_cancelling(i % 5 + 1) for i in range(4000)]
 
 
 def classify_pin_corpus():
