@@ -20,11 +20,9 @@ __version__ = "0.1.0"
 # Exported name -> the submodule that defines it.
 _EXPORTS = {
     "Poly": "polynomial",
-    "DCoeffs": "transfer",
     "SdmDesign": "transfer",
     "b_from_g": "transfer",
     "char_poly": "transfer",
-    "d_coeffs": "transfer",
     "g_from_b": "transfer",
     "ntf_series": "transfer",
     "CharacteristicPoints": "winding",
@@ -38,10 +36,8 @@ _EXPORTS = {
     "StabilityReport": "boundary",
     "ZeroPointCandidate": "boundary",
     "classify_intervals": "boundary",
-    "crossing_value": "boundary",
     "i_max_order3": "boundary",
     "i_min": "boundary",
-    "t2_order5": "boundary",
     "zero_point_candidates": "boundary",
     "DcInput": "simulator",
     "GridPoint": "simulator",

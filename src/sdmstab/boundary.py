@@ -37,15 +37,15 @@ cross there as ``a`` grows, each with an exact sign:
 
 Equal edges sum their crossings.  Witness probes decide the rest: every
 interval of a design where ``sum(b) <= 0`` (``F(1)`` is never positive, so
-no ``a`` is stable), where the limit does not hold, or where a crossing has
-no sign (a double root at ``z = -1``, ``v = 0``, or a tangent interior
-event, a double root of ``R``); and an interval between adjacent floats,
-which holds no float, so that its witness is an edge.  A probe counts the
-exact ``F(z; witness)`` on the unit circle with ``winding``'s integer rows
-at ``rho = 1``; the witness ``a`` joins ``b``'s scaling.  The tests check
-every stepped count against that probe, the events against a direct
-crossing-parameter scan and eigenvalue bisection, and the verdicts against
-exact rational counts.
+no ``a`` is stable) or where the limit does not hold; every interval below
+an edge where a crossing has no sign (a double root at ``z = -1``,
+``v = 0``, or a tangent interior event, a double root of ``R``); and an
+interval between adjacent floats, which holds no float, so that its
+witness is an edge.  A probe counts the exact ``F(z; witness)``, built in
+integers by ``winding._exact_f``, on the unit circle itself, as the
+``check`` command does.  The tests check every stepped count against that
+probe, the events against a direct crossing-parameter scan and eigenvalue
+bisection, and the verdicts against exact rational counts.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ import operator
 from itertools import zip_longest
 from typing import Sequence
 
-from .polynomial import COS_ROWS, MAX_ORDER, SHIFTED_ROWS, SIN_ROWS, Poly, _div, _prem, _scaled
-from .transfer import DCoeffs, _check_coeffs, _check_result, _check_scalar, record
-from .winding import _count_exact
+from .polynomial import COS_ROWS, MAX_ORDER, SHIFTED_ROWS, SIN_ROWS, _div, _prem, _scaled
+from .transfer import _check_coeffs, _check_result, record
+from .winding import _count_exact, _exact_f
 
 __all__ = [
     "DegenerateBoundaryError",
@@ -67,8 +67,6 @@ __all__ = [
     "i_min",
     "zero_point_candidates",
     "i_max_order3",
-    "t2_order5",
-    "crossing_value",
     "classify_intervals",
 ]
 
@@ -307,44 +305,6 @@ def i_max_order3(b: Sequence[float]) -> tuple[float, bool]:
     return a, abs(top) < abs(bottom)
 
 
-def t2_order5(d: DCoeffs) -> Poly:
-    """Closed-form degree-3 factor of the order-5 terminal remainder.
-
-    For order 5 the first remainder of the cosine profile by the sine
-    profile equals ``a - T2(x)`` with
-    ``T2(x) = 8*d5*x**3 + 4*d4*x**2 + (2*d3 - 4*d5)*x + (d2 - d4)``.
-    """
-    if d.n != 5:
-        raise ValueError(f"order-5 coefficients required, got order {d.n}")
-    d1, d2, d3, d4, d5 = d.d
-    return Poly([d2 - d4, 2.0 * d3 - 4.0 * d5, 4.0 * d4, 8.0 * d5])
-
-
-def crossing_value(b: Sequence[float], n: int, phi: float) -> complex:
-    """The ``a`` that would place a root at angle ``phi`` on the unit circle.
-
-    Solves ``F(e^{i phi}; a) = 0`` for ``a``: the value is a root-crossing
-    parameter only where it comes out real and positive.  At ``phi = pi``
-    it reduces exactly to the ``i_min`` formula.  Raises where the value
-    leaves the float range (``phi`` at or next to 0).
-    """
-    b = _check_coeffs(b, "b", n)
-    phi = _check_scalar(phi, "phi")
-    z = complex(math.cos(phi), math.sin(phi))
-    num = 0.0 + 0.0j
-    for coeff in b:  # b is ordered descending in z powers
-        num = num * z + coeff
-    den = (z - 1.0) ** n
-    val = -num / den if den != 0.0 else complex(math.inf, math.inf)
-    _check_result((val.real, val.imag), "the crossing parameter")
-    return val
-
-
-# Per order: the binomials of (z - 1)**n multiplying a in F's d_1 .. d_n,
-# and the unit scale of a count at rho = 1.
-_PROBE_ROWS = [(row[-2::-1], [1] * len(row)) for row in SHIFTED_ROWS]
-
-
 # Per order, the roots of F inside the circle as a -> inf when sum(b) > 0
 # (the module docstring derives them); order 2's hangs on the sign of b2.
 _LIMIT_COUNTS = (None, 1, None, 1, 2, 3)
@@ -358,19 +318,10 @@ _MIN_ROWS = [[(-1) ** (k - 1) * (2 * k - n) for k in range(1, n + 1)] for n in r
 
 def _probe(ints: list[int], s: int, n: int, a: float) -> tuple[bool, int | None]:
     """Stability verdict at one ``a > 0`` and its root count, from the exact
-    ``F(z; a)``.  ``b`` is scaled once per design, to the integers ``ints``
-    times ``2**-s``; ``a`` joins that scaling, which takes more fractional
-    bits when ``a`` needs them, so ``F``'s coefficients are integers whose
-    count at ``rho = 1`` is exact.  A root on the circle makes the probe
-    unstable with no count."""
-    num, den = a.as_integer_ratio()
-    shift = den.bit_length() - 1 - s  # a's fractional bits past b's
-    if shift > 0:
-        ints = [c << shift for c in ints]
-    else:
-        num <<= -shift
-    rows, scale = _PROBE_ROWS[n]
-    inside = _count_exact([num] + [num * c + bk for c, bk in zip(rows, ints)], scale)
+    ``F(z; a)`` (``winding._exact_f``) of ``b`` scaled once per design, to
+    the integers ``ints`` times ``2**-s``.  A root on the circle makes the
+    probe unstable with no count."""
+    inside = _count_exact(_exact_f(ints, s, n, a)[0])
     return inside == n, inside
 
 
@@ -393,9 +344,10 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
     ``c_4 = -4`` and ``c_5 = 4`` (the module docstring derives both).
     Every interval is probed instead, its count that of the exact ``F`` at
     the witness, when ``sum(b) <= 0``, when the event polynomial vanishes
-    identically (at order 2, ``b2 = 0``), when a valid event is past the
-    float range, or when an edge's crossing has no sign (``v = 0`` or a
-    tangent interior event); so is an interval whose witness is an edge.
+    identically (at order 2, ``b2 = 0``) or when a valid event is past the
+    float range; so is every interval below an edge whose crossing has no
+    sign (``v = 0`` or a tangent interior event), and an interval whose
+    witness is an edge.
     If ``sum(b) <= 0`` the turning point ``F(1) = sum(b)`` is never
     positive: there is no event search, and the one interval is unstable.
     Raises ``ValueError`` when ``F`` at the witness past the last event
@@ -431,17 +383,14 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
                     limit = None
         # turns[a]: the roots entering the circle as a grows past the edge a.
         # Exactly equal events meet in one key: an interior event at a_min is
-        # one edge.  A zero turn (a tangency, or a double root at z = -1)
-        # leaves the count to the probes.
+        # one edge.  A crossing with no sign (a tangency, or a double root at
+        # z = -1) makes the turn None: the probes decide below that edge.
         v = sum(map(operator.mul, ints, _MIN_ROWS[n]))
-        turns = {a_min: (v > 0) - (v < 0)}
-        zero = a_min > 0.0 and not v
+        turns = {a_min: (v > 0) - (v < 0) or None}
         for c, slope in zip(candidates, slopes):
             if c.valid:
-                turns[c.a] = turns.get(c.a, 0) + _PAIR_TURNS[n] * slope
-                zero = zero or (c.a > 0.0 and not slope)
-        if zero:
-            limit = None
+                turn = turns.get(c.a, 0)
+                turns[c.a] = turn + _PAIR_TURNS[n] * slope if slope and turn is not None else None
         events = sorted(a for a in turns if a > 0.0)
     # The witness past the last event is the largest: refuse here, before
     # any probe, when F at it leaves the float range.
@@ -453,7 +402,7 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
     count = limit  # the exact count inside, stepped down across each edge from the limit
     for lo, hi in zip(edges[-2::-1], edges[:0:-1]):
         if count is not None and hi < math.inf:
-            count -= turns[hi]
+            count = None if turns[hi] is None else count - turns[hi]
         # Each edge is the float nearest its exact event, so a float strictly
         # between two edges is strictly inside the exact interval.  Between
         # adjacent floats the midpoint rounds to an edge; at 0 it takes hi.

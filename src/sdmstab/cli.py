@@ -6,8 +6,10 @@ Commands: ``bounds``, ``check``, ``contour``, ``from-g``, ``simulate``,
 order inferred from the list length.  Formats: ``bounds``, ``check`` and
 ``from-g`` write text or json; ``contour`` csv (its default), text or json;
 ``simulate`` and ``sweep`` text, json or csv (``simulate`` csv only for a
-trace, ``--trace-len`` > 0).  Exit codes: 0 success, 1 a refusal by ``check``
-(a root within ``2**-30`` of the unit circle), 2 usage and validation errors.
+trace, ``--trace-len`` > 0).  ``check`` counts the exact ``F(z; a)`` that
+``bounds`` probes, so its answer is the verdict of the ``bounds`` interval
+holding ``a``.  Exit codes: 0 success, 1 a refusal by ``check`` (a root
+exactly on the unit circle), 2 usage and validation errors.
 
 Each command imports the analytic or simulator modules it uses when it
 runs, and ``json`` is imported only for ``--format json``, so one process
@@ -166,14 +168,18 @@ def execute(cfg: RunConfig) -> tuple[Report, int]:
 
         payload: object = classify_intervals(design.b, design.n)
     elif cfg.command in ("check", "contour"):
-        from .winding import characteristic_points, contour_table, count_inside_e1
+        from .winding import _count_at, characteristic_points, contour_table, count_inside_e1
 
         inputs["i_abs"] = cfg.i_abs
         f = char_poly(design.b, design.n, cfg.i_abs)
         if f.degree < 1:  # only at i_abs = 0, where F is D
             raise ValueError("F(z; 0) = D(z) is constant for this design: give --i-abs > 0")
         if cfg.command == "check":
-            payload = replace(count_inside_e1(f), points=characteristic_points(f))
+            # F = D is exact at a = 0; elsewhere char_poly's F is rounded.
+            if cfg.i_abs:
+                payload = _count_at(design.b, design.n, cfg.i_abs)
+            else:
+                payload = replace(count_inside_e1(f), points=characteristic_points(f))
             code = int(payload.marginal)
         else:
             inputs["samples"] = cfg.samples

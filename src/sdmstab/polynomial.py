@@ -113,11 +113,6 @@ def _scaled(coeffs: tuple[float, ...]) -> tuple[list[int], int]:
     return [num << (bits - d.bit_length()) for num, d in ratios], bits - 1
 
 
-def _int_coeffs(coeffs: tuple[float, ...]) -> list[int]:
-    """Float coefficients times one common power of two, as ints (exact)."""
-    return _scaled(coeffs)[0]
-
-
 def _primitive(p: list[int], sign: int = 1) -> list[int]:
     """``sign * p`` without trailing zeros, divided by its positive content."""
     while p and p[-1] == 0:

@@ -20,11 +20,9 @@ __all__ = [
     "MAX_ORDER",
     "record",
     "SdmDesign",
-    "DCoeffs",
     "b_from_g",
     "g_from_b",
     "char_poly",
-    "d_coeffs",
     "ntf_series",
 ]
 
@@ -192,30 +190,6 @@ def _char_poly(b: tuple[float, ...], n: int, a: float) -> Poly:
     ``D`` itself, so the signed zeros of ``b`` stay."""
     d = b[::-1]
     return Poly([a * c + dk for c, dk in zip(SHIFTED_ROWS[n], d)] + [a]) if a else Poly(d)
-
-
-@record
-class DCoeffs:
-    """Unit-circle image coefficients ``d[k-1] = b[k-1] + C(n,k)*(-1)**k * a``."""
-
-    d: tuple[float, ...]
-    a: float
-
-    @property
-    def n(self) -> int:
-        return len(self.d)
-
-
-def d_coeffs(b: Sequence[float], n: int, a: float) -> DCoeffs:
-    """Coefficients of ``z**(n-k)`` in the characteristic polynomial.
-
-    Satisfies ``char_poly(b, n, a) == a*z**n + sum(d[k-1] * z**(n-k))``
-    exactly (the binomials are exact integers).
-    """
-    b = _check_coeffs(b, "b", n)
-    a = _check_scalar(a, "the integrator magnitude a", nonnegative=True)
-    d = tuple(bk + c * a for bk, c in zip(b, SHIFTED_ROWS[n][-2::-1]))
-    return DCoeffs(d=d, a=a)
 
 
 @record

@@ -12,11 +12,11 @@ normal case, each remainder one degree lower than the last, runs as one
 generated straight-line kernel per order, built on first use; the kernel
 leaves ``F(0) = 0``, a member vanishing at -1 or 1, and a zero or
 degree-dropping remainder to the generic walk, and makes the very same
-integers, so both give the same count.  A count is refused exactly when a
-root lies within ``2**-30`` of the circle; the radii ``1 -+ 2**-8`` decide
-it first, in smaller integers, and ``1 -+ 2**-30`` are counted only where a
-root lies within ``2**-8``.  ``boundary`` counts its witness probes at
-``rho = 1`` itself.
+integers, so both give the same count.  The count is taken on the unit
+circle itself and refused only for a root exactly on it.  ``_exact_f``
+builds ``F(z; a) = a*(z-1)**n + D(z)`` in integers from ``b`` and ``a``;
+``boundary``'s witness probes and the ``check`` command count that exact
+``F``, so both give one answer for one ``(b, a)``.
 ``characteristic_points`` locates the points themselves, from the same
 integer profiles with their roots isolated exactly, and ``contour_table``
 samples the image for plotting.
@@ -25,10 +25,9 @@ samples the image for plotting.
 from __future__ import annotations
 
 import math
-import operator
 
-from .polynomial import COS_ROWS, MAX_ORDER, SIN_ROWS, Poly
-from .polynomial import _cauchy_index, _derivative, _div, _end_signs, _int_coeffs, _primitive, _scaled
+from .polynomial import COS_ROWS, MAX_ORDER, SHIFTED_ROWS, SIN_ROWS, Poly
+from .polynomial import _cauchy_index, _derivative, _div, _end_signs, _primitive, _scaled
 from .polynomial import _roots_inside, _value
 from .transfer import _check_count, record
 
@@ -67,9 +66,9 @@ class CharacteristicPoints:
 class RootCountResult:
     """Outcome of a unit-circle root count.
 
-    ``inside`` is None when ``marginal`` is set: a root sits too close to the
-    circle for any verdict.  No count sets ``points``; the ``check`` command
-    adds them from ``characteristic_points`` for its report.
+    ``inside`` is None when ``marginal`` is set: a root lies exactly on the
+    circle, so there is no verdict.  ``count_inside_e1`` sets no ``points``;
+    the ``check`` command's count carries those of the polynomial it counts.
     """
 
     inside: int | None
@@ -87,7 +86,7 @@ def _normalized(f: Poly) -> Poly:
 def _profiles(coeffs: list[int]) -> tuple[list[int], list[int]]:
     """``r0`` and ``r1`` of the integer ``(a, d_1, .., d_n)``, ascending in
     ``x = cos(phi)``: ``W = r0(x) - i*sin(phi)*r1(x)`` on the circle."""
-    t_rows, u_rows, _ = _tables(len(coeffs) - 1)
+    t_rows, u_rows = _tables(len(coeffs) - 1)
     return tuple([sum([coeffs[k] * c for k, c in row]) for row in rows] for rows in (t_rows, u_rows))
 
 
@@ -98,8 +97,8 @@ def characteristic_points(f: Poly) -> CharacteristicPoints:
     Writing the normalized ``F = a*z**n + sum(d_k * z**(n-k))``, the image is
     ``W = a + sum(d_k / z**k)``, so on the circle ``Re W = r0(x)`` and
     ``Im W = -sin(phi)*r1(x)`` in ``x = cos(phi)``.  Both are built in
-    integers from the rows ``count_inside_e1`` counts with, at ``rho = 1``;
-    the self-intersections are the roots of ``r1`` strictly inside (-1, 1).
+    integers from the rows ``count_inside_e1`` counts with; the
+    self-intersections are the roots of ``r1`` strictly inside (-1, 1).
     ``w_plus``, ``w_minus`` and each ``x`` are the floats nearest the exact
     values, and each ``re_w`` is the float nearest ``r0`` at that ``x``.
     """
@@ -107,8 +106,14 @@ def characteristic_points(f: Poly) -> CharacteristicPoints:
     if f.degree > MAX_ORDER:
         raise ValueError(f"need degree 1..{MAX_ORDER}, got {f.degree}")
     coeffs, s = _scaled(f.coeffs)
+    return _points(coeffs[::-1], s)
+
+
+def _points(coeffs: list[int], s: int) -> CharacteristicPoints:
+    """:func:`characteristic_points` of the integers ``(a, d_1, .., d_n)``
+    times ``2**-s``, ``a > 0``."""
     unit = 1 << s
-    r0, r1 = _profiles(coeffs[::-1])
+    r0, r1 = _profiles(coeffs)
     selfx = []
     for x in _roots_inside(r1):
         num, den = x.as_integer_ratio()
@@ -117,29 +122,16 @@ def characteristic_points(f: Poly) -> CharacteristicPoints:
                                 selfx=tuple(selfx))
 
 
-# Refusal radius: a count is given only when no root lies within 2**-REFUSE_BITS
-# of the circle.  The filter radius 2**-FILTER_BITS decides that first, with
-# integers 22*n bits shorter, wherever no root lies within it.  Dyadic radii
-# keep every count exact.
-FILTER_BITS = 8
-REFUSE_BITS = 30
-
 _TABLES: dict = {}
 
 
-def _tables(n: int) -> tuple[list, list, list[tuple[list[int], list[int]]]]:
-    """Order-``n`` tables, built on first use: rows giving each coefficient of
+def _tables(n: int) -> list[list]:
+    """Order-``n`` rows, built on first use, giving each coefficient of
     ``r0`` and ``r1`` as small multiples of ``(a, d_1, .., d_n)``
-    (``cos(k*phi) = T_k(x)``, ``sin(k*phi) = sin(phi)*U_(k-1)(x)``), and, for
-    ``bits`` = ``FILTER_BITS`` then ``REFUSE_BITS``, the pair of factors
-    scaling those to ``2**(bits*n) * F(rho*z)`` at the inner and the outer
-    radius ``rho = 1 -+ 2**-bits``."""
+    (``cos(k*phi) = T_k(x)``, ``sin(k*phi) = sin(phi)*U_(k-1)(x)``)."""
     if n not in _TABLES:
-        rows = [[[(k, p[j]) for k, p in enumerate(basis[: n + 1]) if j < len(p) and p[j]]
-                 for j in range(width)] for basis, width in ((COS_ROWS, n + 1), (SIN_ROWS, n))]
-        _TABLES[n] = *rows, [tuple([m ** (n - k) << (bits * k) for k in range(n + 1)]
-                                   for m in ((1 << bits) - 1, (1 << bits) + 1))
-                             for bits in (FILTER_BITS, REFUSE_BITS)]
+        _TABLES[n] = [[[(k, p[j]) for k, p in enumerate(basis[: n + 1]) if j < len(p) and p[j]]
+                       for j in range(width)] for basis, width in ((COS_ROWS, n + 1), (SIN_ROWS, n))]
     return _TABLES[n]
 
 
@@ -185,17 +177,15 @@ def _ends(name: str, size: int, fail: str = "-1") -> list[str]:
 
 
 def _kernel(n: int):
-    """``kernel(coeffs, scale)``: the normal case of ``_count_exact`` at
-    order ``n``, -1 outside it."""
+    """``kernel(coeffs)``: the normal case of ``_count_exact`` at order
+    ``n``, -1 outside it."""
     if n not in _KERNELS:
-        t_rows, u_rows, _ = _tables(n)
+        t_rows, u_rows = _tables(n)
         cs = ", ".join(f"c{k}" for k in range(n + 1))
         lines = [
             f"{cs}, = coeffs",
             f"if not c{n}:",
             "    return -1",
-            f"{cs.replace('c', 's')}, = scale",
-            *(f"c{k} *= s{k}" for k in range(n + 1)),
             *(f"p0_{j} = {_sum('c', row)}" for j, row in enumerate(t_rows)),  # r0
             *_ends("p0_", n + 1, "None"),
             "w_plus, w_minus = hi, lo",
@@ -229,27 +219,26 @@ def _kernel(n: int):
             "    w -= s_0",
             f"return {n} + w",
         ]
-        src = "def kernel(coeffs, scale):\n" + "".join(f"    {line}\n" for line in lines)
+        src = "def kernel(coeffs):\n" + "".join(f"    {line}\n" for line in lines)
         scope = {"gcd": math.gcd}
         exec(compile(src, f"<sdmstab count kernel n={n}>", "exec"), scope)
         _KERNELS[n] = scope["kernel"]
     return _KERNELS[n]
 
 
-def _count_exact(coeffs: list[int], scale: list[int]) -> int | None:
+def _count_exact(coeffs: list[int]) -> int | None:
     """Roots inside ``|z| = 1`` of the polynomial with the integer
-    coefficients ``(a, d_1, .., d_n)`` times ``scale``, ``a > 0``; None for a
-    root on the circle.  See ``count_inside_e1``.  The order's generated
-    kernel counts the normal case, where each remainder of the chain is one
-    degree lower than the last, from the very integers ``_count_generic``
-    would make; it returns -1 for ``F(0) = 0``, a member vanishing at -1 or
-    1, or a zero or degree-dropping remainder, which ``_count_generic``
-    then counts."""
-    inside = _kernel(len(coeffs) - 1)(coeffs, scale)
-    return _count_generic(coeffs, scale) if inside == -1 else inside
+    coefficients ``(a, d_1, .., d_n)``, ``a > 0``; None for a root on the
+    circle.  See ``count_inside_e1``.  The order's generated kernel counts
+    the normal case, where each remainder of the chain is one degree lower
+    than the last, from the very integers ``_count_generic`` would make; it
+    returns -1 for ``F(0) = 0``, a member vanishing at -1 or 1, or a zero or
+    degree-dropping remainder, which ``_count_generic`` then counts."""
+    inside = _kernel(len(coeffs) - 1)(coeffs)
+    return _count_generic(coeffs) if inside == -1 else inside
 
 
-def _count_generic(coeffs: list[int], scale: list[int]) -> int | None:
+def _count_generic(coeffs: list[int]) -> int | None:
     """``_count_exact`` for any chain, walking ``_sturm`` member by member;
     the kernels leave it the three cases outside the normal one: ``F(0) = 0``,
     a member vanishing at -1 or 1 (its sign beside the end decides), and a
@@ -257,7 +246,7 @@ def _count_generic(coeffs: list[int], scale: list[int]) -> int | None:
     in (-1, 1) are on the circle).  In the normal case it makes the same
     integers as the kernel."""
     n = len(coeffs) - 1
-    r0, r1 = _profiles(list(map(operator.mul, coeffs, scale)))
+    r0, r1 = _profiles(coeffs)
     while r0[-1] == 0:  # r0 = a when every d_k is 0, else of degree max{k: d_k != 0}
         r0.pop()
     w_plus, w_minus = sum(r0), sum(r0[::2]) - sum(r0[1::2])  # W(1), W(-1)
@@ -294,33 +283,45 @@ def count_inside_e1(f: Poly) -> RootCountResult:
     sequence of ``(r1, r0)`` at the ends give without isolating any root;
     ``W(1) < 0`` adds ``s_m`` and ``W(-1) < 0`` adds ``-s_0``.  All of it is
     exact integer arithmetic on the float coefficients scaled by a power of
-    two.  The count is taken for ``F(rho*z)`` at a pair of radii
-    ``rho = 1 -+ eps``: if the two agree and neither has a root on its circle,
-    no root lies within ``eps`` of the unit circle and that is the count.
-    One radius settles it when it gives ``n`` at ``1 - eps`` or 0 at
-    ``1 + eps``: the other could only agree.  The product of the root moduli
-    is ``|F(0)/a|``, so the inner radius comes first if ``|F(0)| < a`` (no
-    count can be 0 at ``rho = 1``) and the outer one otherwise (none can be
-    ``n``).  The pair ``eps = 2**-8`` is counted first; only if it fails, a
-    root lying within ``2**-8`` of the circle, is the pair ``eps = 2**-30``
-    counted, and if that fails too a root lies within ``2**-30`` of the
-    circle and the result is marginal with no count.  The roots inside
-    ``|z| < rho`` only grow with ``rho``, so the first pair can decide only
-    where the second would give the same count.
+    two, so a root however close to the circle is counted on its side; the
+    result is marginal, with no count, only for a root exactly on it.
     """
     f = _normalized(f)
     n = f.degree
     if n > MAX_ORDER:
         raise ValueError(f"need degree 1..{MAX_ORDER}, got {n}")
-    coeffs = _int_coeffs(f.coeffs)[::-1]
-    inner_first = abs(coeffs[-1]) < coeffs[0]
-    settled = n if inner_first else 0
-    for inner, outer in _tables(n)[2]:
-        first, second = (inner, outer) if inner_first else (outer, inner)
-        inside = _count_exact(coeffs, first)
-        if inside == settled or inside is not None and inside == _count_exact(coeffs, second):
-            return RootCountResult(inside=inside, winding=inside - n)
-    return RootCountResult(inside=None, marginal=True)
+    return _result(_count_exact(_scaled(f.coeffs)[0][::-1]), n)
+
+
+def _result(inside: int | None, n: int, points: CharacteristicPoints | None = None) -> RootCountResult:
+    """A degree-``n`` count as a result, marginal when ``inside`` is None."""
+    return RootCountResult(inside=inside, marginal=inside is None,
+                           winding=None if inside is None else inside - n, points=points)
+
+
+# Per order: the binomials of (z - 1)**n multiplying a in F's d_1 .. d_n.
+_BINOMIALS = [row[-2::-1] for row in SHIFTED_ROWS]
+
+
+def _exact_f(ints: list[int], s: int, n: int, a: float) -> tuple[list[int], int]:
+    """``F(z; a) = a*(z-1)**n + D(z)`` with no rounding: the integers
+    ``(a, d_1, .., d_n)`` times ``2**t``, and ``t``, for ``b`` the integers
+    ``ints`` times ``2**-s`` and a float ``a > 0``.  ``a`` joins ``b``'s
+    scaling, which takes more fractional bits when ``a`` needs them."""
+    num, den = a.as_integer_ratio()
+    shift = den.bit_length() - 1 - s  # a's fractional bits past b's
+    if shift > 0:
+        ints, s = [c << shift for c in ints], s + shift
+    else:
+        num <<= -shift
+    return [num] + [num * c + bk for c, bk in zip(_BINOMIALS[n], ints)], s
+
+
+def _count_at(b: tuple[float, ...], n: int, a: float) -> RootCountResult:
+    """The count and the points of the exact ``F(z; a)``, ``a > 0``, of a
+    checked ``b``: ``check``'s answer, which ``boundary``'s probes give too."""
+    coeffs, s = _exact_f(*_scaled(b), n, a)
+    return _result(_count_exact(coeffs), n, _points(coeffs, s))
 
 
 def contour_table(f: Poly, samples: int) -> list[tuple[float, float, float]]:

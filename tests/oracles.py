@@ -7,7 +7,10 @@ route from the production path: companion-matrix roots (``all_roots``,
 (``winding_oracle``), a Jury table (``jury_stable``), a direct scan of
 the crossing parameter (``crossing_param``) and float unit-circle profiles
 from float Chebyshev polynomials (``cheb_expand``).  They need numpy; the
-package does not.
+package does not.  The float identities of the acceptance criteria live
+here too: the crossing parameter at one angle (``crossing_value``), the
+image coefficients ``d_k`` (``d_coeffs``) and the order-5 remainder factor
+(``t2_order5``).
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from sdmstab.boundary import ZeroPointCandidate
-from sdmstab.polynomial import MAX_ORDER, Poly
-from sdmstab.transfer import _char_poly, _check_coeffs, _check_result, _check_scalar
+from sdmstab.polynomial import MAX_ORDER, SHIFTED_ROWS, Poly
+from sdmstab.transfer import _char_poly, _check_coeffs, _check_result, _check_scalar, record
 from sdmstab.winding import RootCountResult, _normalized
 
 __all__ = [
@@ -31,6 +34,10 @@ __all__ = [
     "crossing_param",
     "bisect_boundary",
     "cheb_expand",
+    "crossing_value",
+    "DCoeffs",
+    "d_coeffs",
+    "t2_order5",
 ]
 
 # Default refusal distance of the eigenvalue oracle ``count_inside_eig``.
@@ -216,6 +223,19 @@ def _crossing_a(b: Sequence[float], n: int, phi: float) -> complex:
     return -num / den if den != 0.0 else complex(math.inf, math.inf)
 
 
+def crossing_value(b: Sequence[float], n: int, phi: float) -> complex:
+    """The ``a`` that would place a root at angle ``phi`` on the unit circle.
+
+    Solves ``F(e^{i phi}; a) = 0`` for ``a``: the value is a root-crossing
+    parameter only where it comes out real and positive.  At ``phi = pi``
+    it reduces exactly to the ``i_min`` formula.  Raises where the value
+    leaves the float range (``phi`` at or next to 0).
+    """
+    val = _crossing_a(_check_coeffs(b, "b", n), n, _check_scalar(phi, "phi"))
+    _check_result((val.real, val.imag), "the crossing parameter")
+    return val
+
+
 def crossing_param(
     b: Sequence[float], n: int, phi_grid: int = 2048
 ) -> list[ZeroPointCandidate]:
@@ -341,3 +361,40 @@ def cheb_expand(d: Sequence[float], a: float = 0.0, kind: str = "cosine") -> Pol
             for j, c in enumerate(tk.coeffs):
                 acc[j] += dk * c
     return Poly(acc)
+
+
+@record
+class DCoeffs:
+    """Unit-circle image coefficients ``d[k-1] = b[k-1] + C(n,k)*(-1)**k * a``."""
+
+    d: tuple[float, ...]
+    a: float
+
+    @property
+    def n(self) -> int:
+        return len(self.d)
+
+
+def d_coeffs(b: Sequence[float], n: int, a: float) -> DCoeffs:
+    """Coefficients of ``z**(n-k)`` in the characteristic polynomial.
+
+    Satisfies ``char_poly(b, n, a) == a*z**n + sum(d[k-1] * z**(n-k))``
+    exactly (the binomials are exact integers).
+    """
+    b = _check_coeffs(b, "b", n)
+    a = _check_scalar(a, "the integrator magnitude a", nonnegative=True)
+    d = tuple(bk + c * a for bk, c in zip(b, SHIFTED_ROWS[n][-2::-1]))
+    return DCoeffs(d=d, a=a)
+
+
+def t2_order5(d: DCoeffs) -> Poly:
+    """Closed-form degree-3 factor of the order-5 terminal remainder.
+
+    For order 5 the first remainder of the cosine profile by the sine
+    profile equals ``a - T2(x)`` with
+    ``T2(x) = 8*d5*x**3 + 4*d4*x**2 + (2*d3 - 4*d5)*x + (d2 - d4)``.
+    """
+    if d.n != 5:
+        raise ValueError(f"order-5 coefficients required, got order {d.n}")
+    d1, d2, d3, d4, d5 = d.d
+    return Poly([d2 - d4, 2.0 * d3 - 4.0 * d5, 4.0 * d4, 8.0 * d5])

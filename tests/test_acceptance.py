@@ -9,18 +9,19 @@ import time
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from oracles import all_roots, bisect_boundary, cheb_expand, winding_oracle
-from sdmstab.boundary import (
-    classify_intervals,
+from oracles import (
+    DCoeffs,
+    all_roots,
+    bisect_boundary,
+    cheb_expand,
     crossing_value,
-    i_max_order3,
-    i_min,
     t2_order5,
-    zero_point_candidates,
+    winding_oracle,
 )
+from sdmstab.boundary import classify_intervals, i_max_order3, i_min, zero_point_candidates
 from sdmstab.polynomial import SHIFTED_ROWS, Poly
 from sdmstab.simulator import DcInput, Window, extract_windows, linearized_impulse, run, sweep
-from sdmstab.transfer import DCoeffs, b_from_g, char_poly, g_from_b, ntf_series
+from sdmstab.transfer import b_from_g, char_poly, g_from_b, ntf_series
 from sdmstab.winding import characteristic_points, count_inside_e1
 
 B3 = (3.0, -3.0, 1.0)

@@ -9,19 +9,28 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 import sdmstab.boundary as boundary
-from oracles import T_TABLE, U_TABLE, all_roots, bisect_boundary, cheb_expand, crossing_param
+from oracles import (
+    T_TABLE,
+    U_TABLE,
+    DCoeffs,
+    all_roots,
+    bisect_boundary,
+    cheb_expand,
+    crossing_param,
+    crossing_value,
+    d_coeffs,
+    t2_order5,
+)
 from sdmstab.boundary import (
     DegenerateBoundaryError,
     classify_intervals,
-    crossing_value,
     i_max_order3,
     i_min,
-    t2_order5,
     zero_point_candidates,
 )
 from sdmstab.cli import asdict
-from sdmstab.polynomial import SHIFTED_ROWS, Poly, _int_coeffs, _scaled
-from sdmstab.transfer import DCoeffs, char_poly, d_coeffs
+from sdmstab.polynomial import SHIFTED_ROWS, Poly, _scaled
+from sdmstab.transfer import char_poly
 from sdmstab.winding import count_inside_e1
 from test_acceptance import stable_b_sample
 
@@ -302,7 +311,7 @@ class TestZeroPointCandidates:
                  for _ in range(degree + 1)]
             if rng.random() < 0.2:
                 c[rng.randrange(degree)] = 0.0  # c0 = 0 (a root at 0) or c1 = 0
-            cases.append(_int_coeffs(tuple(c)))
+            cases.append(_scaled(tuple(c))[0])
         for _ in range(300):
             (p1, q1), (p2, q2) = [(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(2)]
             m = rng.choice((-1, 1)) << rng.randint(0, 2000)
@@ -857,9 +866,9 @@ class TestClassifyIntervals:
 
     def test_every_stepped_count_is_the_probes(self, monkeypatch):
         # Only sum(b) <= 0, a continuum, a valid event past the float range,
-        # a zero turn and an interval holding no float are probed; every
-        # other count is stepped down from the a -> inf limit by the turn
-        # at each edge.  Each interval's verdict and count equal the exact
+        # the intervals below a crossing with no sign and an interval holding
+        # no float are probed; every other count is stepped down from the
+        # a -> inf limit by the turn at each edge.  Each interval's verdict and count equal the exact
         # probe's at its witness, stepped or not.
         probe, probed = boundary._probe, []
 
@@ -969,12 +978,18 @@ class TestClassifyIntervals:
         # sum(b) <= 0 takes one probe for its one interval.
         calls.clear()
         assert len(classify_intervals((1.0, -2.0, 1.0), 3).intervals) == len(calls) == 1
-        # A reciprocal design (a continuum), a valid event past the float
-        # range, a tangent interior event (a zero turn) and a double root at
-        # z = -1 at a_min (v = 0, a zero turn) are probed at every interval.
-        for b in ((1.0, 0.5, 1.0, 0.0), OVERFLOW_EVENT_B, (-4.0, 2.0, 1.0, 1.0, 3.0), (3.0, 0.0, 1.0)):
+        # A reciprocal design (a continuum) and a valid event past the float
+        # range are probed at every interval.
+        for b in ((1.0, 0.5, 1.0, 0.0), OVERFLOW_EVENT_B):
             calls.clear()
             assert len(classify_intervals(b, len(b)).intervals) == len(calls) > 1, b
+        # A tangent interior event at a = 6 and a double root at z = -1 at
+        # a_min = 0.5 (v = 0) cross with no sign: every interval below that
+        # edge is probed, and none at or above it.
+        for b, edge in (((-4.0, 2.0, 1.0, 1.0, 3.0), 6.0), ((3.0, 0.0, 1.0), 0.5)):
+            calls.clear()
+            below = [iv.witness_a for iv in classify_intervals(b, len(b)).intervals if iv.hi <= edge]
+            assert below and [args[3] for args in calls] == below[::-1], b
 
     def test_past_the_last_event_the_count_is_the_limit(self):
         # With sum(b) > 0 the roots gather at z = 1 + (sum(b)/a)**(1/n) * w,

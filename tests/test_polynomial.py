@@ -13,10 +13,10 @@ from sdmstab.polynomial import (
     SHIFTED_ROWS,
     SIN_ROWS,
     Poly,
-    _int_coeffs,
     _pdiv,
     _prem,
     _roots_inside,
+    _scaled,
 )
 
 
@@ -99,7 +99,7 @@ class TestPolyRem:
 
     def test_small_remainders_are_kept(self):
         # (z - 1)**2 + 2**-52 * z**2, times 2**52, leaves 1 at z = 1, exactly.
-        a = _int_coeffs((1.0, -2.0, 1.0 + 2**-52))
+        a = _scaled((1.0, -2.0, 1.0 + 2**-52))[0]
         assert a == [2**52, -2**53, 2**52 + 1]
         assert _prem(a, [-1, 1]) == [1]
 
@@ -166,7 +166,7 @@ class TestChebExpand:
 
 def real_roots_open(p: Poly) -> list[float]:
     """The package's exact isolation of the roots of ``p`` in (-1, 1)."""
-    return _roots_inside(_int_coeffs(p.coeffs))
+    return _roots_inside(_scaled(p.coeffs)[0])
 
 
 class TestRealRootsOpen:

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 import sdmstab
 from sdmstab import boundary, cli, simulator, transfer, winding
 from sdmstab.transfer import record
@@ -29,9 +30,10 @@ POINTS = winding.CharacteristicPoints(3.0, -1.0, (SELFX,))
 CANDIDATE = boundary.ZeroPointCandidate(2.0, 0.5, True)
 INTERVAL = boundary.StabilityInterval(0.875, 2.0, True, 1.0, 3)
 
-# Every public record class with the positional arguments of one instance.
+# Every public record class with the positional arguments of one instance,
+# and the tests' own record ``oracles.DCoeffs``, the one with a property.
 SAMPLES = {
-    transfer.DCoeffs: ((1.0, -2.0), 0.5),
+    oracles.DCoeffs: ((1.0, -2.0), 0.5),
     transfer.SdmDesign: (3, (3.0, -3.0, 1.0), (1.0, 3.0, 3.0)),
     boundary.ZeroPointCandidate: (2.0, 0.5, True),
     boundary.StabilityInterval: (0.875, 2.0, True, 1.0, 3),
@@ -83,7 +85,7 @@ def test_every_public_record_is_covered():
         for name in mod.__all__
         if isinstance(obj := getattr(mod, name), type) and hasattr(obj, "_fields")
     }
-    assert public == set(CLASSES)
+    assert public == set(CLASSES) - {oracles.DCoeffs}
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)

@@ -4,13 +4,13 @@ import random
 import numpy as np
 import pytest
 
+from oracles import d_coeffs
 from sdmstab import transfer
 from sdmstab.polynomial import SHIFTED_ROWS, Poly
 from sdmstab.transfer import (
     SdmDesign,
     b_from_g,
     char_poly,
-    d_coeffs,
     g_from_b,
     ntf_series,
 )

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import all_roots
 from sdmstab import boundary, simulator, transfer
-from sdmstab.cli import asdict, execute, main, parse
+from sdmstab.cli import RunConfig, asdict, execute, main, parse
 from sdmstab.polynomial import Poly
 from sdmstab.winding import contour_table, count_inside_e1
 from test_acceptance import stable_b_sample
@@ -92,7 +92,7 @@ def test_transfer_functions(design, a, terms):
     result_or_value_error(transfer.b_from_g, b)
     result_or_value_error(transfer.g_from_b, b)
     result_or_value_error(transfer.char_poly, b, n, a)
-    result_or_value_error(transfer.d_coeffs, b, n, a)
+    result_or_value_error(oracles.d_coeffs, b, n, a)
     result_or_value_error(transfer.ntf_series, b, n, terms)
     result_or_value_error(transfer.SdmDesign, n=n, b=b)
     result_or_value_error(transfer.SdmDesign, n=len(b), b=b, g=b)
@@ -110,7 +110,7 @@ def test_boundary_functions(design, phi, lo, hi):
     result_or_value_error(boundary.i_min, b, n)
     result_or_value_error(boundary.zero_point_candidates, b, n)
     result_or_value_error(boundary.i_max_order3, b)
-    result_or_value_error(boundary.crossing_value, b, n, phi)
+    result_or_value_error(oracles.crossing_value, b, n, phi)
     result_or_value_error(oracles.crossing_param, b, n, 64)
     report = result_or_value_error(boundary.classify_intervals, b, n)
     if report is not None:
@@ -119,7 +119,7 @@ def test_boundary_functions(design, phi, lo, hi):
             result_or_value_error(oracles.bisect_boundary, b, n, 0.5 * iv.lo, 2.0 * iv.lo)
     result_or_value_error(oracles.bisect_boundary, b, n, lo, hi)
     if len(b) == 5:
-        result_or_value_error(boundary.t2_order5, transfer.DCoeffs(d=b, a=phi))
+        result_or_value_error(oracles.t2_order5, oracles.DCoeffs(d=b, a=phi))
 
 
 # --- simulator --------------------------------------------------------------
@@ -193,12 +193,12 @@ REGRESSIONS = {
     "i_min-nan": lambda: boundary.i_min((nan, 1.0, 1.0), 3),
     "i_max_order3-nan": lambda: boundary.i_max_order3((nan, 1.0, 1.0)),
     "i_max_order3-overflow": lambda: boundary.i_max_order3((-1e300, 1e-300, 1e300)),  # a ~ -2e900
-    "crossing_value-nan-phi": lambda: boundary.crossing_value((1.0, 1.0), 2, nan),
-    "crossing_value-nan-b": lambda: boundary.crossing_value((nan, 1.0), 2, 1.0),
-    "crossing_value-at-z=1": lambda: boundary.crossing_value((1.0,), 1, 0.0),
+    "crossing_value-nan-phi": lambda: oracles.crossing_value((1.0, 1.0), 2, nan),
+    "crossing_value-nan-b": lambda: oracles.crossing_value((nan, 1.0), 2, 1.0),
+    "crossing_value-at-z=1": lambda: oracles.crossing_value((1.0,), 1, 0.0),
     "crossing_param-nan": lambda: oracles.crossing_param((nan, 1.0), 2),
     "SdmDesign-nan": lambda: transfer.SdmDesign(n=1, b=(nan,)),
-    "d_coeffs-nan-a": lambda: transfer.d_coeffs((1.0,), 1, nan),
+    "d_coeffs-nan-a": lambda: oracles.d_coeffs((1.0,), 1, nan),
     "ntf_series-overflow": lambda: transfer.ntf_series((1e100, 1e100), 2, 8),
     "linearized_impulse-overflow": lambda: simulator.linearized_impulse((1e300,) * 3, 16),
     "run-nan-state": lambda: simulator.run((1.0,), 0.0, 10, initial_state=(nan,)),
@@ -434,10 +434,13 @@ def test_log_uniform_designs_match_exact_count():
 
 @pytest.mark.parametrize("log_uniform", [False, True], ids=["ordinary", "log-uniform"])
 def test_check_count_matches_exact_schur_cohn(log_uniform):
-    # A count is refused exactly when a root lies within 2**-30 of the circle.
-    # Log-uniform probes have magnitudes over 1e-300..1e299.
+    # The count is the exact Schur-Cohn count at rho = 1 or, where that
+    # table is singular, at rho = 1 -+ 2**-40; it is refused only for a
+    # root on the circle.  Log-uniform probes have magnitudes over
+    # 1e-300..1e299, where char_poly's rounding often leaves a*(z-1)**n,
+    # with every root at z = 1.
     rng = random.Random(8)
-    checked = 0
+    checked = compared = 0
     while checked < 2000:
         n = rng.randint(1, 5)
         if log_uniform:
@@ -450,9 +453,39 @@ def test_check_count_matches_exact_schur_cohn(log_uniform):
         except ValueError:
             continue  # a coefficient beyond the 1e300 cap
         res = count_inside_e1(f)
-        assert res.inside == schur_cohn_inside(f.coeffs, Fraction(1, 2**30)), (b, n, a)
         assert res.marginal == (res.inside is None)
+        for eps in (0, Fraction(1, 2**40)):
+            want = schur_cohn_inside(f.coeffs, eps)
+            if want is not None:
+                assert res.inside == want, (b, n, a, eps)
+                compared += 1
+                break
         checked += 1
+    assert compared > (1400 if log_uniform else 1990), compared
+
+
+def test_check_next_to_an_edge_gives_the_bounds_verdict():
+    # check counts the exact F(z; a) that bounds probes, so at a = edge*(1 -+
+    # 2**-k), k = 10..50, next to each edge of seeded log-uniform 1e+-6
+    # designs, it answers as the bounds interval holding a, although 44% of
+    # these F have a root within 2**-30 of the circle.
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(120):
+        n = rng.randint(1, 5)
+        b = tuple(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6, 6) for _ in range(n))
+        intervals = boundary.classify_intervals(b, n).intervals
+        for iv in intervals:
+            for edge, side in ((iv.lo, 1.0), (iv.hi, -1.0)):
+                for k in range(10, 51) if 0.0 < edge < math.inf else ():
+                    a = edge * (1.0 + side * 2.0**-k)
+                    (holding,) = [h for h in intervals if h.lo < a < h.hi]
+                    report, code = execute(RunConfig("check", b=b, i_abs=a))
+                    res = report.payload
+                    assert (res.inside, res.inside == n) == (holding.witness_count, holding.stable), (b, n, a)
+                    assert code == int(res.marginal) == (res.inside is None)
+                    checked += 1
+    assert checked > 3000
 
 
 def test_check_count_beside_a_tiny_self_intersection():

@@ -10,9 +10,9 @@ from numpy.polynomial import polynomial as P
 
 import sdmstab.winding as winding
 from oracles import all_roots, count_inside_eig, jury_stable, winding_oracle
-from sdmstab.polynomial import Poly, _int_coeffs
+from sdmstab.polynomial import Poly, _scaled
 from sdmstab.transfer import char_poly
-from sdmstab.winding import characteristic_points, contour_table, count_inside_e1
+from sdmstab.winding import RootCountResult, characteristic_points, contour_table, count_inside_e1
 from test_acceptance import stable_b_sample
 from test_validation import schur_cohn_inside
 
@@ -166,8 +166,7 @@ class TestCountInsideE1:
         # At rho = 1, z**2 + 1, z*(z**2 + 1) and (z**2 + 1)*(2z - 1) have roots
         # at +-i: r0 and r1 share the factor x, whose root 0 lies in (-1, 1).
         for coeffs in ([1, 0, 1], [0, 1, 0, 1], [-1, 2, -1, 2]):
-            unscaled = [1] * len(coeffs)  # rho = 1
-            assert winding._count_exact(coeffs[::-1], unscaled) is None
+            assert winding._count_exact(coeffs[::-1]) is None
         assert count_inside_e1(Poly([0.25, 0.0, 1.0])).inside == 2  # at +-i/2
 
     def test_degree_above_five_rejected(self):
@@ -213,6 +212,7 @@ def _from_roots(roots):
 INNER, OUTER = 1.0 - 2.0**-30, 1.0 + 2.0**-30
 EARLY = (0.5, -0.25, 0.75, -0.625)  # roots well inside
 LATE = (2.0, -3.0, 1.5, -4.0)  # roots well outside
+# A root within 2**-30 of the circle, beside roots on its side of it.
 MARGINAL = [
     _from_roots(roots)
     for n in range(1, 6)
@@ -224,8 +224,7 @@ MARGINAL = [
     )
 ]
 # A root at +-(1 -+ 2**-k), k = 6..32, beside roots well inside or well
-# outside: (k, polynomial).  k = 8 puts it on a filter circle, k = 30 on a
-# refusal circle.
+# outside: (k, polynomial).
 NEAR_CIRCLE = [
     (k, _from_roots((sign * (1.0 + side * 2.0**-k), *companions[: n - 1])))
     for n in range(1, 6)
@@ -237,62 +236,50 @@ NEAR_CIRCLE = [
 
 
 class TestOneRadius:
+    # The count is taken at rho = 1 alone: it is the exact Schur-Cohn count
+    # there wherever that table is regular, and it is refused only for a
+    # root exactly on the circle.
     def test_agrees_with_exact_schur_cohn(self):
         counts = set()
         for f in _one_radius_corpus():
-            want = schur_cohn_inside(f.coeffs, eps=Fraction(1, 2**30))
+            want = schur_cohn_inside(f.coeffs, eps=0)
             if want is not None:
                 assert count_inside_e1(f).inside == want
                 counts.add((want == 0, want == f.degree))
         assert counts == {(True, False), (False, True), (False, False)}
 
-    def test_marginal_roots_are_refused(self):
+    def test_marginal_roots_are_counted(self):
         for f in MARGINAL:
             assert schur_cohn_inside(f.coeffs, eps=Fraction(1, 2**30)) is None
-            res = count_inside_e1(f)
-            assert res.marginal and res.inside is None
+            want = schur_cohn_inside(f.coeffs, eps=0)
+            assert want in (0, f.degree)
+            assert count_inside_e1(f) == RootCountResult(inside=want, winding=want - f.degree)
+        for n in range(1, 6):
+            for root in (1.0, -1.0):
+                res = count_inside_e1(_from_roots((root, *EARLY[: n - 1])))
+                assert res.marginal and res.inside is None
 
-    def test_near_circle_roots_are_counted_outside_the_refusal_radius(self):
+    def test_near_circle_roots_are_counted(self):
+        ks = set()
         for k, f in NEAR_CIRCLE:
-            want = schur_cohn_inside(f.coeffs, eps=Fraction(1, 2**30))
+            want = schur_cohn_inside(f.coeffs, eps=0)
             res = count_inside_e1(f)
-            assert (res.inside, res.marginal) == (want, want is None), (k, f)
-            assert (want is None) == (k >= 30)
+            assert want is not None and (res.inside, res.marginal) == (want, False), (k, f)
+            ks.add(k)
+        assert ks == set(range(6, 33))
 
-    def test_one_count_settles_0_n_and_first_radius_refusals(self, monkeypatch):
-        # The filter pair 1 -+ 2**-8 decides unless a root lies within 2**-8
-        # of the circle; only then is the refusal pair 1 -+ 2**-30 counted,
-        # by the same rule.  Within a pair, a count of 0 or n takes one call.
+    def test_one_exact_count_per_query(self, monkeypatch):
         count_exact, calls = winding._count_exact, []
 
-        def counting(coeffs, scale):
-            calls.append((scale, count_exact(coeffs, scale)))
-            return calls[-1][1]
+        def counting(coeffs):
+            calls.append(coeffs)
+            return count_exact(coeffs)
 
         monkeypatch.setattr(winding, "_count_exact", counting)
-        one = two = fine = 0
         for f in [*_one_radius_corpus(), *MARGINAL, *(f for _, f in NEAR_CIRCLE)]:
             calls.clear()
-            res = count_inside_e1(f)
-            coarse, refuse = winding._tables(f.degree)[2]
-            steps = [[inside for scale, inside in calls if scale in pair] for pair in (coarse, refuse)]
-            assert [inside for _, inside in calls] == steps[0] + steps[1]
-            near = schur_cohn_inside(f.coeffs, eps=Fraction(1, 2**8)) is None
-            assert bool(steps[1]) == near, f
-            if near:
-                assert len(steps[0]) in (1, 2)
-                fine += 1
-            elif res.inside in (0, f.degree):
-                one += 1
-            else:
-                two += 1
-            last = steps[near]
-            assert len(last) == (1 if res.inside in (0, f.degree) or last[0] is None else 2)
-        assert one > 400 and two > 400 and fine > 400
-        for f in MARGINAL:
-            calls.clear()
             count_inside_e1(f)
-            assert any(scale in winding._tables(f.degree)[2][1] for scale, _ in calls)
+            assert calls == [_unit_args(f)]
 
 
 GENERIC = winding._count_generic  # the kernels' fallback, unwrapped
@@ -308,13 +295,10 @@ def _small_integer_corpus():
         yield char_poly(b, n, rng.choice((0.25, 0.5, 1.0, 2.0, 3.0)))
 
 
-def _radius_args(f):
-    """``_count_exact`` arguments for ``f`` at the inner and the outer radius
-    of the filter and of the refusal pair, and at the unit radius."""
-    f = winding._normalized(f)
-    coeffs = _int_coeffs(f.coeffs)[::-1]
-    coarse, refuse = winding._tables(f.degree)[2]
-    return [(coeffs, scale) for scale in (*coarse, *refuse, [1] * len(coeffs))]
+def _unit_args(f):
+    """The ``_count_exact`` argument for ``f``: its integer coefficients,
+    sign-normalized, leading first."""
+    return _scaled(winding._normalized(f).coeffs)[0][::-1]
 
 
 def _log_uniform_corpus():
@@ -362,13 +346,13 @@ def test_printed_points_give_the_count(corpus):
     assert counted > 1000
 
 
-# sha256 of the reprs of each family's counts, taken before the filter pair
-# 1 -+ 2**-8 came in front of the refusal pair 1 -+ 2**-30.
+# sha256 of the reprs of each family's counts.  Each count that the radius
+# pairs 1 -+ 2**-30 once gave is the same at rho = 1.
 COUNT_PINS = {
     "ordinary": "c894f2408efe1cfed0f3ec1ffd00c6b22c629f2363f8b247522a71b223e97128",
-    "log-uniform": "23105c0a95e775dc66e37e972c6b7ad8eb34b9a659888432425c8e67f5637a6a",
+    "log-uniform": "1e22e78501f823f4e892fb0210c26e0ae44aeb326c682f53f9afed0906165c59",
     "small-integer": "6cc04e19a391caae6ba4f745b5eb006c055a79befc309ff561c246ccf9f3c8f7",
-    "near-circle": "4950011e1d07ef02a370ebd725a0ba688d5e516553a19d3c5166c1824ba2649b",
+    "near-circle": "21cd7a917ece619ad7ebbfc85719857c76523ae25e1fac37c832efaed44c63cc",
 }
 
 
@@ -385,9 +369,9 @@ class TestKernel:
         """Arguments of every call the kernels leave to ``_count_generic``."""
         calls = []
 
-        def counting(coeffs, scale):
-            calls.append((coeffs, scale))
-            return GENERIC(coeffs, scale)
+        def counting(coeffs):
+            calls.append(coeffs)
+            return GENERIC(coeffs)
 
         monkeypatch.setattr(winding, "_count_generic", counting)
         return calls
@@ -395,20 +379,20 @@ class TestKernel:
     def test_ordinary_corpus_never_leaves_the_kernel(self, deferred):
         counts = set()
         for f in _one_radius_corpus():
-            for args in _radius_args(f):
-                inside = winding._count_exact(*args)
-                assert inside == GENERIC(*args)
-                counts.add(inside)
+            coeffs = _unit_args(f)
+            inside = winding._count_exact(coeffs)
+            assert inside == GENERIC(coeffs)
+            counts.add(inside)
         assert deferred == []
         assert counts == {0, 1, 2, 3, 4, 5}
 
     def test_small_integer_designs_count_as_the_generic_walk(self, deferred):
         fell_back = 0
         for f in _small_integer_corpus():
-            for args in _radius_args(f):
-                deferred.clear()
-                assert winding._count_exact(*args) == GENERIC(*args)
-                fell_back += len(deferred)
+            coeffs = _unit_args(f)
+            deferred.clear()
+            assert winding._count_exact(coeffs) == GENERIC(coeffs)
+            fell_back += len(deferred)
         assert fell_back > 100
 
     @pytest.mark.parametrize("coeffs", [
@@ -418,9 +402,8 @@ class TestKernel:
         [2, -3, -3, -4, 2],  # the chain's degrees go 4, 3, 2, 0
     ])
     def test_each_fallback_reason_is_reached(self, deferred, coeffs):
-        unscaled = [1] * len(coeffs)  # rho = 1
-        assert winding._count_exact(coeffs, unscaled) == GENERIC(coeffs, unscaled)
-        assert deferred == [(coeffs, unscaled)]
+        assert winding._count_exact(coeffs) == GENERIC(coeffs)
+        assert deferred == [coeffs]
 
     def test_kernels_build_once_per_order(self):
         first = winding._kernel(3)
