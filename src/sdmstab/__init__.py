@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 # Exported name -> the submodule that defines it.
 _EXPORTS = {
     "Poly": "polynomial",
-    "SdmDesign": "transfer",
     "b_from_g": "transfer",
     "char_poly": "transfer",
     "g_from_b": "transfer",

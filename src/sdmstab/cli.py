@@ -6,7 +6,8 @@ Commands: ``bounds``, ``check``, ``contour``, ``from-g``, ``simulate``,
 order inferred from the list length.  Formats: ``bounds``, ``check`` and
 ``from-g`` write text or json; ``contour`` csv (its default), text or json;
 ``simulate`` and ``sweep`` text, json or csv (``simulate`` csv only for a
-trace, ``--trace-len`` > 0).  ``check`` counts the exact ``F(z; a)`` that
+trace, ``--trace-len`` > 0).  ``check`` counts the exact ``F(z; a)`` at
+every ``a >= 0``: ``F = D`` at ``a = 0``, and above it the ``F`` that
 ``bounds`` probes, so its answer is the verdict of the ``bounds`` interval
 holding ``a``.  Exit codes: 0 success, 1 a refusal by ``check`` (a root
 exactly on the unit circle), 2 usage and validation errors.
@@ -23,7 +24,7 @@ import sys
 from functools import partial
 
 from . import __version__
-from .transfer import SdmDesign, _check_count, char_poly, g_from_b, ntf_series, record
+from .transfer import _check_coeffs, _check_count, b_from_g, char_poly, g_from_b, ntf_series, record
 
 __all__ = ["RunConfig", "Report", "asdict", "replace", "parse", "execute", "render", "main"]
 
@@ -66,8 +67,8 @@ def asdict(obj):
 
 
 def replace(obj, **changes):
-    """A copy of the record ``obj`` with ``changes`` applied, built (and
-    validated) through its ``__init__``."""
+    """A copy of the record ``obj`` with ``changes`` applied, built through
+    its ``__init__``."""
     return type(obj)(**{**{f: getattr(obj, f) for f in obj._fields}, **changes})
 
 
@@ -155,41 +156,38 @@ def parse(argv) -> RunConfig:
 
 def execute(cfg: RunConfig) -> tuple[Report, int]:
     """Dispatch a validated config; returns the report and the exit code."""
-    design = SdmDesign.from_g(cfg.g) if cfg.g is not None else SdmDesign.from_b(cfg.b)
-    inputs = {"b": list(design.b), "n": design.n}
-    if design.g is not None:
-        inputs["g"] = list(design.g)
+    b = b_from_g(cfg.g) if cfg.g is not None else _check_coeffs(cfg.b, "b")
+    n = len(b)
+    inputs = {"b": list(b), "n": n}
+    if cfg.g is not None:
+        inputs["g"] = list(cfg.g)
     code = 0
     # simulate and sweep run the cascade, derived from --b when not given
-    g = (design.g or g_from_b(design.b)) if cfg.command in ("simulate", "sweep") else None
+    g = (cfg.g or g_from_b(b)) if cfg.command in ("simulate", "sweep") else None
 
     if cfg.command == "bounds":
         from .boundary import classify_intervals
 
-        payload: object = classify_intervals(design.b, design.n)
+        payload: object = classify_intervals(b, n)
     elif cfg.command in ("check", "contour"):
-        from .winding import _count_at, characteristic_points, contour_table, count_inside_e1
+        from .winding import _count_at, contour_table
 
         inputs["i_abs"] = cfg.i_abs
-        f = char_poly(design.b, design.n, cfg.i_abs)
+        f = char_poly(b, n, cfg.i_abs)
         if f.degree < 1:  # only at i_abs = 0, where F is D
             raise ValueError("F(z; 0) = D(z) is constant for this design: give --i-abs > 0")
         if cfg.command == "check":
-            # F = D is exact at a = 0; elsewhere char_poly's F is rounded.
-            if cfg.i_abs:
-                payload = _count_at(design.b, design.n, cfg.i_abs)
-            else:
-                payload = replace(count_inside_e1(f), points=characteristic_points(f))
+            payload = _count_at(b, n, cfg.i_abs)
             code = int(payload.marginal)
         else:
             inputs["samples"] = cfg.samples
             payload = contour_table(f, cfg.samples)
     elif cfg.command == "from-g":
         payload = {
-            "n": design.n,
-            "g": list(design.g),
-            "b": list(design.b),
-            "ntf_leading_terms": ntf_series(design.b, design.n, 8),
+            "n": n,
+            "g": list(cfg.g),
+            "b": list(b),
+            "ntf_leading_terms": ntf_series(b, n, 8),
         }
     elif cfg.command == "simulate":
         from .simulator import DcInput, SineInput, run, trace_run

@@ -19,7 +19,6 @@ from .polynomial import MAX_ORDER, SHIFTED_ROWS, Poly
 __all__ = [
     "MAX_ORDER",
     "record",
-    "SdmDesign",
     "b_from_g",
     "g_from_b",
     "char_poly",
@@ -46,8 +45,8 @@ def record(cls):
 
     The annotated names of the class body are the fields, in order, and a
     class-level value is that field's default.  ``__init__`` takes the
-    fields positionally or by keyword and then calls ``__post_init__`` when
-    the class defines one; it may set fields with ``object.__setattr__``.
+    fields positionally or by keyword and sets them as given, with no
+    validation or conversion: a record holds what its maker computed.
     ``==``, ``hash`` and the ``Name(field=value, ...)`` repr are those of
     a frozen dataclass, setting or deleting an attribute raises
     ``AttributeError``, and ``__reduce__`` rebuilds the record through
@@ -68,8 +67,7 @@ def record(cls):
     others = "".join(f"other.{f}," for f in fields)
     shown = ", ".join(f"{f}={{self.{f}!r}}" for f in fields)
     src = [f"def __init__(self, {', '.join(fields)}):"]
-    src += [f"    _set_{f}(self, {f})" for f in fields]
-    src += ["    self.__post_init__()" if hasattr(cls, "__post_init__") else "    pass"]
+    src += [f"    _set_{f}(self, {f})" for f in fields] or ["    pass"]
     src += [
         "def __eq__(self, other):",
         "    if other.__class__ is self.__class__:",
@@ -178,7 +176,10 @@ def char_poly(b: Sequence[float], n: int, a: float) -> Poly:
     """Characteristic denominator ``a*(z-1)**n + sum(b[k-1] * z**(n-k))``.
 
     At ``a = 1`` this is the linear-model denominator ``B(z)``; at ``a = 0``
-    it degenerates to ``D(z)``.
+    it degenerates to ``D(z)``.  Each coefficient is rounded to a float, so
+    for ``a > 0`` this is ``F(z; a)`` rounded, not the exact polynomial that
+    ``check`` and ``classify_intervals`` count: with ``|b|`` far below ``a``
+    it is ``a*(z-1)**n`` itself, every root at ``z = 1``.
     """
     b = _check_coeffs(b, "b", n)
     return _char_poly(b, n, _check_scalar(a, "the integrator magnitude a", nonnegative=True))
@@ -190,30 +191,6 @@ def _char_poly(b: tuple[float, ...], n: int, a: float) -> Poly:
     ``D`` itself, so the signed zeros of ``b`` stay."""
     d = b[::-1]
     return Poly([a * c + dk for c, dk in zip(SHIFTED_ROWS[n], d)] + [a]) if a else Poly(d)
-
-
-@record
-class SdmDesign:
-    """Modulator design: order, optional cascade coefficients, and ``b``."""
-
-    n: int
-    b: tuple[float, ...]
-    g: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", _check_coeffs(self.b, "b", self.n))
-        if self.g is not None:
-            object.__setattr__(self, "g", _check_coeffs(self.g, "g", self.n))
-
-    @classmethod
-    def from_g(cls, g: Sequence[float]) -> "SdmDesign":
-        g = tuple(g)
-        return cls(n=len(g), b=b_from_g(g), g=g)
-
-    @classmethod
-    def from_b(cls, b: Sequence[float]) -> "SdmDesign":
-        b = tuple(b)
-        return cls(n=len(b), b=b)
 
 
 def ntf_series(b: Sequence[float], n: int, terms: int) -> list[float]:

@@ -14,9 +14,11 @@ leaves ``F(0) = 0``, a member vanishing at -1 or 1, and a zero or
 degree-dropping remainder to the generic walk, and makes the very same
 integers, so both give the same count.  The count is taken on the unit
 circle itself and refused only for a root exactly on it.  ``_exact_f``
-builds ``F(z; a) = a*(z-1)**n + D(z)`` in integers from ``b`` and ``a``;
+builds ``F(z; a) = a*(z-1)**n + D(z)`` in integers from ``b`` and ``a > 0``;
 ``boundary``'s witness probes and the ``check`` command count that exact
-``F``, so both give one answer for one ``(b, a)``.
+``F``, so both give one answer for one ``(b, a)``; at ``a = 0`` ``check``
+counts ``F = D``, exact as given, so it counts the exact ``F`` at every
+``a >= 0``.  ``count_inside_e1`` counts the float polynomial it is given.
 ``characteristic_points`` locates the points themselves, from the same
 integer profiles with their roots isolated exactly, and ``contour_table``
 samples the image for plotting.
@@ -83,6 +85,17 @@ def _normalized(f: Poly) -> Poly:
     return f if f.leading > 0 else Poly(-c for c in f.coeffs)
 
 
+def _integers(f: Poly) -> tuple[list[int], int]:
+    """The sign-normalized ``f``, of degree 1..MAX_ORDER, as the integers
+    ``(a, d_1, .., d_n)`` times ``2**-s``, and ``s``: what the counts and
+    the points of a float polynomial take."""
+    f = _normalized(f)
+    if f.degree > MAX_ORDER:
+        raise ValueError(f"need degree 1..{MAX_ORDER}, got {f.degree}")
+    coeffs, s = _scaled(f.coeffs)
+    return coeffs[::-1], s
+
+
 def _profiles(coeffs: list[int]) -> tuple[list[int], list[int]]:
     """``r0`` and ``r1`` of the integer ``(a, d_1, .., d_n)``, ascending in
     ``x = cos(phi)``: ``W = r0(x) - i*sin(phi)*r1(x)`` on the circle."""
@@ -102,11 +115,7 @@ def characteristic_points(f: Poly) -> CharacteristicPoints:
     ``w_plus``, ``w_minus`` and each ``x`` are the floats nearest the exact
     values, and each ``re_w`` is the float nearest ``r0`` at that ``x``.
     """
-    f = _normalized(f)
-    if f.degree > MAX_ORDER:
-        raise ValueError(f"need degree 1..{MAX_ORDER}, got {f.degree}")
-    coeffs, s = _scaled(f.coeffs)
-    return _points(coeffs[::-1], s)
+    return _points(*_integers(f))
 
 
 def _points(coeffs: list[int], s: int) -> CharacteristicPoints:
@@ -285,12 +294,15 @@ def count_inside_e1(f: Poly) -> RootCountResult:
     exact integer arithmetic on the float coefficients scaled by a power of
     two, so a root however close to the circle is counted on its side; the
     result is marginal, with no count, only for a root exactly on it.
+
+    It counts ``f`` as given.  ``count_inside_e1(char_poly(b, n, a))`` so
+    counts ``char_poly``'s rounded coefficients, not the exact ``F(z; a)``
+    that ``check`` and ``classify_intervals`` count, and the two can differ:
+    with ``|b|`` far below ``a`` every coefficient rounds to those of
+    ``a*(z-1)**n``, whose roots are all at ``z = 1``, so it is refused.
     """
-    f = _normalized(f)
-    n = f.degree
-    if n > MAX_ORDER:
-        raise ValueError(f"need degree 1..{MAX_ORDER}, got {n}")
-    return _result(_count_exact(_scaled(f.coeffs)[0][::-1]), n)
+    coeffs = _integers(f)[0]
+    return _result(_count_exact(coeffs), len(coeffs) - 1)
 
 
 def _result(inside: int | None, n: int, points: CharacteristicPoints | None = None) -> RootCountResult:
@@ -318,10 +330,11 @@ def _exact_f(ints: list[int], s: int, n: int, a: float) -> tuple[list[int], int]
 
 
 def _count_at(b: tuple[float, ...], n: int, a: float) -> RootCountResult:
-    """The count and the points of the exact ``F(z; a)``, ``a > 0``, of a
-    checked ``b``: ``check``'s answer, which ``boundary``'s probes give too."""
-    coeffs, s = _exact_f(*_scaled(b), n, a)
-    return _result(_count_exact(coeffs), n, _points(coeffs, s))
+    """The count and the points of the exact ``F(z; a)``, ``a >= 0``, of a
+    checked ``b``: ``check``'s answer, which ``boundary``'s probes give too.
+    At ``a = 0``, ``F`` is ``D``, whose degree may be below ``n`` but not 0."""
+    coeffs, s = _exact_f(*_scaled(b), n, a) if a else _integers(Poly(b[::-1]))
+    return _result(_count_exact(coeffs), len(coeffs) - 1, _points(coeffs, s))
 
 
 def contour_table(f: Poly, samples: int) -> list[tuple[float, float, float]]:

@@ -8,7 +8,7 @@ import pytest
 from sdmstab.boundary import StabilityReport
 from sdmstab.cli import Report, RunConfig, execute, main, parse, render
 from sdmstab.simulator import DEFAULT_THRESHOLD, GridPoint, SimResult, Window, WindowReport
-from sdmstab.transfer import b_from_g
+from sdmstab.transfer import b_from_g, g_from_b
 
 
 class TestParse:
@@ -102,6 +102,29 @@ def golden_cases():
 def test_golden_output(argv, code, stdout, capsys):
     assert main(argv) == code
     assert capsys.readouterr().out == stdout
+
+
+@pytest.mark.parametrize("g", [(1.0, 3.0, 3.0), (0.5, 0.25, 1.0, -0.125, 2.0)], ids=["order-3", "order-5"])
+@pytest.mark.parametrize("argv", [
+    ["bounds"],
+    ["check", "--i-abs=1.5"],
+    ["check", "--i-abs=0"],
+    ["contour", "--i-abs=1.5", "--samples=8", "--format=text"],
+    ["simulate", "--dc=0.05", "--samples=500"],
+    ["sweep", "--amp-hi=0.5", "--amp-steps=4", "--samples=200"],
+], ids=lambda a: "-".join(a))
+def test_g_prints_what_the_b_it_gives_prints(argv, g, capsys):
+    # --g reports g as given, and simulate and sweep with --b report the g
+    # they derive: these g round-trip, so only the "input g" lines differ.
+    b = b_from_g(g)
+    assert g_from_b(b) == g
+    runs = []
+    for design in ("--g=" + ",".join(map(repr, g)), "--b=" + ",".join(map(repr, b))):
+        code = main([argv[0], design, *argv[1:]])
+        out, err = capsys.readouterr()
+        runs.append((code, [line for line in out.splitlines() if not line.startswith("input g:")], err))
+    assert runs[0] == runs[1]
+    assert runs[0][0] in (0, 1) and len(runs[0][1]) > 4
 
 
 class TestExecute:

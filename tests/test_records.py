@@ -8,7 +8,6 @@ public record is checked against a frozen dataclass with the same fields.
 
 import copy
 import dataclasses
-import math
 import os
 import pickle
 import subprocess
@@ -34,7 +33,6 @@ INTERVAL = boundary.StabilityInterval(0.875, 2.0, True, 1.0, 3)
 # and the tests' own record ``oracles.DCoeffs``, the one with a property.
 SAMPLES = {
     oracles.DCoeffs: ((1.0, -2.0), 0.5),
-    transfer.SdmDesign: (3, (3.0, -3.0, 1.0), (1.0, 3.0, 3.0)),
     boundary.ZeroPointCandidate: (2.0, 0.5, True),
     boundary.StabilityInterval: (0.875, 2.0, True, 1.0, 3),
     boundary.StabilityReport: (1.0, 0.875, (CANDIDATE,), (INTERVAL,)),
@@ -153,23 +151,6 @@ class TestRecord:
             assert type(twin) is cls
             assert twin == obj
             assert repr(twin) == repr(obj)
-
-
-def test_sdm_design_still_refuses_nan():
-    with pytest.raises(ValueError):
-        transfer.SdmDesign(1, (math.nan,))
-    with pytest.raises(ValueError):
-        transfer.SdmDesign(n=2, b=(1.0, 1.0), g=(1.0, math.inf))
-    design = transfer.SdmDesign.from_b((3.0, -3.0, 1.0))
-    with pytest.raises(ValueError):
-        cli.replace(design, b=(math.nan, 1.0, 1.0))
-    assert design.b == (3.0, -3.0, 1.0)
-
-
-def test_post_init_normalizes_through_every_construction():
-    design = transfer.SdmDesign(3, [3, -3, 1])
-    assert design.b == (3.0, -3.0, 1.0)
-    assert pickle.loads(pickle.dumps(design)).b == (3.0, -3.0, 1.0)
 
 
 def test_replace_and_asdict():

@@ -8,7 +8,6 @@ from oracles import d_coeffs
 from sdmstab import transfer
 from sdmstab.polynomial import SHIFTED_ROWS, Poly
 from sdmstab.transfer import (
-    SdmDesign,
     b_from_g,
     char_poly,
     g_from_b,
@@ -341,20 +340,3 @@ class TestNtfSeries:
                 mag = max(abs(h[m - i]) for i in range(0, min(m, n) + 1))
                 assert abs(acc - want) <= 1e-10 * max(1.0, mag)
 
-
-class TestDesignTypes:
-    def test_from_g_round(self):
-        d = SdmDesign.from_g([1.0, 2.0, 3.0])
-        assert d.n == 3
-        assert d.b == (3.0, -4.0, 2.0)
-        assert d.g == (1.0, 2.0, 3.0)
-
-    def test_from_b(self):
-        d = SdmDesign.from_b([3.0, -3.0, 1.0])
-        assert d.n == 3 and d.g is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SdmDesign(n=2, b=(1.0,))
-        with pytest.raises(ValueError):
-            SdmDesign.from_b([])

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 import oracles
 from oracles import all_roots
 from sdmstab import boundary, simulator, transfer
-from sdmstab.cli import RunConfig, asdict, execute, main, parse
+from sdmstab.cli import RunConfig, asdict, execute, main, parse, replace
 from sdmstab.polynomial import Poly
-from sdmstab.winding import contour_table, count_inside_e1
+from sdmstab.winding import characteristic_points, contour_table, count_inside_e1
 from test_acceptance import stable_b_sample
 
 nan, inf = math.nan, math.inf
@@ -94,10 +94,6 @@ def test_transfer_functions(design, a, terms):
     result_or_value_error(transfer.char_poly, b, n, a)
     result_or_value_error(oracles.d_coeffs, b, n, a)
     result_or_value_error(transfer.ntf_series, b, n, terms)
-    result_or_value_error(transfer.SdmDesign, n=n, b=b)
-    result_or_value_error(transfer.SdmDesign, n=len(b), b=b, g=b)
-    result_or_value_error(transfer.SdmDesign.from_b, b)
-    result_or_value_error(transfer.SdmDesign.from_g, b)
 
 
 # --- boundary ---------------------------------------------------------------
@@ -197,7 +193,6 @@ REGRESSIONS = {
     "crossing_value-nan-b": lambda: oracles.crossing_value((nan, 1.0), 2, 1.0),
     "crossing_value-at-z=1": lambda: oracles.crossing_value((1.0,), 1, 0.0),
     "crossing_param-nan": lambda: oracles.crossing_param((nan, 1.0), 2),
-    "SdmDesign-nan": lambda: transfer.SdmDesign(n=1, b=(nan,)),
     "d_coeffs-nan-a": lambda: oracles.d_coeffs((1.0,), 1, nan),
     "ntf_series-overflow": lambda: transfer.ntf_series((1e100, 1e100), 2, 8),
     "linearized_impulse-overflow": lambda: simulator.linearized_impulse((1e300,) * 3, 16),
@@ -503,3 +498,38 @@ def test_subnormal_on_circle_check_exits_1():
     assert transfer.char_poly((2 * t, -2 * t), 2, t) == Poly([-t, 0.0, t])
     code, out, _ = cli(["check", f"--b={2 * t!r},{-2 * t!r}", f"--i-abs={t!r}"])
     assert code == 1 and "marginal: True" in out
+
+
+def test_check_at_zero_magnitude_counts_d_as_given():
+    # At a = 0 check counts F = D on the path of every a > 0.  It answers as
+    # count_inside_e1 and characteristic_points do on the float D, whatever
+    # D's degree and sign and however wide its coefficients.
+    rng = random.Random(23)
+    wide = (1e300, 1e-300, 5e-324, 2.0**-1070)
+    seen = dict.fromkeys(("leading zero", "negative leading", "b_n = 0", "1e+-300", "subnormal"), 0)
+    checked = 0
+    while checked < 3000:
+        n = rng.randint(1, 5)
+        b = [rng.choice((-1.0, 1.0)) * (rng.choice(wide) if rng.random() < 0.3 else rng.uniform(0.0, 4.0))
+             for _ in range(n)]
+        for k in range(rng.randint(0, n - 1)) if rng.random() < 0.3 else ():
+            b[k] = rng.choice((0.0, -0.0))  # D of degree below n - 1
+        if rng.random() < 0.2:
+            b[-1] = 0.0  # F(0) = 0
+        d = Poly(b[::-1])
+        cfg = RunConfig("check", b=tuple(b), i_abs=rng.choice((0.0, -0.0)))
+        if d.degree < 1:
+            with pytest.raises(ValueError, match=r"F\(z; 0\) = D\(z\) is constant"):
+                execute(cfg)
+            continue
+        report, code = execute(cfg)
+        want = replace(count_inside_e1(d), points=characteristic_points(d))
+        assert repr(report.payload) == repr(want), b
+        assert code == int(want.marginal)
+        seen["leading zero"] += b[0] == 0.0
+        seen["negative leading"] += d.leading < 0
+        seen["b_n = 0"] += b[-1] == 0.0
+        seen["1e+-300"] += any(abs(v) in (1e300, 1e-300) for v in b)
+        seen["subnormal"] += any(0.0 < abs(v) < 2.2250738585072014e-308 for v in b)
+        checked += 1
+    assert min(seen.values()) > 150, seen
