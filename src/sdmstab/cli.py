@@ -74,12 +74,9 @@ def replace(obj, **changes):
 
 def _csv_list(text: str) -> tuple[float, ...]:
     try:
-        vals = tuple(float(part) for part in text.split(","))
+        return tuple(float(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated number list: {text!r}")
-    if not vals:
-        raise argparse.ArgumentTypeError("empty coefficient list")
-    return vals
 
 
 def _build_parser() -> argparse.ArgumentParser:

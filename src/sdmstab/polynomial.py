@@ -1,5 +1,7 @@
-"""The ``Poly`` value type, the integer tables of the package, and the
-exact integer core under root counting and real-root isolation.
+"""The ``record`` decorator, the ``Poly`` value type, the integer tables of
+the package, and the exact integer core under root counting and real-root
+isolation.  This bottom layer imports nothing else from the package, so
+``record``, which makes ``Poly`` and every other value type, lives here.
 
 Polynomials are stored in ascending powers: ``coeffs[k]`` multiplies ``z**k``.
 ``Poly`` is the value the public API passes around: validated on
@@ -27,10 +29,78 @@ __all__ = ["Poly"]
 MAX_ORDER = 5
 
 
-class Poly:
-    """Immutable dense polynomial with real coefficients, ascending powers."""
+# Every value type of the package, ``Poly`` and each result and input class,
+# is a ``record`` rather than a frozen dataclass: a command-line process
+# would otherwise spend a large share of its start-up importing
+# ``dataclasses`` (and ``inspect``) and running their code generation for
+# every class.
 
-    __slots__ = ("coeffs",)
+
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def record(cls):
+    """Class decorator: an immutable record with ``__slots__``.
+
+    The annotated names of the class body are the fields, in order, and a
+    class-level value is that field's default.  ``__init__`` takes the
+    fields positionally or by keyword and sets them as given, with no
+    validation or conversion: a record holds what its maker computed.
+    ``==``, ``hash`` and the ``Name(field=value, ...)`` repr are those of
+    a frozen dataclass, setting or deleting an attribute raises
+    ``AttributeError``, and ``__reduce__`` rebuilds the record through
+    ``__init__`` for ``pickle`` and ``copy``.  Any of these five methods
+    that the class body defines stays in place; such an ``__init__`` sets
+    the fields with ``object.__setattr__``.  The field names are in
+    ``_fields``.
+    """
+    fields = tuple(cls.__annotations__)
+    body = {k: v for k, v in cls.__dict__.items()
+            if k not in fields and k not in ("__dict__", "__weakref__")}
+    body.update(__slots__=fields, _fields=fields, __qualname__=cls.__qualname__,
+                __setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
+    defaults = tuple(cls.__dict__[f] for f in fields if f in cls.__dict__)
+    if any(f in cls.__dict__ for f in fields[: len(fields) - len(defaults)]):
+        raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
+    cls = type(cls)(cls.__name__, cls.__bases__, body)
+
+    values = "".join(f"self.{f}," for f in fields)
+    others = "".join(f"other.{f}," for f in fields)
+    shown = ", ".join(f"{f}={{self.{f}!r}}" for f in fields)
+    src = [f"def __init__(self, {', '.join(fields)}):"]
+    src += [f"    _set_{f}(self, {f})" for f in fields] or ["    pass"]
+    src += [
+        "def __eq__(self, other):",
+        "    if other.__class__ is self.__class__:",
+        f"        return ({values}) == ({others})",
+        "    return NotImplemented",
+        "def __hash__(self):",
+        f"    return hash(({values}))",
+        "def __repr__(self):",
+        f'    return f"{{self.__class__.__qualname__}}({shown})"',
+        "def __reduce__(self):",
+        f"    return self.__class__, ({values})",
+    ]
+    ns = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
+    exec("\n".join(src), ns)
+    ns["__init__"].__defaults__ = defaults or None
+    for name in ("__init__", "__eq__", "__hash__", "__repr__", "__reduce__"):
+        if name not in body:
+            setattr(cls, name, ns[name])
+    return cls
+
+
+@record
+class Poly:
+    """Immutable dense polynomial with real coefficients, ascending powers;
+    its own ``__init__`` makes them finite floats with no trailing zero."""
+
+    coeffs: tuple[float, ...]
 
     def __init__(self, coeffs: Iterable[float] = ()):
         cs = list(map(float, coeffs))
@@ -39,9 +109,6 @@ class Poly:
         while cs and cs[-1] == 0.0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("Poly is immutable")
 
     @property
     def degree(self) -> int:
@@ -64,12 +131,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * z + c
         return acc
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)})"

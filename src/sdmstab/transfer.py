@@ -14,7 +14,7 @@ import math
 import operator
 from typing import Sequence
 
-from .polynomial import MAX_ORDER, SHIFTED_ROWS, Poly
+from .polynomial import MAX_ORDER, SHIFTED_ROWS, Poly, record
 
 __all__ = [
     "MAX_ORDER",
@@ -24,68 +24,6 @@ __all__ = [
     "char_poly",
     "ntf_series",
 ]
-
-
-# Every result and input class of the package is a ``record`` rather than a
-# frozen dataclass: a command-line process would otherwise spend a large
-# share of its start-up importing ``dataclasses`` (and ``inspect``) and
-# running their code generation for every class.
-
-
-def _frozen_setattr(self, name, value):
-    raise AttributeError(f"cannot assign to field {name!r}")
-
-
-def _frozen_delattr(self, name):
-    raise AttributeError(f"cannot delete field {name!r}")
-
-
-def record(cls):
-    """Class decorator: an immutable record with ``__slots__``.
-
-    The annotated names of the class body are the fields, in order, and a
-    class-level value is that field's default.  ``__init__`` takes the
-    fields positionally or by keyword and sets them as given, with no
-    validation or conversion: a record holds what its maker computed.
-    ``==``, ``hash`` and the ``Name(field=value, ...)`` repr are those of
-    a frozen dataclass, setting or deleting an attribute raises
-    ``AttributeError``, and ``__reduce__`` rebuilds the record through
-    ``__init__`` for ``pickle`` and ``copy``.  The field names are in
-    ``_fields``.
-    """
-    fields = tuple(cls.__annotations__)
-    body = {k: v for k, v in cls.__dict__.items()
-            if k not in fields and k not in ("__dict__", "__weakref__")}
-    body.update(__slots__=fields, _fields=fields, __qualname__=cls.__qualname__,
-                __setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
-    defaults = tuple(cls.__dict__[f] for f in fields if f in cls.__dict__)
-    if any(f in cls.__dict__ for f in fields[: len(fields) - len(defaults)]):
-        raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
-    cls = type(cls)(cls.__name__, cls.__bases__, body)
-
-    values = "".join(f"self.{f}," for f in fields)
-    others = "".join(f"other.{f}," for f in fields)
-    shown = ", ".join(f"{f}={{self.{f}!r}}" for f in fields)
-    src = [f"def __init__(self, {', '.join(fields)}):"]
-    src += [f"    _set_{f}(self, {f})" for f in fields] or ["    pass"]
-    src += [
-        "def __eq__(self, other):",
-        "    if other.__class__ is self.__class__:",
-        f"        return ({values}) == ({others})",
-        "    return NotImplemented",
-        "def __hash__(self):",
-        f"    return hash(({values}))",
-        "def __repr__(self):",
-        f'    return f"{{self.__class__.__qualname__}}({shown})"',
-        "def __reduce__(self):",
-        f"    return self.__class__, ({values})",
-    ]
-    ns = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
-    exec("\n".join(src), ns)
-    ns["__init__"].__defaults__ = defaults or None
-    for name in ("__init__", "__eq__", "__hash__", "__repr__", "__reduce__"):
-        setattr(cls, name, ns[name])
-    return cls
 
 
 # Input validation for every public entry point of transfer, boundary and

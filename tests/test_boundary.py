@@ -594,6 +594,11 @@ class TestIMaxOrder3:
         with pytest.raises(ValueError):
             i_max_order3((1.0, -2.0, 1.0))
 
+    def test_zero_b3_has_no_crossing(self):
+        # x = (b3 - b1 - b2) / (2*b3) is undefined: no candidate, and the flag is off.
+        assert i_max_order3((1.0, 0.5, 0.0)) == (0.0, False)
+        assert zero_point_candidates((1.0, 0.5, 0.0), 3) == []
+
     @pytest.mark.parametrize("b, want", [
         ((2.13563380706334, -1.0488567696704658, 0.5244283848352334), True),  # x = -0.536
         ((-1.8509460352747888, -0.7337483870905733, 0.3668741935452866), False),  # x = 4.02

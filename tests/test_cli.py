@@ -39,6 +39,14 @@ class TestParse:
             parse(["bounds", "--b", "3,,1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("text", ["", ","])
+    def test_empty_number_list(self, text, capsys):
+        # str.split always yields an item, so an empty list is a malformed one.
+        with pytest.raises(SystemExit) as exc:
+            parse(["bounds", f"--b={text}"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"not a comma-separated number list: {text!r}\n")
+
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
             parse(["bounds", "--b", "1", "--frobnicate"])
@@ -325,6 +333,18 @@ class TestMain:
         # F(z; 0) = D(z) has degree 0 here: the message names it, not a polynomial never given.
         assert main([*argv, "--i-abs=0"]) == 2
         assert capsys.readouterr() == ("", "error: F(z; 0) = D(z) is constant for this design: give --i-abs > 0\n")
+
+    @pytest.mark.parametrize("x, why", [
+        ("-1", "must be nonnegative, got -1.0"),
+        ("-1e-300", "must be nonnegative, got -1e-300"),
+        ("nan", "must be finite with magnitude <= 1e+300, got nan"),
+        ("inf", "must be finite with magnitude <= 1e+300, got inf"),
+        ("1.5e300", "must be finite with magnitude <= 1e+300, got 1.5e+300"),
+    ])
+    def test_check_refuses_a_bad_magnitude(self, x, why, capsys):
+        # The count path itself does not check a; char_poly refuses it first.
+        assert main(["check", "--b=3,-3,1", f"--i-abs={x}"]) == 2
+        assert capsys.readouterr() == ("", f"error: the integrator magnitude a {why}\n")
 
     @pytest.mark.parametrize("argv", [["simulate", "--samples=10"], ["from-g"]], ids=lambda a: a[0])
     def test_b_derived_from_g_past_the_cap_names_g(self, argv, capsys):

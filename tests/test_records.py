@@ -1,9 +1,10 @@
 """Records and the package namespace.
 
-Every result and input record is a ``transfer.record``: a frozen slot class
-that must behave like the ``@dataclass(frozen=True)`` it replaced, so each
+Every result and input record is a ``record``: a frozen slot class that
+must behave like the ``@dataclass(frozen=True)`` it replaced, so each
 public record is checked against a frozen dataclass with the same fields.
-``sdmstab`` resolves its exported names lazily (PEP 562).
+``Poly`` is a record with its own normalizing ``__init__`` and repr, and
+has its own tests.  ``sdmstab`` resolves its exported names lazily (PEP 562).
 """
 
 import copy
@@ -19,7 +20,8 @@ import pytest
 import oracles
 import sdmstab
 from sdmstab import boundary, cli, simulator, transfer, winding
-from sdmstab.transfer import record
+from sdmstab.polynomial import Poly
+from sdmstab.transfer import char_poly, record
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -167,6 +169,33 @@ def test_replace_and_asdict():
     assert moved == simulator.Window(0.25, 0.75)
     with pytest.raises(TypeError):
         cli.replace(moved, width=1.0)
+
+
+def test_poly_is_a_record():
+    p = char_poly((3, -3, 1), 3, 1.5)
+    for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert type(twin) is Poly and twin == p
+    # Unpickling rebuilds through Poly's own __init__, so the result is normalized.
+    assert pickle.loads(pickle.dumps(Poly([1.0, 0.0]))).coeffs == (1.0,)
+    for change in (lambda: setattr(p, "coeffs", ()), lambda: delattr(p, "coeffs"),
+                   lambda: setattr(p, "extra", 1)):
+        with pytest.raises(AttributeError):
+            change()
+    assert p.coeffs == (-0.5, 1.5, -1.5, 1.5) and Poly._fields == Poly.__slots__ == ("coeffs",)
+    assert p == Poly(list(p.coeffs)) and hash(p) == hash(Poly(list(p.coeffs)))
+    assert Poly() == Poly([0.0]) and p != p.coeffs
+    assert repr(Poly([1.0, 2.0])) == "Poly([1.0, 2.0])"
+
+
+def test_methods_of_the_class_body_stay():
+    @record
+    class Shown:
+        x: float
+
+        def __repr__(self):
+            return f"<{self.x}>"
+
+    assert repr(Shown(1.0)) == "<1.0>" and Shown(1.0) == Shown(x=1.0)
 
 
 def test_default_after_required_field_is_refused():
