@@ -9,8 +9,10 @@ order inferred from the list length.  Formats: ``bounds``, ``check`` and
 trace, ``--trace-len`` > 0).  ``check`` counts the exact ``F(z; a)`` at
 every ``a >= 0``: ``F = D`` at ``a = 0``, and above it the ``F`` that
 ``bounds`` probes, so its answer is the verdict of the ``bounds`` interval
-holding ``a``.  Exit codes: 0 success, 1 a refusal by ``check`` (a root
-exactly on the unit circle), 2 usage and validation errors.
+holding ``a``.  ``execute`` checks ``a`` (``0 <= a <= 1e300``) before
+``check`` counts ``F`` or ``contour`` samples it.  Exit codes: 0 success,
+1 a refusal by ``check`` (a root exactly on the unit circle), 2 usage and
+validation errors.
 
 Each command imports the analytic or simulator modules it uses when it
 runs, and ``json`` is imported only for ``--format json``, so one process
@@ -24,7 +26,7 @@ import sys
 from functools import partial
 
 from . import __version__
-from .transfer import _check_coeffs, _check_count, b_from_g, char_poly, g_from_b, ntf_series, record
+from .transfer import _char_poly, _check_coeffs, _check_count, _check_scalar, b_from_g, g_from_b, ntf_series, record
 
 __all__ = ["RunConfig", "Report", "asdict", "replace", "parse", "execute", "render", "main"]
 
@@ -170,15 +172,15 @@ def execute(cfg: RunConfig) -> tuple[Report, int]:
         from .winding import _count_at, contour_table
 
         inputs["i_abs"] = cfg.i_abs
-        f = char_poly(b, n, cfg.i_abs)
-        if f.degree < 1:  # only at i_abs = 0, where F is D
+        a = _check_scalar(cfg.i_abs, "the integrator magnitude a", nonnegative=True)
+        if not a and not any(b[:-1]):  # F(z; 0) = D(z) = b_n
             raise ValueError("F(z; 0) = D(z) is constant for this design: give --i-abs > 0")
         if cfg.command == "check":
-            payload = _count_at(b, n, cfg.i_abs)
+            payload = _count_at(b, n, a)
             code = int(payload.marginal)
         else:
             inputs["samples"] = cfg.samples
-            payload = contour_table(f, cfg.samples)
+            payload = contour_table(_char_poly(b, n, a), cfg.samples)
     elif cfg.command == "from-g":
         payload = {
             "n": n,
@@ -213,7 +215,7 @@ def execute(cfg: RunConfig) -> tuple[Report, int]:
             threshold=cfg.threshold,
         )
         payload = sweep(g, cfg.amp_lo, cfg.amp_hi, cfg.amp_steps, cfg.samples, cfg.threshold)
-    else:  # pragma: no cover - argparse restricts choices
+    else:
         raise ValueError(f"unknown command {cfg.command!r}")
     if g is not None:
         inputs["g"] = list(g)
@@ -223,8 +225,7 @@ def execute(cfg: RunConfig) -> tuple[Report, int]:
 def _text_lines(command: str, payload) -> list[str]:
     if command == "bounds":
         lines = [f"sum_b: {payload.sum_b!r}", f"a_min: {payload.a_min!r}"]
-        for c in payload.candidates:
-            lines.append(f"candidate: a={c.a!r} x={c.x!r} valid={c.valid}")
+        lines += [f"candidate: {_pairs(c)}" for c in payload.candidates]
         for iv in payload.intervals:
             verdict = "stable" if iv.stable else "unstable"
             lines.append(
@@ -242,28 +243,14 @@ def _text_lines(command: str, payload) -> list[str]:
         if payload.points is not None:
             lines.append(f"w_plus: {payload.points.w_plus!r}")
             lines.append(f"w_minus: {payload.points.w_minus!r}")
-            for p in payload.points.selfx:
-                lines.append(f"selfx: x={p.x!r} re_w={p.re_w!r}")
+            lines += [f"selfx: {_pairs(p)}" for p in payload.points.selfx]
         return lines
     if command == "simulate":
         if isinstance(payload, list):  # a trace
             return [f"state: k={st.k} s={list(st.s)!r} v={st.v!r}" for st in payload]
-        return [
-            f"diverged: {payload.diverged}",
-            f"first_divergence_sample: {payload.first_divergence_sample}",
-            f"max_abs_state: {payload.max_abs_state!r}",
-            f"mean_v: {payload.mean_v!r}",
-            f"samples_run: {payload.samples_run}",
-            f"peak_sample: {payload.peak_sample}",
-        ]
+        return [f"{f}: {getattr(payload, f)!r}" for f in payload._fields]
     if command == "sweep":
-        lines = []
-        for p in payload.grid:
-            lines.append(
-                f"grid: amplitude={p.amplitude!r} stable={p.stable} "
-                f"max_abs_state={p.max_abs_state!r} "
-                f"first_divergence_sample={p.first_divergence_sample}"
-            )
+        lines = [f"grid: {_pairs(p)}" for p in payload.grid]
         for w in payload.windows:
             lines.append(f"window: [{w.lo!r}, {w.hi!r}]")
         if not payload.windows:
@@ -271,40 +258,40 @@ def _text_lines(command: str, payload) -> list[str]:
         return lines
     if command == "from-g":
         return [f"{k}: {v!r}" for k, v in payload.items()]
-    return [",".join(repr(x) for x in row) for row in payload]  # contour
+    return _csv_rows(payload)  # contour
 
 
-def _csv_text(command: str, payload) -> str:
-    def cell(v) -> str:
-        if v is None:
-            return ""
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
+def _pairs(rec) -> str:
+    """A record's fields as ``name=repr`` pairs, in field order."""
+    return " ".join(f"{f}={getattr(rec, f)!r}" for f in rec._fields)
 
+
+def _table(command: str, payload) -> tuple[list[str], list]:
+    """The ``(header, rows)`` of contour, sweep and state-trace data."""
     if command == "contour":
-        rows = ["phi,re_w,im_w"]
-        rows += [",".join(cell(v) for v in row) for row in payload]
-        return "\n".join(rows) + "\n"
+        return ["phi", "re_w", "im_w"], payload
     if command == "sweep":
-        rows = ["amplitude,stable,max_abs_state,first_divergence_sample"]
-        for p in payload.grid:
-            rows.append(
-                ",".join(
-                    cell(v)
-                    for v in (p.amplitude, p.stable, p.max_abs_state, p.first_divergence_sample)
-                )
-            )
-        return "\n".join(rows) + "\n"
+        from .simulator import GridPoint
+
+        fields = GridPoint._fields
+        return list(fields), [[getattr(p, f) for f in fields] for p in payload.grid]
     if command == "simulate" and isinstance(payload, list):  # a trace
-        n = len(payload[0].s)
-        rows = ["k," + ",".join(f"s{j+1}" for j in range(n)) + ",v"]
-        for st in payload:
-            rows.append(",".join([str(st.k)] + [repr(v) for v in st.s] + [repr(st.v)]))
-        return "\n".join(rows) + "\n"
+        header = ["k", *(f"s{j + 1}" for j in range(len(payload[0].s))), "v"]
+        return header, [[st.k, *st.s, st.v] for st in payload]
     raise ValueError("csv output is only defined for contour, sweep and trace data")
+
+
+def _cell(v) -> str:
+    """``None`` as empty, a bool as ``true``/``false``, anything else its repr."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return repr(v)
+
+
+def _csv_rows(rows) -> list[str]:
+    return [",".join(map(_cell, row)) for row in rows]
 
 
 def render(report: Report, fmt: str) -> str:
@@ -320,7 +307,8 @@ def render(report: Report, fmt: str) -> str:
         }
         return json.dumps(doc, indent=2) + "\n"
     if fmt == "csv":
-        return _csv_text(report.command, report.payload)
+        header, rows = _table(report.command, report.payload)
+        return "\n".join([",".join(header), *_csv_rows(rows)]) + "\n"
     lines = [f"command: {report.command}"]
     lines += [f"input {k}: {v}" for k, v in report.inputs.items()]
     lines += _text_lines(report.command, report.payload)

@@ -330,9 +330,10 @@ def _exact_f(ints: list[int], s: int, n: int, a: float) -> tuple[list[int], int]
 
 
 def _count_at(b: tuple[float, ...], n: int, a: float) -> RootCountResult:
-    """The count and the points of the exact ``F(z; a)``, ``a >= 0``, of a
-    checked ``b``: ``check``'s answer, which ``boundary``'s probes give too.
-    At ``a = 0``, ``F`` is ``D``, whose degree may be below ``n`` but not 0."""
+    """The count and the points of the exact ``F(z; a)`` for a checked ``b``
+    and ``a``, ``a >= 0``: ``check``'s answer, which ``boundary``'s probes
+    give too.  At ``a = 0``, ``F`` is ``D``, whose degree may be below ``n``
+    but not 0."""
     coeffs, s = _exact_f(*_scaled(b), n, a) if a else _integers(Poly(b[::-1]))
     return _result(_count_exact(coeffs), len(coeffs) - 1, _points(coeffs, s))
 

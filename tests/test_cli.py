@@ -189,6 +189,11 @@ class TestExecute:
         assert isinstance(report.payload, WindowReport)
         assert len(report.payload.grid) == 6
 
+    def test_unknown_command(self):
+        # execute is public and takes any RunConfig, not only what parse gives.
+        with pytest.raises(ValueError, match="^unknown command 'nope'$"):
+            execute(RunConfig("nope", b=(1.0,)))
+
 
 class TestRender:
     def test_empty_window_report_csv_is_header_only(self):
@@ -342,7 +347,7 @@ class TestMain:
         ("1.5e300", "must be finite with magnitude <= 1e+300, got 1.5e+300"),
     ])
     def test_check_refuses_a_bad_magnitude(self, x, why, capsys):
-        # The count path itself does not check a; char_poly refuses it first.
+        # execute checks a before it counts: the count path itself does not.
         assert main(["check", "--b=3,-3,1", f"--i-abs={x}"]) == 2
         assert capsys.readouterr() == ("", f"error: the integrator magnitude a {why}\n")
 

@@ -40,6 +40,9 @@ class TestPolyBasics:
         assert Poly([1.0, 2.0, 0.0, 0.0]).coeffs == (1.0, 2.0)
         assert Poly([0.0, 0.0]).is_zero
         assert Poly().degree == -1
+        for zero in (Poly([]), Poly([0.0])):
+            with pytest.raises(ValueError, match="^zero polynomial has no leading coefficient$"):
+                zero.leading
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
