@@ -46,7 +46,6 @@ _EXPORTS = {
     "Window": "simulator",
     "WindowReport": "simulator",
     "extract_windows": "simulator",
-    "linearized_impulse": "simulator",
     "run": "simulator",
     "sweep": "simulator",
     "trace_run": "simulator",

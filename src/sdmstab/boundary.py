@@ -9,9 +9,11 @@ or at an interior angle.  Both unit-circle profiles of ``F`` are linear in
 variable order swapped) leaves one event polynomial in ``x = cos(phi)``,
 of degree at most two and exact in integers; its real roots, with the ``a``
 of each from a closed form in the same integers, each the float nearest
-it, are the interior boundary events.  ``b`` is scaled to integers by one
-power of two once per design, for ``a_min``, the event polynomial and every
-witness probe.
+it, are the interior boundary events.  At orders 3-5 the event polynomial
+and that closed form come from one straight-line integer function per
+order, generated on first use from the same Chebyshev columns.  ``b`` is
+scaled to integers by one power of two once per design, for ``a_min``, the
+event polynomial and every witness probe.
 
 Each interval between events is reported with one witness ``a`` inside it
 and the count of roots inside there.  Past the last event that count is its
@@ -57,7 +59,7 @@ from typing import Sequence
 
 from .polynomial import COS_ROWS, MAX_ORDER, SHIFTED_ROWS, SIN_ROWS, _div, _prem, _scaled
 from .transfer import _check_coeffs, _check_result, record
-from .winding import _count_exact, _exact_f
+from .winding import _count_exact, _exact_f, _sum
 
 __all__ = [
     "DegenerateBoundaryError",
@@ -198,6 +200,62 @@ def _event_poly(ints: list[int], s: int, n: int) -> tuple[list[int], list[int], 
     return r, [sum(map(operator.mul, ints, column)) for column in l_cols], [c << s for c in den]
 
 
+# --- the generated normal case ------------------------------------------------
+#
+# At orders 3-5 the shapes are fixed: ``R`` has degree ``d = (n-1)//2``, its
+# leading coefficient a multiple of ``b_n``, and ``A`` and the denominator
+# have length ``n//2 + 1``.  ``_kernel`` writes ``_event_poly`` and both
+# ``_prem`` calls out for one order from ``_EVENT_BASIS``, every
+# coefficient in a local, and compiles it on first use; nothing is built at
+# import.  Each unrolled step is ``_prem``'s: scale by ``|lc R|`` and
+# subtract the top term times ``R`` with its sign made positive, so the
+# kernel makes the very integers of the generic path, with the ``2**s`` of
+# the denominator shifted in last (the remainder is linear in the form).
+# It returns None when ``R``'s leading coefficient is 0 (``b_n = 0``):
+# ``R`` then has a lower degree, or vanishes identically, and the generic
+# path takes over.
+
+_KERNELS: dict = {}
+
+
+def _kernel(n: int):
+    """``kernel(ints, s)``: ``_event_poly``'s ``R`` and its ``A`` and
+    denominator reduced modulo ``R`` by ``_prem``, at order ``n`` (3-5);
+    None when ``R``'s leading coefficient is 0."""
+    if n not in _KERNELS:
+        k_cols, l_cols, den = _EVENT_BASIS[n]
+        d = len(k_cols) - 1
+
+        def dot(column):  # sum_k column[k-1] * b_k
+            return _sum("b", ((k, c) for k, c in enumerate(column, 1) if c))
+
+        rs, ns, minus = (", ".join(f"{v}{j}" for j in range(d)) for v in ("r", "n", "-r"))
+        lines = [
+            ", ".join(f"b{k}" for k in range(1, n + 1)) + " = ints",
+            *(f"r{j} = {dot(column)}" for j, column in enumerate(k_cols)),
+            f"if not r{d}:",
+            "    return None",
+            f"scale, {ns} = (r{d}, {rs}) if r{d} > 0 else (-r{d}, {minus})",
+        ]
+        forms = []
+        for v, init in (("a", list(map(dot, l_cols))), ("e", list(map(str, den)))):
+            terms = [f"{v}{j}" for j in range(len(init))]
+            lines.append(f"{', '.join(terms)} = {', '.join(init)}")
+            while len(terms) > d:  # one step of _prem
+                top = terms.pop()
+                low = len(terms) - d  # top * x**low * R cancels the top term
+                lines.append(", ".join(terms) + " = " + ", ".join(
+                    f"scale * {t}" + (f" - {top} * n{j - low}" if j >= low else "") for j, t in enumerate(terms)))
+            forms.append(terms)
+        num, rem = forms
+        lines.append(f"return [{rs}, r{d}], [{', '.join(num)}], [{', '.join(t + ' << s' for t in rem)}]")
+        src = "def kernel(ints, s):\n" + "".join(f"    {line}\n" for line in lines)
+        scope: dict = {}
+        exec(compile(src, f"<sdmstab event kernel n={n}>", "exec"), scope)
+        _KERNELS[n] = scope["kernel"]
+    return _KERNELS[n]
+
+
 def _event_roots(c: list[int], num: list[int], den: list[int]) -> list[tuple[float, float, bool, int]]:
     """Events ``(a, x, valid, slope)`` at the real roots of the integer
     polynomial ``c`` of degree 1 or 2, ascending, each once, none past the
@@ -213,39 +271,49 @@ def _event_roots(c: list[int], num: list[int], den: list[int]) -> list[tuple[flo
     same event and sign of ``den``: ``x`` and ``a``, a Moebius map with no
     pole between the ends, are then monotone on the bracket.  An irrational
     root and its ``a`` (unless constant) are never rounding ties; rational
-    roots are exact at once.
+    roots are exact at once.  The forms are evaluated in place: for a
+    linear ``c`` they are constants and ``a`` is ``num0/den0`` rounded
+    once, and the quadratic's ``at`` takes the linear forms at one end of
+    the bracket with two products each.
     """
-
-    def at(u: int, v: int) -> tuple[tuple[float, float, bool], bool]:
-        u, v = (u, v) if v > 0 else (-u, -v)
-        top, bottom = (sum(map(operator.mul, form, (v, u))) for form in (num, den))
-        a = _div(top, bottom) + 0.0 if bottom else math.inf  # +0.0, not -0.0
-        return (a, _div(u, v) + 0.0, abs(u) < v), bottom > 0
-
     if len(c) == 2:
-        found = [(at(-c[0], c[1])[0], 1 if c[1] > 0 else -1)]
+        # One root, -c0/c1, where the constant forms give a = num0/den0.
+        (c0, c1), (n0,), (d0,) = c, num, den
+        u, v = (-c0, c1) if c1 > 0 else (c0, -c1)
+        a = _div(n0, d0) + 0.0 if d0 else math.inf  # +0.0, not -0.0
+        found = [(a, _div(u, v) + 0.0, abs(u) < v, 1 if c1 > 0 else -1)]
     else:
+        (n0, n1), (d0, d1) = num, den
+
+        def at(u: int, v: int) -> tuple[float, float, bool, bool]:
+            """The event at the root ``u/v`` and whether ``den > 0`` there."""
+            if v < 0:
+                u, v = -u, -v
+            bottom = d0 * v + d1 * u
+            a = _div(n0 * v + n1 * u, bottom) + 0.0 if bottom else math.inf
+            return a, _div(u, v) + 0.0, abs(u) < v, bottom > 0
+
         c0, c1, c2 = c
         disc = c1 * c1 - 4 * c0 * c2
         if disc <= 0:
-            found = [(at(-c1, 2 * c2)[0], 0)] if disc == 0 else []
+            found = [(*at(-c1, 2 * c2)[:3], 0)] if disc == 0 else []
         else:
             sign = 1 if c1 >= 0 else -1
-            k = max(1, 64 - disc.bit_length() // 2)  # s carries 64 or more bits
+            k = max(1, 64 - disc.bit_length() // 2)  # root carries 64 or more bits
             while True:
                 scaled = disc << 2 * k
-                s = math.isqrt(scaled)
-                # 2**(k+1) * q at both ends of the bracket; never 0
-                qs = [-(c1 << k) - sign * r for r in (s, s + (s * s != scaled))]
-                ends, upper = [[at(q, c2 << (k + 1)), at(c0 << (k + 1), q)] for q in qs]
-                if ends == upper:
+                root = math.isqrt(scaled)
+                # 2**(k+1) * q at the lower end of the bracket; never 0
+                q, w, z = -(c1 << k) - sign * root, c2 << (k + 1), c0 << (k + 1)
+                ends = [at(q, w), at(z, q)]
+                if root * root == scaled or ends == [at(q - sign, w), at(z, q - sign)]:
                     break
                 k *= 2
             # R' is -sign*sqrt(disc) at q/c2 and +sign*sqrt(disc) at c0/q;
             # two roots that round alike merge, their slopes cancelling.
-            (first, _), (second, _) = ends
-            found = [(first, 0)] if first == second else [(first, -sign), (second, sign)]
-    return sorted((*event, slope) for event, slope in found if math.isfinite(event[1]))
+            first, second = ends[0][:3], ends[1][:3]
+            found = [(*first, 0)] if first == second else [(*first, -sign), (*second, sign)]
+    return sorted(event for event in found if math.isfinite(event[1]))
 
 
 def zero_point_candidates(b: Sequence[float], n: int) -> list[ZeroPointCandidate]:
@@ -267,19 +335,31 @@ def zero_point_candidates(b: Sequence[float], n: int) -> list[ZeroPointCandidate
 def _zero_point_candidates(ints: list[int], s: int, n: int) -> tuple[list[ZeroPointCandidate], bool, list[int]]:
     """:func:`zero_point_candidates` for a checked ``b`` times ``2**s``, the
     integers ``ints``, whether a valid event was dropped past the float
-    range, and the sign of ``R'`` at each candidate (see ``_event_roots``)."""
-    event, num, den = _event_poly(ints, s, n)
-    if not event:
-        raise DegenerateBoundaryError(
-            "event polynomial vanishes identically: the design pins roots "
-            "to the unit circle over a continuum of a values"
-        )
-    if len(event) < 2:
-        return [], False, []
-    events = _event_roots(event, _prem(num, event), _prem(den, event))
-    kept = [e for e in events if 0.0 <= e[0] < math.inf]
-    return ([ZeroPointCandidate(a, x, valid) for a, x, valid, _ in kept],
-            any(valid and a == math.inf for a, _, valid, _ in events), [e[3] for e in kept])
+    range, and the sign of ``R'`` at each candidate (see ``_event_roots``).
+
+    At orders 3-5 the order's generated kernel makes ``R`` and the forms
+    reduced modulo it in straight-line integer code.  It declines
+    ``b_n = 0``, where ``R`` loses its leading coefficient: ``R`` of lower
+    degree, or identically zero, takes the generic ``_event_poly`` and
+    ``_prem``, which make the very integers the kernel would."""
+    forms = _kernel(n)(ints, s) if n > 2 else None
+    if forms is None:
+        event, num, den = _event_poly(ints, s, n)
+        if not event:
+            raise DegenerateBoundaryError(
+                "event polynomial vanishes identically: the design pins roots "
+                "to the unit circle over a continuum of a values"
+            )
+        if len(event) < 2:
+            return [], False, []
+        forms = event, _prem(num, event), _prem(den, event)
+    candidates, beyond, slopes = [], False, []
+    for a, x, valid, slope in _event_roots(*forms):
+        if 0.0 <= a < math.inf:
+            candidates.append(ZeroPointCandidate(a, x, valid))
+            slopes.append(slope)
+        beyond = beyond or valid and a == math.inf
+    return candidates, beyond, slopes
 
 
 def i_max_order3(b: Sequence[float]) -> tuple[float, bool]:
@@ -414,11 +494,6 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
             stable, inside = count == n, count
         else:
             stable, inside = _probe(ints, s, n, witness)
-        intervals.append(StabilityInterval(lo=lo, hi=hi, stable=stable, witness_a=witness, witness_count=inside))
+        intervals.append(StabilityInterval(lo, hi, stable, witness, inside))
     intervals.reverse()
-    return StabilityReport(
-        sum_b=sum_b,
-        a_min=a_min,
-        candidates=tuple(candidates),
-        intervals=tuple(intervals),
-    )
+    return StabilityReport(sum_b, a_min, tuple(candidates), tuple(intervals))

@@ -12,7 +12,9 @@ means actual divergence); a configurable threshold turns runaway growth
 into an early exit with the divergence sample recorded.  Linearizing the
 quantizer as ``v = I + E`` reproduces the noise transfer function of the
 transfer module term by term, which pins this topology to the ``b``
-coefficients used by the analytic modules.
+coefficients used by the analytic modules: acceptance criterion 7 checks
+it with ``linearized_impulse`` of ``tests/oracles.py``, that loop with the
+quantizer replaced.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .transfer import _check_coeffs, _check_count, _check_result, _check_scalar, record
+from .transfer import _check_coeffs, _check_count, _check_scalar, record
 
 __all__ = [
     "DcInput",
@@ -32,7 +34,6 @@ __all__ = [
     "WindowReport",
     "run",
     "trace_run",
-    "linearized_impulse",
     "sweep",
     "extract_windows",
 ]
@@ -237,29 +238,6 @@ def trace_run(
     """Like :func:`run` but records every step; for bounded trace dumps."""
     states: list[SimState] = []
     return _simulate(g, x, samples, threshold, initial_state, states.append), states
-
-
-def linearized_impulse(g: Sequence[float], terms: int) -> list[float]:
-    """Impulse response from injected quantizer noise to the output.
-
-    Replaces ``v = sign(I)`` with ``v = I + E`` and drives ``E`` with a unit
-    impulse at zero input; the response must match ``ntf_series`` of the
-    derived ``b`` coefficients term by term.
-    """
-    g = _check_coeffs(g, "g")
-    n = len(g)
-    terms = _check_count(terms, "terms")
-    s = [0.0] * n
-    v = 0.0
-    out: list[float] = []
-    for k in range(terms):
-        for j in range(n - 1, 0, -1):
-            s[j] = s[j] + (s[j - 1] - g[j] * v)
-        s[0] = s[0] + (0.0 - g[0] * v)
-        v = s[n - 1] + (1.0 if k == 0 else 0.0)
-        out.append(v)
-    _check_result(out, "the impulse response")
-    return out
 
 
 def extract_windows(grid) -> tuple[Window, ...]:

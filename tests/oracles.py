@@ -9,8 +9,9 @@ the crossing parameter (``crossing_param``) and float unit-circle profiles
 from float Chebyshev polynomials (``cheb_expand``).  They need numpy; the
 package does not.  The float identities of the acceptance criteria live
 here too: the crossing parameter at one angle (``crossing_value``), the
-image coefficients ``d_k`` (``d_coeffs``) and the order-5 remainder factor
-(``t2_order5``).
+image coefficients ``d_k`` (``d_coeffs``), the order-5 remainder factor
+(``t2_order5``) and the simulator loop with its quantizer linearized
+(``linearized_impulse``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from numpy.polynomial import polynomial as P
 
 from sdmstab.boundary import ZeroPointCandidate
 from sdmstab.polynomial import MAX_ORDER, SHIFTED_ROWS, Poly
-from sdmstab.transfer import _char_poly, _check_coeffs, _check_result, _check_scalar, record
+from sdmstab.transfer import _char_poly, _check_coeffs, _check_count, _check_result, _check_scalar, record
 from sdmstab.winding import RootCountResult, _normalized
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "DCoeffs",
     "d_coeffs",
     "t2_order5",
+    "linearized_impulse",
 ]
 
 # Default refusal distance of the eigenvalue oracle ``count_inside_eig``.
@@ -398,3 +400,26 @@ def t2_order5(d: DCoeffs) -> Poly:
         raise ValueError(f"order-5 coefficients required, got order {d.n}")
     d1, d2, d3, d4, d5 = d.d
     return Poly([d2 - d4, 2.0 * d3 - 4.0 * d5, 4.0 * d4, 8.0 * d5])
+
+
+def linearized_impulse(g: Sequence[float], terms: int) -> list[float]:
+    """Impulse response from injected quantizer noise to the output.
+
+    Replaces ``v = sign(I)`` with ``v = I + E`` and drives ``E`` with a unit
+    impulse at zero input; the response must match ``ntf_series`` of the
+    derived ``b`` coefficients term by term.
+    """
+    g = _check_coeffs(g, "g")
+    n = len(g)
+    terms = _check_count(terms, "terms")
+    s = [0.0] * n
+    v = 0.0
+    out: list[float] = []
+    for k in range(terms):
+        for j in range(n - 1, 0, -1):
+            s[j] = s[j] + (s[j - 1] - g[j] * v)
+        s[0] = s[0] + (0.0 - g[0] * v)
+        v = s[n - 1] + (1.0 if k == 0 else 0.0)
+        out.append(v)
+    _check_result(out, "the impulse response")
+    return out

@@ -15,12 +15,13 @@ from oracles import (
     bisect_boundary,
     cheb_expand,
     crossing_value,
+    linearized_impulse,
     t2_order5,
     winding_oracle,
 )
 from sdmstab.boundary import classify_intervals, i_max_order3, i_min, zero_point_candidates
 from sdmstab.polynomial import SHIFTED_ROWS, Poly
-from sdmstab.simulator import DcInput, Window, extract_windows, linearized_impulse, run, sweep
+from sdmstab.simulator import DcInput, Window, extract_windows, run, sweep
 from sdmstab.transfer import b_from_g, char_poly, g_from_b, ntf_series
 from sdmstab.winding import characteristic_points, count_inside_e1
 

@@ -23,15 +23,16 @@ from oracles import (
 )
 from sdmstab.boundary import (
     DegenerateBoundaryError,
+    ZeroPointCandidate,
     classify_intervals,
     i_max_order3,
     i_min,
     zero_point_candidates,
 )
 from sdmstab.cli import asdict
-from sdmstab.polynomial import SHIFTED_ROWS, Poly, _scaled
+from sdmstab.polynomial import SHIFTED_ROWS, Poly, _prem, _scaled
 from sdmstab.transfer import char_poly
-from sdmstab.winding import count_inside_e1
+from sdmstab.winding import _count_at, count_inside_e1
 from test_acceptance import stable_b_sample
 
 B3 = (3.0, -3.0, 1.0)
@@ -575,6 +576,107 @@ class TestZeroPointCandidates:
         assert confirmed > 30
 
 
+GENERIC_EVENT_POLY = boundary._event_poly
+
+
+def bounds_mix_corpus(seed, count):
+    """``count`` designs of orders 1-5 cycling, without numpy: even ones
+    linear-stable (poles of radius below 0.9, as ``stable_b_sample``), odd
+    ones uniform in [-4, 4]."""
+    rng = random.Random(seed)
+    designs = []
+    for i in range(count):
+        n = i // 2 % 5 + 1
+        if i % 2:
+            designs.append(tuple(rng.uniform(-4.0, 4.0) for _ in range(n)))
+            continue
+        f = [1.0]
+        while len(f) <= n:
+            if n + 1 - len(f) >= 2 and rng.random() < 0.5:
+                r, th = 0.9 * math.sqrt(rng.random()), rng.uniform(0.0, math.pi)
+                factor = [r * r, -2.0 * r * math.cos(th), 1.0]
+            else:
+                factor = [-rng.uniform(-0.9, 0.9), 1.0]
+            f = [sum(f[j] * factor[k - j] for j in range(len(f)) if 0 <= k - j < len(factor))
+                 for k in range(len(f) + len(factor) - 1)]
+        designs.append(tuple(f[n - k] - SHIFTED_ROWS[n][n - k] for k in range(1, n + 1)))
+    return designs
+
+
+class TestEventKernel:
+    @pytest.fixture
+    def deferred(self, monkeypatch):
+        """Arguments of every call the kernels leave to ``_event_poly``."""
+        calls = []
+
+        def counting(ints, s, n):
+            calls.append((ints, s, n))
+            return GENERIC_EVENT_POLY(ints, s, n)
+
+        monkeypatch.setattr(boundary, "_event_poly", counting)
+        return calls
+
+    def test_kernels_make_the_generic_integers(self):
+        # R, A mod R and den mod R, integer for integer, on the benchmark's
+        # design mix and on every coefficient family of the pinned corpus;
+        # the kernel declines exactly the designs with b_n = 0.
+        families = {name: designs for name, designs in classify_pin_corpus().items() if name != "edges"}
+        families["bounds mix"] = bounds_mix_corpus(2604, 3000)
+        for name, designs in families.items():
+            made = declined = 0
+            for b in designs:
+                n = len(b)
+                if n < 3:
+                    continue
+                ints, s = _scaled(b)
+                forms = boundary._kernel(n)(ints, s)
+                if forms is None:
+                    assert ints[-1] == 0, (name, b)
+                    declined += 1
+                else:
+                    event, num, den = GENERIC_EVENT_POLY(ints, s, n)
+                    assert forms == (event, _prem(num, event), _prem(den, event)), (name, b)
+                    made += 1
+            assert made > 250, (name, made)
+            if name in ("small integers", "subnormal"):
+                assert declined > 10, (name, declined)
+
+    def test_ordinary_corpus_never_leaves_the_kernel(self, deferred):
+        designs = bounds_mix_corpus(2605, 3000) + classify_pin_corpus()["log-uniform 1e+-300"]
+        solved = events = 0
+        for b in designs:
+            n = len(b)
+            if n > 2:
+                candidates = boundary._zero_point_candidates(*_scaled(b), n)[0]
+                solved += 1
+                events += len(candidates)
+        assert deferred == []
+        assert solved > 1800 and events > 1000, (solved, events)
+
+    @pytest.mark.parametrize("b, candidates", [
+        ((1.0, 2.0, 0.0), []),  # order 3, b3 = 0: R is the constant b1 + b2
+        ((1.0, -2.0, 3.0, 0.0), []),  # order 4, b4 = 0: R is the constant b1 - b3
+        # order 5, b5 = 0: R = 6x - 1 drops to degree 1, and A = 9 - 2x
+        # over 16*(1 - x)**2 is reduced in two steps
+        ((1.0, -2.0, 3.0, 0.5, 0.0), [ZeroPointCandidate(a=0.78, x=1 / 6, valid=True)]),
+        ((1.0, 2.0, -2.0, -1.0, 0.0), None),  # reciprocal: R vanishes identically
+    ])
+    def test_each_fallback_is_reached(self, deferred, b, candidates):
+        n, (ints, s) = len(b), _scaled(b)
+        assert boundary._kernel(n)(ints, s) is None
+        if candidates is None:
+            with pytest.raises(DegenerateBoundaryError):
+                zero_point_candidates(b, n)
+        else:
+            assert zero_point_candidates(b, n) == candidates
+        assert deferred == [(ints, s, n)]
+
+    def test_kernels_build_once_per_order(self):
+        first = boundary._kernel(3)
+        assert boundary._kernel(3) is first
+        assert boundary._kernel(4) is not first
+
+
 class TestIMaxOrder3:
     def test_worked_design(self):
         a, valid = i_max_order3(B3)
@@ -929,6 +1031,29 @@ class TestClassifyIntervals:
         assert rep.a_min == a_min
         assert [(c.a, c.x, c.valid) for c in rep.candidates] == candidates
         assert [(iv.lo, iv.hi, iv.stable, iv.witness_a, iv.witness_count) for iv in rep.intervals] == intervals
+
+    def test_the_lowest_count_is_the_count_of_d(self):
+        # As a -> 0+, deg D of the roots of F(z; a) tend to the roots of D
+        # and the others go to infinity.  So when sum(b) > 0, D is not
+        # constant and no root of D is on the circle, stepping down from the
+        # a -> inf limit through every turn lands, in the lowest interval,
+        # on the exact count of D that check prints at a = 0.
+        rng = random.Random(2609)
+        designs = bounds_mix_corpus(2609, 4000)
+        designs += [tuple(float(rng.randint(-4, 4)) for _ in range(i % 5 + 1)) for i in range(2000)]
+        designs += [tuple(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 6.0) for _ in range(i % 5 + 1))
+                    for i in range(2000)]
+        checked = 0
+        for b in designs:
+            n = len(b)
+            if math.fsum(b) <= 0.0 or not any(b[:-1]):
+                continue
+            inside = _count_at(b, n, 0.0).inside
+            if inside is None:
+                continue
+            assert classify_intervals(b, n).intervals[0].witness_count == inside, b
+            checked += 1
+        assert checked > 3000, checked
 
     def test_b_is_checked_once_per_call(self, monkeypatch):
         check, calls = boundary._check_coeffs, []

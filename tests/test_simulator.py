@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from oracles import linearized_impulse
 from sdmstab import simulator
 from sdmstab.simulator import (
     DcInput,
@@ -14,7 +15,6 @@ from sdmstab.simulator import (
     SineInput,
     Window,
     extract_windows,
-    linearized_impulse,
     run,
     sweep,
     trace_run,
