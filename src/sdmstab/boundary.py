@@ -52,14 +52,16 @@ bisection, and the verdicts against exact rational counts.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from itertools import zip_longest
 from typing import Sequence
 
-from .polynomial import COS_ROWS, MAX_ORDER, SHIFTED_ROWS, SIN_ROWS, _div, _prem, _scaled
-from .transfer import _check_coeffs, _check_result, record
-from .winding import _count_exact, _exact_f, _sum
+from .polynomial import COS_ROWS, MAX_ORDER, SHIFTED_ROWS, SIN_ROWS, record
+from .polynomial import _compile, _div, _kernel_source, _prem, _scaled, _sum
+from .transfer import _check_coeffs, _check_result
+from .winding import _count_exact, _exact_f
 
 __all__ = [
     "DegenerateBoundaryError",
@@ -215,45 +217,38 @@ def _event_poly(ints: list[int], s: int, n: int) -> tuple[list[int], list[int], 
 # ``R`` then has a lower degree, or vanishes identically, and the generic
 # path takes over.
 
-_KERNELS: dict = {}
-
-
+@functools.cache
 def _kernel(n: int):
     """``kernel(ints, s)``: ``_event_poly``'s ``R`` and its ``A`` and
     denominator reduced modulo ``R`` by ``_prem``, at order ``n`` (3-5);
     None when ``R``'s leading coefficient is 0."""
-    if n not in _KERNELS:
-        k_cols, l_cols, den = _EVENT_BASIS[n]
-        d = len(k_cols) - 1
+    k_cols, l_cols, den = _EVENT_BASIS[n]
+    d = len(k_cols) - 1
 
-        def dot(column):  # sum_k column[k-1] * b_k
-            return _sum("b", ((k, c) for k, c in enumerate(column, 1) if c))
+    def dot(column):  # sum_k column[k-1] * b_k
+        return _sum("b", ((k, c) for k, c in enumerate(column, 1) if c))
 
-        rs, ns, minus = (", ".join(f"{v}{j}" for j in range(d)) for v in ("r", "n", "-r"))
-        lines = [
-            ", ".join(f"b{k}" for k in range(1, n + 1)) + " = ints",
-            *(f"r{j} = {dot(column)}" for j, column in enumerate(k_cols)),
-            f"if not r{d}:",
-            "    return None",
-            f"scale, {ns} = (r{d}, {rs}) if r{d} > 0 else (-r{d}, {minus})",
-        ]
-        forms = []
-        for v, init in (("a", list(map(dot, l_cols))), ("e", list(map(str, den)))):
-            terms = [f"{v}{j}" for j in range(len(init))]
-            lines.append(f"{', '.join(terms)} = {', '.join(init)}")
-            while len(terms) > d:  # one step of _prem
-                top = terms.pop()
-                low = len(terms) - d  # top * x**low * R cancels the top term
-                lines.append(", ".join(terms) + " = " + ", ".join(
-                    f"scale * {t}" + (f" - {top} * n{j - low}" if j >= low else "") for j, t in enumerate(terms)))
-            forms.append(terms)
-        num, rem = forms
-        lines.append(f"return [{rs}, r{d}], [{', '.join(num)}], [{', '.join(t + ' << s' for t in rem)}]")
-        src = "def kernel(ints, s):\n" + "".join(f"    {line}\n" for line in lines)
-        scope: dict = {}
-        exec(compile(src, f"<sdmstab event kernel n={n}>", "exec"), scope)
-        _KERNELS[n] = scope["kernel"]
-    return _KERNELS[n]
+    rs, ns, minus = (", ".join(f"{v}{j}" for j in range(d)) for v in ("r", "n", "-r"))
+    lines = [
+        ", ".join(f"b{k}" for k in range(1, n + 1)) + " = ints",
+        *(f"r{j} = {dot(column)}" for j, column in enumerate(k_cols)),
+        f"if not r{d}:",
+        "    return None",
+        f"scale, {ns} = (r{d}, {rs}) if r{d} > 0 else (-r{d}, {minus})",
+    ]
+    forms = []
+    for v, init in (("a", list(map(dot, l_cols))), ("e", list(map(str, den)))):
+        terms = [f"{v}{j}" for j in range(len(init))]
+        lines.append(f"{', '.join(terms)} = {', '.join(init)}")
+        while len(terms) > d:  # one step of _prem
+            top = terms.pop()
+            low = len(terms) - d  # top * x**low * R cancels the top term
+            lines.append(", ".join(terms) + " = " + ", ".join(
+                f"scale * {t}" + (f" - {top} * n{j - low}" if j >= low else "") for j, t in enumerate(terms)))
+        forms.append(terms)
+    num, rem = forms
+    lines.append(f"return [{rs}, r{d}], [{', '.join(num)}], [{', '.join(t + ' << s' for t in rem)}]")
+    return _compile(_kernel_source("ints, s", lines), f"event kernel n={n}", {})["kernel"]
 
 
 def _event_roots(c: list[int], num: list[int], den: list[int]) -> list[tuple[float, float, bool, int]]:

@@ -26,7 +26,8 @@ import sys
 from functools import partial
 
 from . import __version__
-from .transfer import _char_poly, _check_coeffs, _check_count, _check_scalar, b_from_g, g_from_b, ntf_series, record
+from .polynomial import record
+from .transfer import _char_poly, _check_coeffs, _check_count, _check_scalar, b_from_g, g_from_b, ntf_series
 
 __all__ = ["RunConfig", "Report", "asdict", "replace", "parse", "execute", "render", "main"]
 

@@ -1,7 +1,8 @@
 """The ``record`` decorator, the ``Poly`` value type, the integer tables of
 the package, and the exact integer core under root counting and real-root
 isolation.  This bottom layer imports nothing else from the package, so
-``record``, which makes ``Poly`` and every other value type, lives here.
+``record``, which makes ``Poly`` and every other value type, lives here,
+and so does ``_compile``, the one place generated code is built.
 
 Polynomials are stored in ascending powers: ``coeffs[k]`` multiplies ``z**k``.
 ``Poly`` is the value the public API passes around: validated on
@@ -27,6 +28,27 @@ __all__ = ["Poly"]
 # Order cap of the modulators the package analyses (orders 1..5), and so of
 # the integer tables; transfer re-exports it.
 MAX_ORDER = 5
+
+
+def _compile(src: str, name: str, scope: dict) -> dict:
+    """Run the generated ``src`` in ``scope`` and return ``scope``.  It makes
+    the record methods and the per-order kernels of ``winding``,
+    ``boundary`` and ``simulator``, whose ``_kernel`` makes each on first
+    use and keeps it with ``functools.cache``.  Tracebacks show the file
+    name ``<sdmstab name>``."""
+    exec(compile(src, f"<sdmstab {name}>", "exec"), scope)
+    return scope
+
+
+def _kernel_source(params: str, lines: Iterable[str]) -> str:
+    """Source of ``def kernel(params):`` with the body ``lines``."""
+    return f"def kernel({params}):\n" + "".join(f"    {line}\n" for line in lines)
+
+
+def _sum(name: str, terms) -> str:
+    """Source of the sum of ``m * name{k}`` over ``(k, m)``, ``m`` a nonzero int."""
+    return " ".join("%s %s%s%d" % ("+-"[m < 0], "%d * " % abs(m) if abs(m) > 1 else "", name, k)
+                    for k, m in terms).lstrip("+ ")
 
 
 # Every value type of the package, ``Poly`` and each result and input class,
@@ -86,8 +108,8 @@ def record(cls):
         "def __reduce__(self):",
         f"    return self.__class__, ({values})",
     ]
-    ns = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
-    exec("\n".join(src), ns)
+    ns = _compile("\n".join(src), f"record {cls.__qualname__}",
+                  {f"_set_{f}": getattr(cls, f).__set__ for f in fields})
     ns["__init__"].__defaults__ = defaults or None
     for name in ("__init__", "__eq__", "__hash__", "__repr__", "__reduce__"):
         if name not in body:

@@ -19,10 +19,12 @@ quantizer replaced.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
-from .transfer import _check_coeffs, _check_count, _check_scalar, record
+from .polynomial import _compile, record
+from .transfer import _check_coeffs, _check_count, _check_scalar
 
 __all__ = [
     "DcInput",
@@ -104,8 +106,8 @@ class WindowReport:
 #
 # There is one loop definition, ``_TEMPLATE``.  ``_kernel`` expands it into
 # straight-line code for one order, input kind (DC or sine) and trace flag,
-# with every state and gain in a local, compiles it on first use and caches
-# it; nothing is compiled at import.
+# with every state and gain in a local, and compiles it on first use;
+# nothing is compiled at import.
 #
 # The body splits on the quantizer sign.  ``v`` is +-1, so ``g*v`` is exact
 # and ``a - g*v`` is ``a - g`` or ``a - (-g)``, which IEEE 754 defines as
@@ -146,41 +148,35 @@ def kernel(g, x, samples, threshold, s0, emit):
     return False, None, runmax, pos + ({top} >= 0.0), samples, peak
 """
 
-_KERNELS: dict = {}
 
-
+@functools.cache
 def _kernel(n: int, sine: bool, trace: bool):
     """The loop for order ``n``: ``kernel(g, x, samples, threshold, s0,
     emit)`` returns ``(diverged, first, runmax, pos, ran, peak)``.  ``x``
     is the DC level, or ``(amplitude, 2*pi/period)`` for a sine; a trace
     kernel passes each :class:`SimState` to ``emit``."""
-    key = (n, sine, trace)
-    if key not in _KERNELS:
-        s = [f"s{j}" for j in range(1, n + 1)]
-        states = ", ".join(s) + ","
+    s = [f"s{j}" for j in range(1, n + 1)]
+    states = ", ".join(s) + ","
 
-        def stages(op, x_term):
-            # Stage j reads the pre-update stage j-1, so the top stage goes first.
-            lines = [f"s{j} = s{j} + (s{j - 1} {op} g{j})" for j in range(n, 1, -1)]
-            return "\n            ".join(lines + [f"s1 = s1 + {x_term}"])
+    def stages(op, x_term):
+        # Stage j reads the pre-update stage j-1, so the top stage goes first.
+        lines = [f"s{j} = s{j} + (s{j - 1} {op} g{j})" for j in range(n, 1, -1)]
+        return "\n            ".join(lines + [f"s1 = s1 + {x_term}"])
 
-        src = _TEMPLATE.format(
-            g=", ".join(f"g{j}" for j in range(1, n + 1)) + ",",
-            s=states,
-            top=s[-1],
-            setup="amp, w = x" if sine else "x_minus, x_plus = x - g1, x + g1",
-            sample="x = amp * sin(w * k)" if sine else "",
-            minus=stages("-", "(x - g1)" if sine else "x_minus"),
-            plus=stages("+", "(x + g1)" if sine else "x_plus"),
-            emit=f"emit(SimState(({states}), 1.0 if {s[-1]} >= 0.0 else -1.0, k))" if trace else "",
-            grew=" or ".join(f"{sj} > runmax or {sj} < lo" for sj in s),
-            absmax=f"max({', '.join(f'abs({sj})' for sj in s)})" if n > 1 else "abs(s1)",
-        )
-        src = "\n".join(line for line in src.splitlines() if line.strip())
-        scope = {"sin": math.sin, "SimState": SimState}
-        exec(compile(src, f"<sdmstab kernel n={n} sine={sine} trace={trace}>", "exec"), scope)
-        _KERNELS[key] = scope["kernel"]
-    return _KERNELS[key]
+    src = _TEMPLATE.format(
+        g=", ".join(f"g{j}" for j in range(1, n + 1)) + ",",
+        s=states,
+        top=s[-1],
+        setup="amp, w = x" if sine else "x_minus, x_plus = x - g1, x + g1",
+        sample="x = amp * sin(w * k)" if sine else "",
+        minus=stages("-", "(x - g1)" if sine else "x_minus"),
+        plus=stages("+", "(x + g1)" if sine else "x_plus"),
+        emit=f"emit(SimState(({states}), 1.0 if {s[-1]} >= 0.0 else -1.0, k))" if trace else "",
+        grew=" or ".join(f"{sj} > runmax or {sj} < lo" for sj in s),
+        absmax=f"max({', '.join(f'abs({sj})' for sj in s)})" if n > 1 else "abs(s1)",
+    )
+    scope = {"sin": math.sin, "SimState": SimState}
+    return _compile(src, f"kernel n={n} sine={sine} trace={trace}", scope)["kernel"]
 
 
 def _simulate(g, x, samples, threshold, initial_state, emit=None) -> SimResult:

@@ -14,11 +14,10 @@ import math
 import operator
 from typing import Sequence
 
-from .polynomial import MAX_ORDER, SHIFTED_ROWS, Poly, record
+from .polynomial import MAX_ORDER, SHIFTED_ROWS, Poly
 
 __all__ = [
     "MAX_ORDER",
-    "record",
     "b_from_g",
     "g_from_b",
     "char_poly",

@@ -26,12 +26,13 @@ samples the image for plotting.
 
 from __future__ import annotations
 
+import functools
 import math
 
-from .polynomial import COS_ROWS, MAX_ORDER, SHIFTED_ROWS, SIN_ROWS, Poly
-from .polynomial import _cauchy_index, _derivative, _div, _end_signs, _primitive, _scaled
-from .polynomial import _roots_inside, _value
-from .transfer import _check_count, record
+from .polynomial import COS_ROWS, MAX_ORDER, SHIFTED_ROWS, SIN_ROWS, Poly, record
+from .polynomial import _cauchy_index, _compile, _derivative, _div, _end_signs, _kernel_source, _primitive
+from .polynomial import _roots_inside, _scaled, _sum, _value
+from .transfer import _check_count
 
 __all__ = [
     "SelfIntersection",
@@ -131,17 +132,13 @@ def _points(coeffs: list[int], s: int) -> CharacteristicPoints:
                                 selfx=tuple(selfx))
 
 
-_TABLES: dict = {}
-
-
+@functools.cache
 def _tables(n: int) -> list[list]:
     """Order-``n`` rows, built on first use, giving each coefficient of
     ``r0`` and ``r1`` as small multiples of ``(a, d_1, .., d_n)``
     (``cos(k*phi) = T_k(x)``, ``sin(k*phi) = sin(phi)*U_(k-1)(x)``)."""
-    if n not in _TABLES:
-        _TABLES[n] = [[[(k, p[j]) for k, p in enumerate(basis[: n + 1]) if j < len(p) and p[j]]
-                       for j in range(width)] for basis, width in ((COS_ROWS, n + 1), (SIN_ROWS, n))]
-    return _TABLES[n]
+    return [[[(k, p[j]) for k, p in enumerate(basis[: n + 1]) if j < len(p) and p[j]]
+             for j in range(width)] for basis, width in ((COS_ROWS, n + 1), (SIN_ROWS, n))]
 
 
 # --- the generated normal case ------------------------------------------------
@@ -167,15 +164,6 @@ def _tables(n: int) -> list[list]:
 # ``-r1`` on.  ``lo``/``hi`` are the last remainder ``r`` at -1 and 1, so
 # the member ``-r/content`` is negative there where they are positive.
 
-_KERNELS: dict = {}
-
-
-def _sum(name: str, terms) -> str:
-    """Source of the sum of ``m * name{k}`` over ``(k, m)``, ``m`` a nonzero int."""
-    return " ".join("%s %s%s%d" % ("+-"[m < 0], "%d * " % abs(m) if abs(m) > 1 else "", name, k)
-                    for k, m in terms).lstrip("+ ")
-
-
 def _ends(name: str, size: int, fail: str = "-1") -> list[str]:
     """Source setting ``lo``/``hi`` to the polynomial ``name0 .. name{size-1}``
     at -1 and 1, and returning ``fail`` if either is 0."""
@@ -185,54 +173,50 @@ def _ends(name: str, size: int, fail: str = "-1") -> list[str]:
             "    return " + fail]
 
 
+@functools.cache
 def _kernel(n: int):
     """``kernel(coeffs)``: the normal case of ``_count_exact`` at order
     ``n``, -1 outside it."""
-    if n not in _KERNELS:
-        t_rows, u_rows = _tables(n)
-        cs = ", ".join(f"c{k}" for k in range(n + 1))
-        lines = [
-            f"{cs}, = coeffs",
-            f"if not c{n}:",
-            "    return -1",
-            *(f"p0_{j} = {_sum('c', row)}" for j, row in enumerate(t_rows)),  # r0
-            *_ends("p0_", n + 1, "None"),
-            "w_plus, w_minus = hi, lo",
-            *(f"r{j} = {_sum('c', row)}" for j, row in enumerate(u_rows)),  # r1
-            *_ends("r", n),
-            "s_0, s_m = (lo > 0) - (lo < 0), (hi > 0) - (hi < 0)",
-            "index = 0",
-        ]
-        for k in range(1, n):  # p{k+1} from p = p{k-1} and q = p{k}, of degree d
-            d, p, q = n - k, f"p{k - 1}_", f"p{k}_"
-            rs = ", ".join(f"r{j}" for j in range(d + 1))
-            lines += [
-                "neg_lo, neg_hi = lo > 0, hi > 0",
-                f"g = -gcd({rs})",
-                f"{rs.replace('r', q)}, = {rs.replace(',', ' // g,')} // g",
-                f"u = {q}{d} * {p}{d} - {p}{d + 1} * {q}{d - 1}",
-                *([f"v = {q}{d} * {p}{d + 1}"] if d > 1 else []),
-                f"l2 = {q}{d} * {q}{d}",
-                f"r0 = l2 * {p}0 - u * {q}0",
-                *(f"r{j} = l2 * {p}{j} - v * {q}{j - 1} - u * {q}{j}" for j in range(1, d)),
-                f"if not r{d - 1}:",
-                "    return -1",
-                *_ends("r", d),
-                "index += ((lo > 0) != neg_lo) - ((hi > 0) != neg_hi)",
-            ]
+    t_rows, u_rows = _tables(n)
+    cs = ", ".join(f"c{k}" for k in range(n + 1))
+    lines = [
+        f"{cs}, = coeffs",
+        f"if not c{n}:",
+        "    return -1",
+        *(f"p0_{j} = {_sum('c', row)}" for j, row in enumerate(t_rows)),  # r0
+        *_ends("p0_", n + 1, "None"),
+        "w_plus, w_minus = hi, lo",
+        *(f"r{j} = {_sum('c', row)}" for j, row in enumerate(u_rows)),  # r1
+        *_ends("r", n),
+        "s_0, s_m = (lo > 0) - (lo < 0), (hi > 0) - (hi < 0)",
+        "index = 0",
+    ]
+    for k in range(1, n):  # p{k+1} from p = p{k-1} and q = p{k}, of degree d
+        d, p, q = n - k, f"p{k - 1}_", f"p{k}_"
+        rs = ", ".join(f"r{j}" for j in range(d + 1))
         lines += [
-            "w = (s_0 - s_m) // 2 + index",
-            "if w_plus < 0:",
-            "    w += s_m",
-            "if w_minus < 0:",
-            "    w -= s_0",
-            f"return {n} + w",
+            "neg_lo, neg_hi = lo > 0, hi > 0",
+            f"g = -gcd({rs})",
+            f"{rs.replace('r', q)}, = {rs.replace(',', ' // g,')} // g",
+            f"u = {q}{d} * {p}{d} - {p}{d + 1} * {q}{d - 1}",
+            *([f"v = {q}{d} * {p}{d + 1}"] if d > 1 else []),
+            f"l2 = {q}{d} * {q}{d}",
+            f"r0 = l2 * {p}0 - u * {q}0",
+            *(f"r{j} = l2 * {p}{j} - v * {q}{j - 1} - u * {q}{j}" for j in range(1, d)),
+            f"if not r{d - 1}:",
+            "    return -1",
+            *_ends("r", d),
+            "index += ((lo > 0) != neg_lo) - ((hi > 0) != neg_hi)",
         ]
-        src = "def kernel(coeffs):\n" + "".join(f"    {line}\n" for line in lines)
-        scope = {"gcd": math.gcd}
-        exec(compile(src, f"<sdmstab count kernel n={n}>", "exec"), scope)
-        _KERNELS[n] = scope["kernel"]
-    return _KERNELS[n]
+    lines += [
+        "w = (s_0 - s_m) // 2 + index",
+        "if w_plus < 0:",
+        "    w += s_m",
+        "if w_minus < 0:",
+        "    w -= s_0",
+        f"return {n} + w",
+    ]
+    return _compile(_kernel_source("coeffs", lines), f"count kernel n={n}", {"gcd": math.gcd})["kernel"]
 
 
 def _count_exact(coeffs: list[int]) -> int | None:

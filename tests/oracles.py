@@ -23,8 +23,8 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from sdmstab.boundary import ZeroPointCandidate
-from sdmstab.polynomial import MAX_ORDER, SHIFTED_ROWS, Poly
-from sdmstab.transfer import _char_poly, _check_coeffs, _check_count, _check_result, _check_scalar, record
+from sdmstab.polynomial import MAX_ORDER, SHIFTED_ROWS, Poly, record
+from sdmstab.transfer import _char_poly, _check_coeffs, _check_count, _check_result, _check_scalar
 from sdmstab.winding import RootCountResult, _normalized
 
 __all__ = [

@@ -20,8 +20,8 @@ import pytest
 import oracles
 import sdmstab
 from sdmstab import boundary, cli, simulator, transfer, winding
-from sdmstab.polynomial import Poly
-from sdmstab.transfer import char_poly, record
+from sdmstab.polynomial import Poly, record
+from sdmstab.transfer import char_poly
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -213,6 +213,14 @@ def test_record_without_fields():
 
     assert Empty() == Empty() and repr(Empty()) == f"{Empty.__qualname__}()"
     assert hash(Empty()) == hash(())
+
+
+def test_generated_code_names_its_source():
+    # A traceback through generated code names what built it, not "<string>".
+    cls = boundary.StabilityInterval
+    for func in (cls.__init__, cls.__eq__, cls.__repr__, winding._kernel(3), boundary._kernel(3),
+                 simulator._kernel(2, True, True)):
+        assert func.__code__.co_filename.startswith("<sdmstab "), func.__code__.co_filename
 
 
 # --- the lazy namespace -------------------------------------------------------
