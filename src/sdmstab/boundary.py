@@ -9,11 +9,11 @@ or at an interior angle.  Both unit-circle profiles of ``F`` are linear in
 variable order swapped) leaves one event polynomial in ``x = cos(phi)``,
 of degree at most two and exact in integers; its real roots, with the ``a``
 of each from a closed form in the same integers, each the float nearest
-it, are the interior boundary events.  At orders 3-5 the event polynomial
-and that closed form come from one straight-line integer function per
-order, generated on first use from the same Chebyshev columns.  ``b`` is
-scaled to integers by one power of two once per design, for ``a_min``, the
-event polynomial and every witness probe.
+it, are the interior boundary events.  The event polynomial and that
+closed form come from one straight-line integer function per order,
+generated on first use from the same Chebyshev columns.  ``b`` is scaled to
+integers by one power of two once per design, for ``a_min``, the event
+polynomial and every witness probe.
 
 Each interval between events is reported with one witness ``a`` inside it
 and the count of roots inside there.  Past the last event that count is its
@@ -59,7 +59,7 @@ from itertools import zip_longest
 from typing import Sequence
 
 from .polynomial import COS_ROWS, MAX_ORDER, SHIFTED_ROWS, SIN_ROWS, record
-from .polynomial import _compile, _div, _kernel_source, _prem, _scaled, _sum
+from .polynomial import _compile, _div, _kernel_source, _scaled, _sum
 from .transfer import _check_coeffs, _check_result
 from .winding import _count_exact, _exact_f
 
@@ -188,66 +188,53 @@ def _event_basis(n: int) -> tuple[tuple, tuple, tuple[int, ...]]:
     return k_cols, l_cols, tuple(math.comb(m, j) * (-1) ** j * 2 ** (n - m) for j in range(m + 1))
 
 
-_EVENT_BASIS = {n: _event_basis(n) for n in range(1, MAX_ORDER + 1)}
-
-
-def _event_poly(ints: list[int], s: int, n: int) -> tuple[list[int], list[int], list[int]]:
-    """``R`` without trailing zeros (empty when it vanishes), ``A`` and
-    ``2**(n-m) * (1-x)**m``, ascending, times the ``2**s`` making ``b`` the
-    integers ``ints``."""
-    k_cols, l_cols, den = _EVENT_BASIS[n]
-    r = [sum(map(operator.mul, ints, column)) for column in k_cols]
-    while r and r[-1] == 0:
-        r.pop()
-    return r, [sum(map(operator.mul, ints, column)) for column in l_cols], [c << s for c in den]
-
-
-# --- the generated normal case ------------------------------------------------
+# --- the generated solve ------------------------------------------------------
 #
-# At orders 3-5 the shapes are fixed: ``R`` has degree ``d = (n-1)//2``, its
-# leading coefficient a multiple of ``b_n``, and ``A`` and the denominator
-# have length ``n//2 + 1``.  ``_kernel`` writes ``_event_poly`` and both
-# ``_prem`` calls out for one order from ``_EVENT_BASIS``, every
-# coefficient in a local, and compiles it on first use; nothing is built at
-# import.  Each unrolled step is ``_prem``'s: scale by ``|lc R|`` and
-# subtract the top term times ``R`` with its sign made positive, so the
-# kernel makes the very integers of the generic path, with the ``2**s`` of
-# the denominator shifted in last (the remainder is linear in the form).
-# It returns None when ``R``'s leading coefficient is 0 (``b_n = 0``):
-# ``R`` then has a lower degree, or vanishes identically, and the generic
-# path takes over.
+# ``R`` has degree at most ``d = (n-1)//2`` (less when ``b_n = 0``), and
+# ``A`` and the denominator have length ``n//2 + 1``.  ``_kernel`` writes
+# out, for one order, ``R``'s coefficients from ``_event_basis`` and then
+# one branch per degree ``R`` can have, from ``d`` down to 1, the first
+# whose leading coefficient is nonzero taken: the unrolled ``_prem`` of
+# ``A`` and of the denominator modulo ``R``, every coefficient in a local.
+# Each step scales by ``|lc R|`` and subtracts the top term times ``R``
+# with its sign made positive; the ``2**s`` of the denominator is shifted
+# in last, as the remainder is linear in the form.  A constant ``R`` has no
+# root, and an ``R`` that vanishes identically gives None.  The kernel is
+# compiled on first use; nothing is built at import.
 
 @functools.cache
 def _kernel(n: int):
-    """``kernel(ints, s)``: ``_event_poly``'s ``R`` and its ``A`` and
-    denominator reduced modulo ``R`` by ``_prem``, at order ``n`` (3-5);
-    None when ``R``'s leading coefficient is 0."""
-    k_cols, l_cols, den = _EVENT_BASIS[n]
-    d = len(k_cols) - 1
+    """``kernel(ints, s)``: at order ``n``, ``R`` without trailing zeros, for
+    ``b`` times ``2**s`` the integers ``ints``, with ``A`` and
+    ``2**(n-m) * (1-x)**m`` times ``2**s`` reduced modulo ``R`` by
+    ``_prem``; ``([r0], [], [])`` for a constant ``R``, None when ``R``
+    vanishes identically."""
+    k_cols, l_cols, den = _event_basis(n)
 
     def dot(column):  # sum_k column[k-1] * b_k
         return _sum("b", ((k, c) for k, c in enumerate(column, 1) if c))
 
-    rs, ns, minus = (", ".join(f"{v}{j}" for j in range(d)) for v in ("r", "n", "-r"))
     lines = [
-        ", ".join(f"b{k}" for k in range(1, n + 1)) + " = ints",
+        ", ".join(f"b{k}" for k in range(1, n + 1)) + ", = ints",
         *(f"r{j} = {dot(column)}" for j, column in enumerate(k_cols)),
-        f"if not r{d}:",
-        "    return None",
-        f"scale, {ns} = (r{d}, {rs}) if r{d} > 0 else (-r{d}, {minus})",
     ]
-    forms = []
-    for v, init in (("a", list(map(dot, l_cols))), ("e", list(map(str, den)))):
-        terms = [f"{v}{j}" for j in range(len(init))]
-        lines.append(f"{', '.join(terms)} = {', '.join(init)}")
-        while len(terms) > d:  # one step of _prem
-            top = terms.pop()
-            low = len(terms) - d  # top * x**low * R cancels the top term
-            lines.append(", ".join(terms) + " = " + ", ".join(
-                f"scale * {t}" + (f" - {top} * n{j - low}" if j >= low else "") for j, t in enumerate(terms)))
-        forms.append(terms)
-    num, rem = forms
-    lines.append(f"return [{rs}, r{d}], [{', '.join(num)}], [{', '.join(t + ' << s' for t in rem)}]")
+    for d in range(len(k_cols) - 1, 0, -1):  # R of degree d
+        rs, ns, minus = (", ".join(f"{v}{j}" for j in range(d)) for v in ("r", "n", "-r"))
+        body = [f"scale, {ns} = (r{d}, {rs}) if r{d} > 0 else (-r{d}, {minus})"]
+        forms = []
+        for v, init in (("a", list(map(dot, l_cols))), ("e", list(map(str, den)))):
+            terms = [f"{v}{j}" for j in range(len(init))]
+            body.append(f"{', '.join(terms)} = {', '.join(init)}")
+            while len(terms) > d:  # one step of _prem
+                top = terms.pop()
+                low = len(terms) - d  # top * x**low * R cancels the top term
+                body.append(", ".join(terms) + " = " + ", ".join(
+                    f"scale * {t}" + (f" - {top} * n{j - low}" if j >= low else "") for j, t in enumerate(terms)))
+            forms.append(terms)
+        num, rem = forms
+        body.append(f"return [{rs}, r{d}], [{', '.join(num)}], [{', '.join(t + ' << s' for t in rem)}]")
+        lines += [f"if r{d}:", *(f"    {line}" for line in body)]
+    lines.append("return ([r0], [], []) if r0 else None")
     return _compile(_kernel_source("ints, s", lines), f"event kernel n={n}", {})["kernel"]
 
 
@@ -331,23 +318,16 @@ def _zero_point_candidates(ints: list[int], s: int, n: int) -> tuple[list[ZeroPo
     """:func:`zero_point_candidates` for a checked ``b`` times ``2**s``, the
     integers ``ints``, whether a valid event was dropped past the float
     range, and the sign of ``R'`` at each candidate (see ``_event_roots``).
-
-    At orders 3-5 the order's generated kernel makes ``R`` and the forms
-    reduced modulo it in straight-line integer code.  It declines
-    ``b_n = 0``, where ``R`` loses its leading coefficient: ``R`` of lower
-    degree, or identically zero, takes the generic ``_event_poly`` and
-    ``_prem``, which make the very integers the kernel would."""
-    forms = _kernel(n)(ints, s) if n > 2 else None
+    The order's generated kernel makes ``R`` and the forms reduced modulo
+    it in straight-line integer code."""
+    forms = _kernel(n)(ints, s)
     if forms is None:
-        event, num, den = _event_poly(ints, s, n)
-        if not event:
-            raise DegenerateBoundaryError(
-                "event polynomial vanishes identically: the design pins roots "
-                "to the unit circle over a continuum of a values"
-            )
-        if len(event) < 2:
-            return [], False, []
-        forms = event, _prem(num, event), _prem(den, event)
+        raise DegenerateBoundaryError(
+            "event polynomial vanishes identically: the design pins roots "
+            "to the unit circle over a continuum of a values"
+        )
+    if len(forms[0]) < 2:
+        return [], False, []
     candidates, beyond, slopes = [], False, []
     for a, x, valid, slope in _event_roots(*forms):
         if 0.0 <= a < math.inf:

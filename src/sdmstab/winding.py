@@ -32,7 +32,7 @@ import math
 from .polynomial import COS_ROWS, MAX_ORDER, SHIFTED_ROWS, SIN_ROWS, Poly, record
 from .polynomial import _cauchy_index, _compile, _derivative, _div, _end_signs, _kernel_source, _primitive
 from .polynomial import _roots_inside, _scaled, _sum, _value
-from .transfer import _check_count
+from .transfer import _check_count, _check_result
 
 __all__ = [
     "SelfIntersection",
@@ -115,8 +115,11 @@ def characteristic_points(f: Poly) -> CharacteristicPoints:
     self-intersections are the roots of ``r1`` strictly inside (-1, 1).
     ``w_plus``, ``w_minus`` and each ``x`` are the floats nearest the exact
     values, and each ``re_w`` is the float nearest ``r0`` at that ``x``.
+    Raises ``ValueError`` when one of them leaves the float range.
     """
-    return _points(*_integers(f))
+    points = _points(*_integers(f))
+    _check_result([points.w_plus, points.w_minus, *(p.re_w for p in points.selfx)], "a characteristic point")
+    return points
 
 
 def _points(coeffs: list[int], s: int) -> CharacteristicPoints:
@@ -323,7 +326,8 @@ def _count_at(b: tuple[float, ...], n: int, a: float) -> RootCountResult:
 
 
 def contour_table(f: Poly, samples: int) -> list[tuple[float, float, float]]:
-    """Sampled contour image rows ``(phi, Re W, Im W)`` at uniform angles."""
+    """Sampled contour image rows ``(phi, Re W, Im W)`` at uniform angles.
+    Raises ``ValueError`` when ``W`` at a sample leaves the float range."""
     samples = _check_count(samples, "samples")
     f = _normalized(f)
     n = f.degree
@@ -333,5 +337,6 @@ def contour_table(f: Poly, samples: int) -> list[tuple[float, float, float]]:
         phi = k * step
         z = complex(math.cos(phi), math.sin(phi))
         w = f(z) * z.conjugate() ** n
+        _check_result((w.real, w.imag), "the contour image")
         rows.append((phi, w.real, w.imag))
     return rows

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -129,6 +130,18 @@ def _exact_event_poly(b, n):
         assert rem == 0
         e.pop()  # the quotient is e[:-1]
     return _trim(e)
+
+
+def generic_event_poly(ints, s, n):
+    """The generic solve each generated kernel unrolls: ``R`` without
+    trailing zeros (empty when it vanishes), ``A`` and ``2**(n-m) *
+    (1-x)**m``, ascending, times the ``2**s`` making ``b`` the integers
+    ``ints``, from the columns of ``boundary._event_basis``."""
+    k_cols, l_cols, den = boundary._event_basis(n)
+    r = [sum(map(operator.mul, ints, column)) for column in k_cols]
+    while r and r[-1] == 0:
+        r.pop()
+    return r, [sum(map(operator.mul, ints, column)) for column in l_cols], [c << s for c in den]
 
 
 def _rem(p, c):
@@ -264,8 +277,6 @@ class TestZeroPointCandidates:
         # factor (1 - x)**(n // 2) and a constant divided out.  The closed
         # form A/den is the real part of the crossing value -D(z)/(z-1)**n
         # at every angle; at an event the imaginary part is zero.
-        from sdmstab.boundary import _event_poly
-
         rng = np.random.default_rng(89)
         for n in range(1, 6):
             binom = [math.comb(n, k) * (-1.0) ** k for k in range(1, n + 1)]
@@ -274,7 +285,7 @@ class TestZeroPointCandidates:
                 b = tuple(rng.uniform(-4, 4, n))
                 p0, p1 = cheb_expand(b), cheb_expand(b, kind="sine")
                 eliminant = P.polysub(P.polymul(p0.coeffs, q1.coeffs), P.polymul(p1.coeffs, q0.coeffs))
-                event, num, den = _event_poly(*_scaled(b), n)
+                event, num, den = generic_event_poly(*_scaled(b), n)
                 exact = _exact_event_poly(b, n)
                 assert len(event) == len(exact)
                 assert all(r * exact[-1] == e * event[-1] for r, e in zip(event, exact))
@@ -576,9 +587,6 @@ class TestZeroPointCandidates:
         assert confirmed > 30
 
 
-GENERIC_EVENT_POLY = boundary._event_poly
-
-
 def bounds_mix_corpus(seed, count):
     """``count`` designs of orders 1-5 cycling, without numpy: even ones
     linear-stable (poles of radius below 0.9, as ``stable_b_sample``), odd
@@ -603,55 +611,45 @@ def bounds_mix_corpus(seed, count):
     return designs
 
 
+# The kernel's output on each design of ``TestEventKernel``'s lower
+# branches, as ``generic_event_poly`` and ``_prem`` make it.
+LOWER_BRANCH_FORMS = {
+    (1.0, 2.0, 0.0): ([3], [], []),
+    (1.0, -2.0, 3.0, 0.0): ([-2], [], []),
+    (1.0, -2.0, 3.0, 0.5, 0.0): ([-1, 6], [312], [400]),
+    (1.0, 1.0, 0.0, -1.0, 0.0): ([1], [], []),
+    (1.0, 2.0, -2.0, -1.0, 0.0): None,
+    (1.0,): ([1], [], []),
+    (1.0, -0.5): ([1], [], []),
+    (1.0, 0.0): None,
+    (1.0, 0.5, 1.0, 0.0): None,
+}
+
+
 class TestEventKernel:
-    @pytest.fixture
-    def deferred(self, monkeypatch):
-        """Arguments of every call the kernels leave to ``_event_poly``."""
-        calls = []
-
-        def counting(ints, s, n):
-            calls.append((ints, s, n))
-            return GENERIC_EVENT_POLY(ints, s, n)
-
-        monkeypatch.setattr(boundary, "_event_poly", counting)
-        return calls
-
     def test_kernels_make_the_generic_integers(self):
-        # R, A mod R and den mod R, integer for integer, on the benchmark's
-        # design mix and on every coefficient family of the pinned corpus;
-        # the kernel declines exactly the designs with b_n = 0.
-        families = {name: designs for name, designs in classify_pin_corpus().items() if name != "edges"}
+        # R, A mod R and den mod R, integer for integer, at every order, on
+        # the benchmark's design mix and on every family of the pinned
+        # corpus, b_n = 0 and reciprocal designs among them: None exactly
+        # when R vanishes, and ([r0], [], []) for a constant R.
+        families = classify_pin_corpus()
         families["bounds mix"] = bounds_mix_corpus(2604, 3000)
+        families["lower branches"] = list(LOWER_BRANCH_FORMS)
+        shapes = set()  # (n, length of R) seen
         for name, designs in families.items():
-            made = declined = 0
             for b in designs:
-                n = len(b)
-                if n < 3:
-                    continue
-                ints, s = _scaled(b)
+                n, (ints, s) = len(b), _scaled(b)
                 forms = boundary._kernel(n)(ints, s)
-                if forms is None:
-                    assert ints[-1] == 0, (name, b)
-                    declined += 1
+                event, num, den = generic_event_poly(ints, s, n)
+                if not event:
+                    assert forms is None, (name, b)
+                elif len(event) == 1:
+                    assert forms == (event, [], []), (name, b)
                 else:
-                    event, num, den = GENERIC_EVENT_POLY(ints, s, n)
                     assert forms == (event, _prem(num, event), _prem(den, event)), (name, b)
-                    made += 1
-            assert made > 250, (name, made)
-            if name in ("small integers", "subnormal"):
-                assert declined > 10, (name, declined)
-
-    def test_ordinary_corpus_never_leaves_the_kernel(self, deferred):
-        designs = bounds_mix_corpus(2605, 3000) + classify_pin_corpus()["log-uniform 1e+-300"]
-        solved = events = 0
-        for b in designs:
-            n = len(b)
-            if n > 2:
-                candidates = boundary._zero_point_candidates(*_scaled(b), n)[0]
-                solved += 1
-                events += len(candidates)
-        assert deferred == []
-        assert solved > 1800 and events > 1000, (solved, events)
+                shapes.add((n, len(event)))
+        # every degree R can have at every order, and R = 0
+        assert shapes == {(n, length) for n in range(1, 6) for length in range((n + 1) // 2 + 1)}
 
     @pytest.mark.parametrize("b, candidates", [
         ((1.0, 2.0, 0.0), []),  # order 3, b3 = 0: R is the constant b1 + b2
@@ -660,16 +658,22 @@ class TestEventKernel:
         # over 16*(1 - x)**2 is reduced in two steps
         ((1.0, -2.0, 3.0, 0.5, 0.0), [ZeroPointCandidate(a=0.78, x=1 / 6, valid=True)]),
         ((1.0, 2.0, -2.0, -1.0, 0.0), None),  # reciprocal: R vanishes identically
+        ((1.0, 1.0, 0.0, -1.0, 0.0), []),  # order 5, b5 = 0 and b4 = -b1: R is the constant 1
+        ((1.0,), []),  # orders 1 and 2: R is the constant b1 or -b2
+        ((1.0, -0.5), []),
+        ((1.0, 0.0), None),  # order 2, b2 = 0: R vanishes identically
+        ((1.0, 0.5, 1.0, 0.0), None),  # reciprocal at order 4
     ])
-    def test_each_fallback_is_reached(self, deferred, b, candidates):
+    def test_each_fallback_is_reached(self, b, candidates):
+        # Each branch below R's full degree, pinned to the generic solve's
+        # integers: a constant R has no event, and R = 0 is a continuum.
         n, (ints, s) = len(b), _scaled(b)
-        assert boundary._kernel(n)(ints, s) is None
+        assert boundary._kernel(n)(ints, s) == LOWER_BRANCH_FORMS[b]
         if candidates is None:
             with pytest.raises(DegenerateBoundaryError):
                 zero_point_candidates(b, n)
         else:
             assert zero_point_candidates(b, n) == candidates
-        assert deferred == [(ints, s, n)]
 
     def test_kernels_build_once_per_order(self):
         first = boundary._kernel(3)

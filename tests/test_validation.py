@@ -118,6 +118,18 @@ def test_boundary_functions(design, phi, lo, hi):
         result_or_value_error(oracles.t2_order5, oracles.DCoeffs(d=b, a=phi))
 
 
+# --- winding ----------------------------------------------------------------
+
+
+@FUZZ
+@given(st.lists(floats.filter(math.isfinite), max_size=7).map(Poly), st.integers(1, 8))
+def test_winding_functions(f, samples):
+    # Poly takes any finite coefficient, 1e308 among them.
+    result_or_value_error(count_inside_e1, f)
+    result_or_value_error(characteristic_points, f)
+    result_or_value_error(contour_table, f, samples)
+
+
 # --- simulator --------------------------------------------------------------
 
 
@@ -210,6 +222,8 @@ REGRESSIONS = {
     "linearized_impulse-float-terms": lambda: oracles.linearized_impulse((1.0,), 2.5),
     "ntf_series-float-terms": lambda: transfer.ntf_series((1.0, 1.0, 1.0), 3, 2.5),
     "contour_table-float-samples": lambda: contour_table(Poly([1.0, 2.0]), 2.5),
+    "contour_table-overflow": lambda: contour_table(Poly([1e308, 1e308]), 4),  # row (0.0, inf, nan)
+    "characteristic_points-overflow": lambda: characteristic_points(Poly([1e308] * 3)),  # w_plus = inf
     "simulate-negative-trace-len": lambda: execute(parse(["simulate", "--g=1", "--trace-len=-3"])),
 }
 
