@@ -11,9 +11,9 @@ of degree at most two and exact in integers; its real roots, with the ``a``
 of each from a closed form in the same integers, each the float nearest
 it, are the interior boundary events.  The event polynomial and that
 closed form come from one straight-line integer function per order,
-generated on first use from the same Chebyshev columns.  ``b`` is scaled to
-integers by one power of two once per design, for ``a_min``, the event
-polynomial and every witness probe.
+generated on first use from the same Chebyshev columns.  The same function
+scales ``b`` to integers by one power of two, once per design, for
+``a_min``, the event polynomial and every witness probe.
 
 Each interval between events is reported with one witness ``a`` inside it
 and the count of roots inside there.  Past the last event that count is its
@@ -48,17 +48,41 @@ integers by ``winding._exact_f``, on the unit circle itself, as the
 ``check`` command does.  The tests check every stepped count against that
 probe, the events against a direct crossing-parameter scan and eigenvalue
 bisection, and the verdicts against exact rational counts.
+
+The worked design ``b = (3, -3, 1)``, through the one generated call that
+``classify_intervals`` makes per design:
+
+>>> (ints, s, a_min, v), forms = _kernel(3)((3.0, -3.0, 1.0))
+>>> (ints, s, a_min, v), forms
+(([3, -3, 1], 0, 0.875, 3), ([-1, 2], [8], [4]))
+
+``b`` is integer already, so ``s = 0``; ``a_min = (3 + 3 + 1)/8 = 7/8``,
+and ``v = -b1 - b2 + 3*b3 = 3 > 0``, so a root enters at ``z = -1``.  The
+event polynomial is ``R = 2x - 1``, and ``A`` and the denominator reduced
+modulo it are the constants 8 and 4: the one event is ``a = 8/4 = 2`` at
+``x = 1/2``, where ``R' > 0`` and so a pair leaves (the turn is ``-2 * 1``).
+From the limit 1 past it, the counts step down as 1, 3, 2:
+
+>>> [(iv.lo, iv.hi, iv.witness_count) for iv in classify_intervals((3.0, -3.0, 1.0), 3).intervals]
+[(0.0, 0.875, 2), (0.875, 2.0, 3), (2.0, inf, 1)]
+
+The lowest is the count of ``D = 3z**2 - 3z + 1``, whose roots have
+``|z|**2 = 1/3``:
+
+>>> from sdmstab.polynomial import Poly
+>>> from sdmstab.winding import count_inside_e1
+>>> count_inside_e1(Poly([1.0, -3.0, 3.0])).inside
+2
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from itertools import zip_longest
 from typing import Sequence
 
-from .polynomial import COS_ROWS, MAX_ORDER, SHIFTED_ROWS, SIN_ROWS, record
+from .polynomial import COS_ROWS, SHIFTED_ROWS, SIN_ROWS, record
 from .polynomial import _compile, _div, _kernel_source, _scaled, _sum
 from .transfer import _check_coeffs, _check_result
 from .winding import _count_exact, _exact_f
@@ -121,13 +145,7 @@ def i_min(b: Sequence[float], n: int) -> float:
     Evaluates ``-sum((-1)**k * b_k) / 2**n`` exactly in integers and rounds
     once, so the value is the float nearest it; ``F(-1; a_min) = 0``.
     """
-    return _i_min(*_scaled(_check_coeffs(b, "b", n)), n)
-
-
-def _i_min(ints: list[int], s: int, n: int) -> float:
-    """:func:`i_min` for a checked ``b`` times ``2**s``, the integers ``ints``:
-    +0.0 when the sum vanishes, -0.0 when it is negative and rounds to 0."""
-    return _div(sum(ints[::2]) - sum(ints[1::2]), 1 << (s + n))
+    return _kernel(n)(_check_coeffs(b, "b", n))[0][2]
 
 
 # --- boundary events ----------------------------------------------------------
@@ -190,32 +208,47 @@ def _event_basis(n: int) -> tuple[tuple, tuple, tuple[int, ...]]:
 
 # --- the generated solve ------------------------------------------------------
 #
-# ``R`` has degree at most ``d = (n-1)//2`` (less when ``b_n = 0``), and
-# ``A`` and the denominator have length ``n//2 + 1``.  ``_kernel`` writes
-# out, for one order, ``R``'s coefficients from ``_event_basis`` and then
-# one branch per degree ``R`` can have, from ``d`` down to 1, the first
-# whose leading coefficient is nonzero taken: the unrolled ``_prem`` of
-# ``A`` and of the denominator modulo ``R``, every coefficient in a local.
-# Each step scales by ``|lc R|`` and subtracts the top term times ``R``
-# with its sign made positive; the ``2**s`` of the denominator is shifted
-# in last, as the remainder is linear in the form.  A constant ``R`` has no
-# root, and an ``R`` that vanishes identically gives None.  The kernel is
-# compiled on first use; nothing is built at import.
+# One straight-line function per order takes a checked ``b`` and does every
+# integer step of a design.  Its head scales ``b`` to integers by one power
+# of two, as ``_scaled`` does, and makes ``a_min`` from them with one
+# rounding, and ``v``, whose sign is the crossing at ``z = -1``.  ``R`` has
+# degree at most ``d = (n-1)//2`` (less when ``b_n = 0``), and ``A`` and the
+# denominator have length ``n//2 + 1``.  After the head come ``R``'s
+# coefficients from ``_event_basis`` and one branch per degree ``R`` can
+# have, from ``d`` down to 1, the first whose leading coefficient is nonzero
+# taken: the unrolled ``_prem`` of ``A`` and of the denominator modulo
+# ``R``, every coefficient in a local.  Each step scales by ``|lc R|`` and
+# subtracts the top term times ``R`` with its sign made positive; the
+# ``2**s`` of the denominator is shifted in last, as the remainder is linear
+# in the form.  A constant ``R`` has no root, and an ``R`` that vanishes
+# identically gives None.  The kernel is compiled on first use; nothing is
+# built at import.
 
 @functools.cache
 def _kernel(n: int):
-    """``kernel(ints, s)``: at order ``n``, ``R`` without trailing zeros, for
-    ``b`` times ``2**s`` the integers ``ints``, with ``A`` and
-    ``2**(n-m) * (1-x)**m`` times ``2**s`` reduced modulo ``R`` by
-    ``_prem``; ``([r0], [], [])`` for a constant ``R``, None when ``R``
-    vanishes identically."""
+    """``kernel(b)``: for a checked ``b`` of order ``n``, ``(ints, s, a_min,
+    v), forms``.  ``ints`` are ``b`` times ``2**s``, the least power of two
+    making them integers; ``a_min`` is :func:`i_min`, +0.0 for a vanishing
+    sum and -0.0 for a negative one that rounds to 0; ``v`` is
+    ``sum_k (-1)**(k-1) * (2k - n) * b_k`` times ``2**s``.  ``forms`` is
+    ``R`` without trailing zeros, with ``A`` and ``2**(n-m) * (1-x)**m``
+    times ``2**s`` reduced modulo ``R`` by ``_prem``; ``([r0], [], [])``
+    for a constant ``R``, None when ``R`` vanishes identically."""
     k_cols, l_cols, den = _event_basis(n)
+    ks = range(1, n + 1)
 
     def dot(column):  # sum_k column[k-1] * b_k
         return _sum("b", ((k, c) for k, c in enumerate(column, 1) if c))
 
+    def each(form):
+        return ", ".join(form.format(k=k) for k in ks)
+
     lines = [
-        ", ".join(f"b{k}" for k in range(1, n + 1)) + ", = ints",
+        f"{each('(p{k}, q{k})')}, = map(float.as_integer_ratio, b)",
+        f"e = max({each('q{k}')}).bit_length()" if n > 1 else "e = q1.bit_length()",
+        f"{each('b{k}')}, s = {each('p{k} << (e - q{k}.bit_length())')}, e - 1",
+        f"head = [{each('b{k}')}], s, _div({dot([(-1) ** (k - 1) for k in ks])}, 1 << (s + {n})), "
+        + dot([(-1) ** (k - 1) * (2 * k - n) for k in ks]),
         *(f"r{j} = {dot(column)}" for j, column in enumerate(k_cols)),
     ]
     for d in range(len(k_cols) - 1, 0, -1):  # R of degree d
@@ -232,10 +265,10 @@ def _kernel(n: int):
                     f"scale * {t}" + (f" - {top} * n{j - low}" if j >= low else "") for j, t in enumerate(terms)))
             forms.append(terms)
         num, rem = forms
-        body.append(f"return [{rs}, r{d}], [{', '.join(num)}], [{', '.join(t + ' << s' for t in rem)}]")
+        body.append(f"return head, ([{rs}, r{d}], [{', '.join(num)}], [{', '.join(t + ' << s' for t in rem)}])")
         lines += [f"if r{d}:", *(f"    {line}" for line in body)]
-    lines.append("return ([r0], [], []) if r0 else None")
-    return _compile(_kernel_source("ints, s", lines), f"event kernel n={n}", {})["kernel"]
+    lines.append("return head, (([r0], [], []) if r0 else None)")
+    return _compile(_kernel_source("b", lines), f"event kernel n={n}", {"_div": _div})["kernel"]
 
 
 def _event_roots(c: list[int], num: list[int], den: list[int]) -> list[tuple[float, float, bool, int]]:
@@ -311,16 +344,14 @@ def zero_point_candidates(b: Sequence[float], n: int) -> list[ZeroPointCandidate
     Raises :class:`DegenerateBoundaryError` when the event polynomial
     vanishes identically (a continuum, not isolated candidates).
     """
-    return _zero_point_candidates(*_scaled(_check_coeffs(b, "b", n)), n)[0]
+    return _zero_point_candidates(_kernel(n)(_check_coeffs(b, "b", n))[1])[0]
 
 
-def _zero_point_candidates(ints: list[int], s: int, n: int) -> tuple[list[ZeroPointCandidate], bool, list[int]]:
-    """:func:`zero_point_candidates` for a checked ``b`` times ``2**s``, the
-    integers ``ints``, whether a valid event was dropped past the float
-    range, and the sign of ``R'`` at each candidate (see ``_event_roots``).
-    The order's generated kernel makes ``R`` and the forms reduced modulo
-    it in straight-line integer code."""
-    forms = _kernel(n)(ints, s)
+def _zero_point_candidates(forms) -> tuple[list[ZeroPointCandidate], bool, list[int]]:
+    """:func:`zero_point_candidates` from the ``forms`` the order's kernel
+    makes for a design (``R`` and the forms reduced modulo it), whether a
+    valid event was dropped past the float range, and the sign of ``R'`` at
+    each candidate (see ``_event_roots``)."""
     if forms is None:
         raise DegenerateBoundaryError(
             "event polynomial vanishes identically: the design pins roots "
@@ -365,10 +396,8 @@ def i_max_order3(b: Sequence[float]) -> tuple[float, bool]:
 _LIMIT_COUNTS = (None, 1, None, 1, 2, 3)
 
 # Per order: the roots entering the circle as a grows past an interior event,
-# per unit of the sign of R' there, 2*sign(c_n); and the weights
-# (-1)**(k-1) * (2k - n) of b_k in v, whose sign is the root entering at a_min.
+# per unit of the sign of R' there, 2*sign(c_n).
 _PAIR_TURNS = (None, None, None, -2, -2, 2)
-_MIN_ROWS = [[(-1) ** (k - 1) * (2 * k - n) for k in range(1, n + 1)] for n in range(MAX_ORDER + 1)]
 
 
 def _probe(ints: list[int], s: int, n: int, a: float) -> tuple[bool, int | None]:
@@ -410,8 +439,10 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
     """
     b = _check_coeffs(b, "b", n)
     sum_b = math.fsum(b)
-    ints, s = _scaled(b)  # b times 2**s, for a_min, the event search and every probe
-    a_min = _i_min(ints, s, n)
+    # One generated call per design: b times 2**s (the integers ints) for
+    # every probe, a_min, v, whose sign is the root entering at a_min, and
+    # the forms of the event search.
+    (ints, s, a_min, v), forms = _kernel(n)(b)
 
     candidates, events = [], []
     limit = None  # the count inside past the last event, when it is the a -> inf limit
@@ -425,7 +456,7 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
         # Below order 3 the event polynomial is a constant: no interior event.
         if n > 2:
             try:
-                candidates, beyond, slopes = _zero_point_candidates(ints, s, n)
+                candidates, beyond, slopes = _zero_point_candidates(forms)
             except DegenerateBoundaryError:
                 # F is self-reciprocal for every a: there is no isolated
                 # interior event, so the only edge is a_min and the probes
@@ -440,7 +471,6 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
         # Exactly equal events meet in one key: an interior event at a_min is
         # one edge.  A crossing with no sign (a tangency, or a double root at
         # z = -1) makes the turn None: the probes decide below that edge.
-        v = sum(map(operator.mul, ints, _MIN_ROWS[n]))
         turns = {a_min: (v > 0) - (v < 0) or None}
         for c, slope in zip(candidates, slopes):
             if c.valid:
@@ -448,9 +478,13 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
                 turns[c.a] = turn + _PAIR_TURNS[n] * slope if slope and turn is not None else None
         events = sorted(a for a in turns if a > 0.0)
     # The witness past the last event is the largest: refuse here, before
-    # any probe, when F at it leaves the float range.
+    # any probe, when F at it leaves the float range.  With |b_k| <= 1e300
+    # (_check_coeffs) and binomials of at most 10, every coefficient of F
+    # at top < 1e307 is below 1e308 + 1e300 in magnitude, so finite: only
+    # a larger top (inf included; top is never NaN) can be refused.
     top = 10.0 * events[-1] + 1.0 if events else 1.0
-    _check_result([top * c + d for c, d in zip(SHIFTED_ROWS[n], b[::-1])], "the stability boundary")
+    if top >= 1e307:
+        _check_result([top * c + d for c, d in zip(SHIFTED_ROWS[n], b[::-1])], "the stability boundary")
 
     edges = [0.0] + events + [math.inf]
     intervals: list[StabilityInterval] = []

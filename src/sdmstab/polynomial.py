@@ -148,10 +148,15 @@ class Poly:
         return self.coeffs[-1]
 
     def __call__(self, z):
-        """Horner evaluation at a real or complex point."""
+        """Horner evaluation at a real or complex point.  Raises
+        ``ValueError`` when the value leaves the float range."""
+        import cmath  # loaded on first evaluation, not at import
+
         acc = 0.0
         for c in reversed(self.coeffs):
             acc = acc * z + c
+        if not cmath.isfinite(acc):
+            raise ValueError("the polynomial's value overflows the float range for this input")
         return acc
 
     def __repr__(self) -> str:

@@ -10,6 +10,7 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 import sdmstab.boundary as boundary
+import sdmstab.winding as winding
 from oracles import (
     T_TABLE,
     U_TABLE,
@@ -31,7 +32,7 @@ from sdmstab.boundary import (
     zero_point_candidates,
 )
 from sdmstab.cli import asdict
-from sdmstab.polynomial import SHIFTED_ROWS, Poly, _prem, _scaled
+from sdmstab.polynomial import SHIFTED_ROWS, Poly, _div, _prem, _scaled
 from sdmstab.transfer import char_poly
 from sdmstab.winding import _count_at, count_inside_e1
 from test_acceptance import stable_b_sample
@@ -639,7 +640,7 @@ class TestEventKernel:
         for name, designs in families.items():
             for b in designs:
                 n, (ints, s) = len(b), _scaled(b)
-                forms = boundary._kernel(n)(ints, s)
+                forms = boundary._kernel(n)(b)[1]
                 event, num, den = generic_event_poly(ints, s, n)
                 if not event:
                     assert forms is None, (name, b)
@@ -667,8 +668,8 @@ class TestEventKernel:
     def test_each_fallback_is_reached(self, b, candidates):
         # Each branch below R's full degree, pinned to the generic solve's
         # integers: a constant R has no event, and R = 0 is a continuum.
-        n, (ints, s) = len(b), _scaled(b)
-        assert boundary._kernel(n)(ints, s) == LOWER_BRANCH_FORMS[b]
+        n = len(b)
+        assert boundary._kernel(n)(b)[1] == LOWER_BRANCH_FORMS[b]
         if candidates is None:
             with pytest.raises(DegenerateBoundaryError):
                 zero_point_candidates(b, n)
@@ -679,6 +680,30 @@ class TestEventKernel:
         first = boundary._kernel(3)
         assert boundary._kernel(3) is first
         assert boundary._kernel(4) is not first
+
+    def test_kernel_head_is_the_scaled_design(self):
+        # The head each kernel makes is b scaled by _scaled, a_min rounded
+        # once from the alternating sum of those integers and v with the
+        # weights (-1)**(k-1) * (2k - n), compared by repr so that the sign
+        # of a zero a_min counts.
+        families = classify_pin_corpus()
+        families["bounds mix"] = bounds_mix_corpus(2604, 3000)
+        families["lower branches"] = list(LOWER_BRANCH_FORMS)
+        rng = random.Random(2910)
+        edges = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300)
+        families["subnormal, zero and 1e300"] = [(e,) for e in edges] + [
+            tuple(rng.choice(edges + (rng.randint(-9, 9) * 5e-324, rng.uniform(-4.0, 4.0))) for _ in range(i % 5 + 1))
+            for i in range(3000)]
+        negative_zero = 0
+        for name, designs in families.items():
+            for b in designs:
+                n, (ints, s) = len(b), _scaled(b)
+                a_min = _div(sum(ints[::2]) - sum(ints[1::2]), 1 << (s + n))
+                v = sum((-1) ** (k - 1) * (2 * k - n) * c for k, c in enumerate(ints, 1))
+                head = boundary._kernel(n)(b)[0]
+                assert repr(head) == repr((ints, s, a_min, v)), (name, b)
+                negative_zero += repr(a_min) == "-0.0"
+        assert negative_zero > 10
 
 
 class TestIMaxOrder3:
@@ -1074,20 +1099,29 @@ class TestClassifyIntervals:
             assert len(calls) == 1
 
     def test_b_is_scaled_once_per_call(self, monkeypatch):
-        scaled, calls = boundary._scaled, []
+        # The order's kernel scales b, once per call; _scaled is not called.
+        kernel, scaled, calls = boundary._kernel, winding._scaled, []
 
-        def counting(*args):
-            calls.append(args)
+        def counting_kernel(n):
+            def counted(b):
+                calls.append("kernel")
+                return kernel(n)(b)
+            return counted
+
+        def counting_scaled(*args):
+            calls.append("_scaled")
             return scaled(*args)
 
-        monkeypatch.setattr(boundary, "_scaled", counting)
+        monkeypatch.setattr(boundary, "_kernel", counting_kernel)
+        monkeypatch.setattr(boundary, "_scaled", counting_scaled)
+        monkeypatch.setattr(winding, "_scaled", counting_scaled)
         # worked, sum(b) <= 0, reciprocal (a continuum) and first-order
         # designs, and one whose witness 3/32 has more fractional bits than b
         designs = (B3, (1.0, -2.0, 1.0), (1.0, 0.5, 1.0, 0.0), (1.0,), [2, -1.5, 0.75, -0.125], (4.0, 0.0, 2.0, 3.0))
         for b in designs:
             calls.clear()
             rep = classify_intervals(b, len(b))
-            assert len(calls) == 1 and len(rep.intervals) >= 1
+            assert calls == ["kernel"] and len(rep.intervals) >= 1
 
     def test_boundary_past_the_float_range_is_refused_before_any_probe(self, monkeypatch):
         probe, calls = boundary._probe, []
@@ -1125,6 +1159,27 @@ class TestClassifyIntervals:
             below = [iv.witness_a for iv in classify_intervals(b, len(b)).intervals if iv.hi <= edge]
             assert below and [args[3] for args in calls] == below[::-1], b
 
+    def test_top_witness_is_checked_only_near_overflow(self, monkeypatch):
+        # With |b_k| <= 1e300 and binomials of at most 10, F at a top
+        # witness below 1e307 has finite coefficients, so only a larger one
+        # is checked.  This design's last event puts it at ~1.67e307: the
+        # check runs, every coefficient is finite, and the design is
+        # classified, not refused.
+        check, calls = boundary._check_result, []
+
+        def counting(vals, name):
+            calls.append(list(vals))
+            return check(vals, name)
+
+        monkeypatch.setattr(boundary, "_check_result", counting)
+        last = classify_intervals((2e299, -2.99999994e299, 1e299), 3).intervals[-1]
+        assert 1e307 <= last.witness_a < 2e307 and last.hi == math.inf
+        assert last.witness_count == 1 and not last.stable
+        (coeffs,) = calls  # below z**3, whose coefficient is the witness itself
+        assert len(coeffs) == 3 and all(map(math.isfinite, coeffs))
+        calls.clear()
+        assert len(classify_intervals(B3, 3).intervals) == 3 and calls == []
+
     def test_past_the_last_event_the_count_is_the_limit(self):
         # With sum(b) > 0 the roots gather at z = 1 + (sum(b)/a)**(1/n) * w,
         # w**n = -1, as a -> inf, and those with Re w < 0 are inside: the
@@ -1146,7 +1201,7 @@ class TestClassifyIntervals:
             checked += 1
             if n > 2 and rep.sum_b > 0.0:
                 try:
-                    beyond += boundary._zero_point_candidates(*_scaled(b), n)[1]
+                    beyond += boundary._zero_point_candidates(boundary._kernel(n)(b)[1])[1]
                 except DegenerateBoundaryError:
                     pass
         assert checked > 5000 and beyond > 100

@@ -44,6 +44,13 @@ floats = st.one_of(
 )
 # Mostly nonnegative, for magnitudes, thresholds and periods.
 magnitudes = st.one_of(st.floats(0.0, 4.0), st.floats(1.0, 1e6), floats)
+# Poly takes any finite coefficient.  Half the polynomials have only
+# coefficients of +-1e308, so that values summed from them leave the float
+# range; these tests draw twice the examples, to keep the other half.
+finite_floats = floats.filter(math.isfinite)
+polys = st.one_of(st.lists(finite_floats, max_size=7),
+                  st.lists(st.sampled_from((1e308, -1e308)), min_size=2, max_size=6)).map(Poly)
+POLY_FUZZ = settings(FUZZ, max_examples=2 * FUZZ.max_examples)
 
 
 def designs():
@@ -56,21 +63,34 @@ def designs():
     )
 
 
-def no_nan(obj):
-    """Fail on a NaN anywhere inside a (possibly nested) result."""
+def floats_in(obj):
+    """Every float inside a (possibly nested) result."""
     if isinstance(obj, float):
-        assert not math.isnan(obj)
+        yield obj
     elif isinstance(obj, complex):
-        no_nan((obj.real, obj.imag))
+        yield from (obj.real, obj.imag)
     elif isinstance(obj, Poly):
-        no_nan(obj.coeffs)
-    elif hasattr(type(obj), "_fields"):  # a record: check every field
-        no_nan([getattr(obj, f) for f in obj._fields])
+        yield from obj.coeffs
+    elif hasattr(type(obj), "_fields"):  # a record: every field
+        for f in obj._fields:
+            yield from floats_in(getattr(obj, f))
     elif isinstance(obj, dict):
-        no_nan(list(obj.values()))
+        yield from floats_in(list(obj.values()))
     elif isinstance(obj, (list, tuple)):
         for item in obj:
-            no_nan(item)
+            yield from floats_in(item)
+
+
+def no_nan(obj):
+    """Fail on a NaN anywhere inside a (possibly nested) result."""
+    assert not any(map(math.isnan, floats_in(obj)))
+
+
+def finite(obj):
+    """Fail on a NaN or an infinity anywhere inside a (possibly nested)
+    result: for results that hold no legitimate infinity, unlike an
+    interval's upper end or a diverged simulator state."""
+    assert all(map(math.isfinite, floats_in(obj)))
 
 
 def result_or_value_error(fn, *args, **kwargs):
@@ -121,13 +141,21 @@ def test_boundary_functions(design, phi, lo, hi):
 # --- winding ----------------------------------------------------------------
 
 
-@FUZZ
-@given(st.lists(floats.filter(math.isfinite), max_size=7).map(Poly), st.integers(1, 8))
+@POLY_FUZZ
+@given(polys, st.integers(1, 8))
 def test_winding_functions(f, samples):
-    # Poly takes any finite coefficient, 1e308 among them.
-    result_or_value_error(count_inside_e1, f)
-    result_or_value_error(characteristic_points, f)
-    result_or_value_error(contour_table, f, samples)
+    finite(result_or_value_error(count_inside_e1, f))
+    finite(result_or_value_error(characteristic_points, f))
+    finite(result_or_value_error(contour_table, f, samples))
+
+
+@POLY_FUZZ
+@given(polys, finite_floats)
+def test_poly_evaluation(f, phi):
+    # On the unit circle, and at its real point cos(phi).
+    z = complex(math.cos(phi), math.sin(phi))
+    finite(result_or_value_error(f, z))
+    finite(result_or_value_error(f, z.real))
 
 
 # --- simulator --------------------------------------------------------------
@@ -224,6 +252,8 @@ REGRESSIONS = {
     "contour_table-float-samples": lambda: contour_table(Poly([1.0, 2.0]), 2.5),
     "contour_table-overflow": lambda: contour_table(Poly([1e308, 1e308]), 4),  # row (0.0, inf, nan)
     "characteristic_points-overflow": lambda: characteristic_points(Poly([1e308] * 3)),  # w_plus = inf
+    "poly-call-overflow-real": lambda: Poly([1e308] * 3)(1.0),  # inf
+    "poly-call-overflow-complex": lambda: Poly([1e308] * 3)(1 + 0j),  # (inf+nanj)
     "simulate-negative-trace-len": lambda: execute(parse(["simulate", "--g=1", "--trace-len=-3"])),
 }
 
