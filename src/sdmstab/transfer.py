@@ -99,14 +99,15 @@ def g_from_b(b: Sequence[float]) -> tuple[float, ...]:
 
     Synthetic division by ``(z - 1)`` in place on the descending ``b``
     peels off one cascade coefficient per step, the remainder; a zero one
-    is ``+0.0``.
+    is ``+0.0``.  Raises ``ValueError``, naming ``b``, when a derived
+    coefficient passes the input cap.
     """
     d, g = list(_check_coeffs(b, "b")), []
     while d:
         for i in range(1, len(d)):
             d[i] += d[i - 1]
         g.append(d.pop() + 0.0)
-    return tuple(g)
+    return _check_coeffs(g, "the g derived from b")
 
 
 def char_poly(b: Sequence[float], n: int, a: float) -> Poly:

@@ -12,8 +12,12 @@ normal case, each remainder one degree lower than the last, runs as one
 generated straight-line kernel per order, built on first use; the kernel
 leaves ``F(0) = 0``, a member vanishing at -1 or 1, and a zero or
 degree-dropping remainder to the generic walk, and makes the very same
-integers, so both give the same count.  The count is taken on the unit
-circle itself and refused only for a root exactly on it.  ``_exact_f``
+integers, so both give the same count.  Each order has two variants of
+the kernel, from the same lines: one takes the integers, the other the
+float coefficients of a ``Poly``, which its own head scales to integers
+and sign-normalizes, so ``count_inside_e1`` is one kernel call, and the
+generic walk only where that call returns -1.  The count is taken on the
+unit circle itself and refused only for a root exactly on it.  ``_exact_f``
 builds ``F(z; a) = a*(z-1)**n + D(z)`` in integers from ``b`` and ``a > 0``;
 ``boundary``'s witness probes and the ``check`` command count that exact
 ``F``, so both give one answer for one ``(b, a)``; at ``a = 0`` ``check``
@@ -81,20 +85,30 @@ class RootCountResult:
 
 
 def _normalized(f: Poly) -> Poly:
-    if f.is_zero or f.degree < 1:
+    if f.degree < 1:
         raise ValueError("need a polynomial of degree >= 1")
     return f if f.leading > 0 else Poly(-c for c in f.coeffs)
 
 
+def _degree(f: Poly) -> int:
+    """The degree of ``f``, refused outside 1..MAX_ORDER."""
+    n = len(f.coeffs) - 1
+    if n < 1:
+        raise ValueError("need a polynomial of degree >= 1")
+    if n > MAX_ORDER:
+        raise ValueError(f"need degree 1..{MAX_ORDER}, got {n}")
+    return n
+
+
 def _integers(f: Poly) -> tuple[list[int], int]:
     """The sign-normalized ``f``, of degree 1..MAX_ORDER, as the integers
-    ``(a, d_1, .., d_n)`` times ``2**-s``, and ``s``: what the counts and
-    the points of a float polynomial take."""
-    f = _normalized(f)
-    if f.degree > MAX_ORDER:
-        raise ValueError(f"need degree 1..{MAX_ORDER}, got {f.degree}")
+    ``(a, d_1, .., d_n)`` times ``2**-s``, and ``s``: what the points of a
+    float polynomial take, and its count where the float kernel leaves it
+    to ``_count_generic``."""
+    _degree(f)
     coeffs, s = _scaled(f.coeffs)
-    return coeffs[::-1], s
+    coeffs.reverse()
+    return (coeffs if coeffs[0] > 0 else [-c for c in coeffs]), s
 
 
 def _profiles(coeffs: list[int]) -> tuple[list[int], list[int]]:
@@ -166,6 +180,13 @@ def _tables(n: int) -> list[list]:
 # ``sRem(r1, r0)``, so their sign changes cancel and the index is read from
 # ``-r1`` on.  ``lo``/``hi`` are the last remainder ``r`` at -1 and 1, so
 # the member ``-r/content`` is negative there where they are positive.
+#
+# The integer variant takes ``(a, d_1, .., d_n)``, ``a > 0``, as ``c0 ..
+# cn``.  The float variant takes a ``Poly``'s coefficients, ascending, and
+# its head makes those integers itself, as ``_integers`` does: it unpacks
+# each with ``float.as_integer_ratio``, shifts the numerators to the largest
+# denominator, a power of two, names them ``c0 .. cn`` leading first, and
+# negates them all when ``c0 < 0``; the body is the same.
 
 def _ends(name: str, size: int, fail: str = "-1") -> list[str]:
     """Source setting ``lo``/``hi`` to the polynomial ``name0 .. name{size-1}``
@@ -177,13 +198,25 @@ def _ends(name: str, size: int, fail: str = "-1") -> list[str]:
 
 
 @functools.cache
-def _kernel(n: int):
+def _kernel(n: int, floats: bool):
     """``kernel(coeffs)``: the normal case of ``_count_exact`` at order
-    ``n``, -1 outside it."""
+    ``n``, -1 outside it.  With ``floats`` it takes a ``Poly``'s float
+    coefficients, ascending, and its head makes ``_integers``'s integers
+    of them: the count of ``count_inside_e1``."""
     t_rows, u_rows = _tables(n)
-    cs = ", ".join(f"c{k}" for k in range(n + 1))
-    lines = [
-        f"{cs}, = coeffs",
+    ks = range(n + 1)
+    cs = ", ".join(f"c{k}" for k in ks)
+    if floats:  # c{k} is the coefficient of z**(n-k), as p{k}/q{k}
+        lines = [
+            f"{', '.join(f'(p{k}, q{k})' for k in reversed(ks))}, = map(float.as_integer_ratio, coeffs)",
+            f"e = max({', '.join(f'q{k}' for k in ks)}).bit_length()",
+            f"{cs}, = {', '.join(f'p{k} << (e - q{k}.bit_length())' for k in ks)}",
+            "if c0 < 0:",
+            f"    {cs}, = {', '.join(f'-c{k}' for k in ks)}",
+        ]
+    else:
+        lines = [f"{cs}, = coeffs"]
+    lines += [
         f"if not c{n}:",
         "    return -1",
         *(f"p0_{j} = {_sum('c', row)}" for j, row in enumerate(t_rows)),  # r0
@@ -219,18 +252,20 @@ def _kernel(n: int):
         "    w -= s_0",
         f"return {n} + w",
     ]
-    return _compile(_kernel_source("coeffs", lines), f"count kernel n={n}", {"gcd": math.gcd})["kernel"]
+    name = f"count kernel n={n}" + (" floats" if floats else "")
+    return _compile(_kernel_source("coeffs", lines), name, {"gcd": math.gcd})["kernel"]
 
 
 def _count_exact(coeffs: list[int]) -> int | None:
     """Roots inside ``|z| = 1`` of the polynomial with the integer
     coefficients ``(a, d_1, .., d_n)``, ``a > 0``; None for a root on the
-    circle.  See ``count_inside_e1``.  The order's generated kernel counts
-    the normal case, where each remainder of the chain is one degree lower
-    than the last, from the very integers ``_count_generic`` would make; it
-    returns -1 for ``F(0) = 0``, a member vanishing at -1 or 1, or a zero or
+    circle: the count of ``check`` and of ``boundary``'s probes.  See
+    ``count_inside_e1``.  The order's integer kernel counts the normal case,
+    where each remainder of the chain is one degree lower than the last,
+    from the very integers ``_count_generic`` would make; it returns -1 for
+    ``F(0) = 0``, a member vanishing at -1 or 1, or a zero or
     degree-dropping remainder, which ``_count_generic`` then counts."""
-    inside = _kernel(len(coeffs) - 1)(coeffs)
+    inside = _kernel(len(coeffs) - 1, False)(coeffs)
     return _count_generic(coeffs) if inside == -1 else inside
 
 
@@ -280,7 +315,10 @@ def count_inside_e1(f: Poly) -> RootCountResult:
     ``W(1) < 0`` adds ``s_m`` and ``W(-1) < 0`` adds ``-s_0``.  All of it is
     exact integer arithmetic on the float coefficients scaled by a power of
     two, so a root however close to the circle is counted on its side; the
-    result is marginal, with no count, only for a root exactly on it.
+    result is marginal, with no count, only for a root exactly on it.  One
+    call of the order's float kernel scales and counts ``f``; where the
+    chain leaves its normal case, ``_count_generic`` counts the same
+    integers.  Raises ``ValueError`` for a degree outside 1..MAX_ORDER.
 
     It counts ``f`` as given.  ``count_inside_e1(char_poly(b, n, a))`` so
     counts ``char_poly``'s rounded coefficients, not the exact ``F(z; a)``
@@ -288,8 +326,11 @@ def count_inside_e1(f: Poly) -> RootCountResult:
     with ``|b|`` far below ``a`` every coefficient rounds to those of
     ``a*(z-1)**n``, whose roots are all at ``z = 1``, so it is refused.
     """
-    coeffs = _integers(f)[0]
-    return _result(_count_exact(coeffs), len(coeffs) - 1)
+    n = _degree(f)
+    inside = _kernel(n, True)(f.coeffs)
+    if inside == -1:
+        inside = _count_generic(_integers(f)[0])
+    return RootCountResult(inside, inside is None, None if inside is None else inside - n)
 
 
 def _result(inside: int | None, n: int, points: CharacteristicPoints | None = None) -> RootCountResult:

@@ -359,6 +359,13 @@ class TestMain:
             "error: the b derived from g must be finite with magnitude <= 1e+300, got -5e+300\n"
         )
 
+    @pytest.mark.parametrize("argv, g_k", [(["simulate", "--b=1e300,1e300,1e300,1e300,1e300"], "5e+300"),
+                                           (["sweep", "--b=1e300,1e300"], "2e+300")], ids=["simulate", "sweep"])
+    def test_g_derived_from_b_past_the_cap_names_b(self, argv, g_k, capsys):
+        # Each b_k is in range, but the cascade g the simulator runs has a g_k past the cap.
+        assert main([*argv, "--samples=10"]) == 2
+        assert capsys.readouterr().err == f"error: the g derived from b must be finite with magnitude <= 1e+300, got {g_k}\n"
+
     def test_non_finite_simulator_inputs_exit_2(self, capsys):
         for extra in (["--dc", "nan"], ["--dc", "inf"],
                       ["--sine-amp", "inf", "--sine-period", "16"],

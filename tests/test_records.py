@@ -218,7 +218,8 @@ def test_record_without_fields():
 def test_generated_code_names_its_source():
     # A traceback through generated code names what built it, not "<string>".
     cls = boundary.StabilityInterval
-    for func in (cls.__init__, cls.__eq__, cls.__repr__, winding._kernel(3), boundary._kernel(3),
+    for func in (cls.__init__, cls.__eq__, cls.__repr__, winding._kernel(3, True), winding._kernel(3, False),
+                 boundary._kernel(3),
                  simulator._kernel(2, True, True)):
         assert func.__code__.co_filename.startswith("<sdmstab "), func.__code__.co_filename
 

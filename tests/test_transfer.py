@@ -126,10 +126,12 @@ class TestCharPolyReference:
 
     def test_g_from_b_and_ntf_series_unchanged(self, monkeypatch):
         # Both conversions on the whole corpus, read as b and as g: the
-        # digest of their reprs before they were rewritten on SHIFTED_ROWS.
+        # digest of their reprs before they were rewritten on SHIFTED_ROWS,
+        # but for the one g past the cap, (1e300, 2e300, 4e300, 3e300, 1e300),
+        # which g_from_b now refuses.
         got = [(shown(b_from_g, b), shown(g_from_b, b)) for b, _, _ in reference_cases()]
         digest = hashlib.sha256(repr(got).encode()).hexdigest()
-        assert digest == "e9d9da4a43c83a7dae1b86a252a3e8a19c1bccb6b2a4bbd27895033036dbf3ae"
+        assert digest == "dfbf4ef0459df3b52322b226f8bda143b060519ded5bf41c4ef10d1e11cf1991"
         cases = [(b, n) for b, n, _ in reference_cases() if max(map(abs, b)) < 1e4]
         got = [ntf_series(b, n, 16) for b, n in cases]
         monkeypatch.setattr(transfer, "_char_poly", three_poly_char_poly)
@@ -217,10 +219,10 @@ CONVERSION_PINS = [
      '(3.0,)'),
     ((-1e+300, -2.0, -2.4480931946607187, 0.7540140501453765),
      '(0.7540140501453765, -4.710135345096848, 5.158228539757567, -1e+300)',
-     '(-1e+300, -3e+300, -3e+300, -1e+300)'),
+     'ValueError'),
     ((-1e+300, -3.0, 3.670559126133627, 2.212766421826057),
      '(2.212766421826057, -2.967740139344544, -3.702818986789083, -1e+300)',
-     '(-1e+300, -3e+300, -3e+300, -1e+300)'),
+     'ValueError'),
     ((0.0, 3.0),
      '(3.0, -3.0)',
      '(3.0, 0.0)'),
@@ -256,7 +258,7 @@ CONVERSION_PINS = [
      '(0.8125982514348413, -2.431803911095227, -4.866603243795103, -1.6222010812650343)'),
     ((-1e+300, 2.3303457178482416, -2.0, 1e+300),
      'ValueError',
-     '(0.0, -3e+300, -3e+300, -1e+300)'),
+     'ValueError'),
     ((5e-324, 2.0, 1.7310018367595932),
      '(1.7310018367595932, -1.4620036735191864, -0.2689981632404068)',
      '(3.731001836759593, 2.0, 5e-324)'),
@@ -268,7 +270,7 @@ CONVERSION_PINS = [
      '(-0.3946187234356806, -1.0)'),
     ((-1e-300, 2.220446049250313e-16, 1e+300, 2.0, 1.0),
      'ValueError',
-     '(1e+300, 2e+300, 1e+300, 2.220446049250313e-16, -1e-300)'),
+     'ValueError'),
     ((0.0, 3.129426750909248, 5e-324),
      '(5e-324, 3.129426750909248, -3.129426750909248)',
      '(3.129426750909248, 3.129426750909248, 0.0)'),

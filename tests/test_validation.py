@@ -255,6 +255,7 @@ REGRESSIONS = {
     "poly-call-overflow-real": lambda: Poly([1e308] * 3)(1.0),  # inf
     "poly-call-overflow-complex": lambda: Poly([1e308] * 3)(1 + 0j),  # (inf+nanj)
     "simulate-negative-trace-len": lambda: execute(parse(["simulate", "--g=1", "--trace-len=-3"])),
+    "g_from_b-past-the-cap": lambda: transfer.g_from_b((1e300,) * 5),  # g5 = 5e300
 }
 
 

@@ -269,17 +269,31 @@ class TestOneRadius:
         assert ks == set(range(6, 33))
 
     def test_one_exact_count_per_query(self, monkeypatch):
-        count_exact, calls = winding._count_exact, []
+        # One float-kernel call on f's own coefficients, and the generic
+        # walk on the integers _count_exact would take only where that call
+        # leaves the normal case.
+        kernel, generic, calls = winding._kernel, winding._count_generic, []
 
-        def counting(coeffs):
-            calls.append(coeffs)
-            return count_exact(coeffs)
+        def counting_kernel(n, floats):
+            def count(coeffs):
+                calls.append(("kernel", floats, coeffs))
+                return kernel(n, floats)(coeffs)
+            return count
 
-        monkeypatch.setattr(winding, "_count_exact", counting)
-        for f in [*_one_radius_corpus(), *MARGINAL, *(f for _, f in NEAR_CIRCLE)]:
+        def counting_generic(coeffs):
+            calls.append(("generic", coeffs))
+            return generic(coeffs)
+
+        monkeypatch.setattr(winding, "_kernel", counting_kernel)
+        monkeypatch.setattr(winding, "_count_generic", counting_generic)
+        fell_back = 0
+        for f in [*_one_radius_corpus(), *_small_integer_corpus(), *MARGINAL, *(f for _, f in NEAR_CIRCLE)]:
             calls.clear()
             count_inside_e1(f)
-            assert calls == [_unit_args(f)]
+            tail = [("generic", _unit_args(f))] if kernel(f.degree, True)(f.coeffs) == -1 else []
+            assert calls == [("kernel", True, f.coeffs), *tail]
+            fell_back += bool(tail)
+        assert fell_back > 100
 
 
 GENERIC = winding._count_generic  # the kernels' fallback, unwrapped
@@ -309,6 +323,35 @@ def _log_uniform_corpus():
         n = rng.randint(1, 5)
         b = tuple(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6, 6) for _ in range(n))
         yield char_poly(b, n, 10.0 ** rng.uniform(-6, 6))
+
+
+# One chain per way out of the kernels' normal case, leading coefficient first.
+FALLBACK_REASONS = [
+    [1, 1, 0],  # z**2 + z: F(0) = 0
+    [2, -2, 1],  # 2z**2 - 2z + 1: r1 = 2x - 2 vanishes at 1
+    [1, 0, 1],  # z**2 + 1: r0 = 2x**2 and r1 = 2x leave a zero remainder
+    [2, -3, -3, -4, 2],  # the chain's degrees go 4, 3, 2, 0
+]
+
+
+def _float_head_edges():
+    """Polynomials whose float coefficients test the float kernel's head:
+    negative leading coefficients, -0.0 entries, subnormals, +-1e300 beside
+    tiny values, and each fallback reason of ``TestKernel``."""
+    for coeffs in FALLBACK_REASONS:
+        f = Poly(map(float, coeffs[::-1]))
+        yield f
+        yield Poly(-c for c in f.coeffs)
+    rng = random.Random(71)
+    special = (0.0, -0.0, 5e-324, -5e-324, 2.0**-1070, 1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0)
+    for f in _small_integer_corpus():
+        sign = rng.choice((-1.0, 1.0))
+        yield Poly(sign * c if c else -0.0 for c in f.coeffs)  # every zero a -0.0
+        yield Poly(math.ldexp(sign * c, -1074 + 4) for c in f.coeffs)  # subnormal
+    for _ in range(1500):
+        n = rng.randint(1, 5)
+        lead = rng.choice((-1.0, 1.0)) * rng.choice((1e300, 1.0, 5e-324, rng.uniform(0.5, 4.0)))
+        yield Poly([*(rng.choice((rng.choice(special), rng.uniform(-4.0, 4.0))) for _ in range(n)), lead])
 
 
 CORPORA = {"ordinary": _one_radius_corpus, "log-uniform": _log_uniform_corpus,
@@ -395,20 +438,35 @@ class TestKernel:
             fell_back += len(deferred)
         assert fell_back > 100
 
-    @pytest.mark.parametrize("coeffs", [
-        [1, 1, 0],  # z**2 + z: F(0) = 0
-        [2, -2, 1],  # 2z**2 - 2z + 1: r1 = 2x - 2 vanishes at 1
-        [1, 0, 1],  # z**2 + 1: r0 = 2x**2 and r1 = 2x leave a zero remainder
-        [2, -3, -3, -4, 2],  # the chain's degrees go 4, 3, 2, 0
-    ])
+    @pytest.mark.parametrize("coeffs", FALLBACK_REASONS)
     def test_each_fallback_reason_is_reached(self, deferred, coeffs):
         assert winding._count_exact(coeffs) == GENERIC(coeffs)
         assert deferred == [coeffs]
 
+    def test_float_head_counts_as_the_integer_kernel(self, deferred):
+        # The float head makes _count_exact's integers from f.coeffs, so both
+        # kernels agree, -1 included, and count_inside_e1 hands the generic
+        # walk those integers where the float kernel leaves the normal case.
+        families = {**CORPORA, "near-circle": lambda: (f for _, f in NEAR_CIRCLE), "edges": _float_head_edges}
+        fell_back = {}
+        for name, corpus in families.items():
+            fell_back[name] = 0
+            for f in corpus():
+                n, coeffs = f.degree, _unit_args(f)
+                inside = winding._kernel(n, True)(f.coeffs)
+                assert inside == winding._kernel(n, False)(coeffs), f
+                deferred.clear()
+                count_inside_e1(f)
+                assert deferred == ([coeffs] if inside == -1 else []), f
+                fell_back[name] += inside == -1
+        assert fell_back["ordinary"] == 0
+        assert fell_back["small-integer"] > 100 and fell_back["edges"] > 100
+
     def test_kernels_build_once_per_order(self):
-        first = winding._kernel(3)
-        assert winding._kernel(3) is first
-        assert winding._kernel(4) is not first
+        first = winding._kernel(3, True)
+        assert winding._kernel(3, True) is first
+        assert winding._kernel(3, False) is not first
+        assert winding._kernel(4, True) is not first
 
 
 class TestWindingOracle:
