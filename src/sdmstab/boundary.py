@@ -80,7 +80,7 @@ from __future__ import annotations
 import functools
 import math
 from itertools import zip_longest
-from typing import Sequence
+from collections.abc import Sequence
 
 from .polynomial import COS_ROWS, SHIFTED_ROWS, SIN_ROWS, record
 from .polynomial import _compile, _div, _kernel_source, _scaled, _sum
@@ -220,9 +220,10 @@ def _event_basis(n: int) -> tuple[tuple, tuple, tuple[int, ...]]:
 # ``R``, every coefficient in a local.  Each step scales by ``|lc R|`` and
 # subtracts the top term times ``R`` with its sign made positive; the
 # ``2**s`` of the denominator is shifted in last, as the remainder is linear
-# in the form.  A constant ``R`` has no root, and an ``R`` that vanishes
-# identically gives None.  The kernel is compiled on first use; nothing is
-# built at import.
+# in the form.  The forms alone tell the rest, at every order: a nonzero
+# constant ``R`` (always at orders 1 and 2) has no root and gives ``()``,
+# and an ``R`` that vanishes identically gives None.  The kernel is compiled
+# on first use; nothing is built at import.
 
 @functools.cache
 def _kernel(n: int):
@@ -232,8 +233,8 @@ def _kernel(n: int):
     sum and -0.0 for a negative one that rounds to 0; ``v`` is
     ``sum_k (-1)**(k-1) * (2k - n) * b_k`` times ``2**s``.  ``forms`` is
     ``R`` without trailing zeros, with ``A`` and ``2**(n-m) * (1-x)**m``
-    times ``2**s`` reduced modulo ``R`` by ``_prem``; ``([r0], [], [])``
-    for a constant ``R``, None when ``R`` vanishes identically."""
+    times ``2**s`` reduced modulo ``R`` by ``_prem``; ``()`` when ``R`` is
+    a nonzero constant, None when it vanishes identically."""
     k_cols, l_cols, den = _event_basis(n)
     ks = range(1, n + 1)
 
@@ -245,7 +246,7 @@ def _kernel(n: int):
 
     lines = [
         f"{each('(p{k}, q{k})')}, = map(float.as_integer_ratio, b)",
-        f"e = max({each('q{k}')}).bit_length()" if n > 1 else "e = q1.bit_length()",
+        f"e = max(1, {each('q{k}')}).bit_length()",  # the 1 serves order 1; each q is a power of two >= 1
         f"{each('b{k}')}, s = {each('p{k} << (e - q{k}.bit_length())')}, e - 1",
         f"head = [{each('b{k}')}], s, _div({dot([(-1) ** (k - 1) for k in ks])}, 1 << (s + {n})), "
         + dot([(-1) ** (k - 1) * (2 * k - n) for k in ks]),
@@ -267,7 +268,7 @@ def _kernel(n: int):
         num, rem = forms
         body.append(f"return head, ([{rs}, r{d}], [{', '.join(num)}], [{', '.join(t + ' << s' for t in rem)}])")
         lines += [f"if r{d}:", *(f"    {line}" for line in body)]
-    lines.append("return head, (([r0], [], []) if r0 else None)")
+    lines.append("return head, (() if r0 else None)")
     return _compile(_kernel_source("b", lines), f"event kernel n={n}", {"_div": _div})["kernel"]
 
 
@@ -349,15 +350,16 @@ def zero_point_candidates(b: Sequence[float], n: int) -> list[ZeroPointCandidate
 
 def _zero_point_candidates(forms) -> tuple[list[ZeroPointCandidate], bool, list[int]]:
     """:func:`zero_point_candidates` from the ``forms`` the order's kernel
-    makes for a design (``R`` and the forms reduced modulo it), whether a
-    valid event was dropped past the float range, and the sign of ``R'`` at
-    each candidate (see ``_event_roots``)."""
+    makes for a design (``R`` and the forms reduced modulo it; ``()`` for a
+    constant ``R``, which has no root), whether a valid event was dropped
+    past the float range, and the sign of ``R'`` at each candidate (see
+    ``_event_roots``).  None, an ``R`` that vanishes identically, raises."""
     if forms is None:
         raise DegenerateBoundaryError(
             "event polynomial vanishes identically: the design pins roots "
             "to the unit circle over a continuum of a values"
         )
-    if len(forms[0]) < 2:
+    if not forms:
         return [], False, []
     candidates, beyond, slopes = [], False, []
     for a, x, valid, slope in _event_roots(*forms):
@@ -392,8 +394,9 @@ def i_max_order3(b: Sequence[float]) -> tuple[float, bool]:
 
 
 # Per order, the roots of F inside the circle as a -> inf when sum(b) > 0
-# (the module docstring derives them); order 2's hangs on the sign of b2.
-_LIMIT_COUNTS = (None, 1, None, 1, 2, 3)
+# and R does not vanish (the module docstring derives them), for b_n >= 0
+# and for b_n < 0: only order 2's pair, with |z|**2 = 1 + b2/a, hangs on it.
+_LIMIT_COUNTS = (None, (1, 1), (0, 2), (1, 1), (2, 2), (3, 3))
 
 # Per order: the roots entering the circle as a grows past an interior event,
 # per unit of the sign of R' there, 2*sign(c_n).
@@ -413,8 +416,9 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
     """Partition ``a > 0`` into stable/unstable intervals with witnesses.
 
     Events are the lower bound (when positive) plus every valid zero-point
-    candidate (none for a reciprocal-symmetric design, whose event
-    polynomial vanishes identically).  Each open interval between
+    candidate: none when the event polynomial is a nonzero constant (the
+    kernel's ``()``, at orders 1 and 2 always) or vanishes identically
+    (None: a reciprocal-symmetric design).  Each open interval between
     consecutive events gets a witness ``a`` and the count of roots of
     ``F(z; witness)`` inside the unit circle.  The linear-model point
     ``a = 1`` is the witness whenever it lies inside an interval; an
@@ -444,29 +448,23 @@ def classify_intervals(b: Sequence[float], n: int) -> StabilityReport:
     # the forms of the event search.
     (ints, s, a_min, v), forms = _kernel(n)(b)
 
-    candidates, events = [], []
+    candidates, slopes, events = [], [], []
     limit = None  # the count inside past the last event, when it is the a -> inf limit
     # F(1) = sum(b) <= 0 puts a root at or beyond z = 1 for every a: no a is
     # stable, and the one interval, probed at a = 1, needs no events.
     if sum_b > 0.0:
-        # Order 2's pair has |z|**2 = 1 + b2/a: inside for b2 < 0, and on the
-        # circle for every a when b2 = 0, the continuum the probes decide.
-        limit = _LIMIT_COUNTS[n] if n != 2 else 2 if ints[1] < 0 else 0 if ints[1] else None
-        slopes = []
-        # Below order 3 the event polynomial is a constant: no interior event.
-        if n > 2:
-            try:
-                candidates, beyond, slopes = _zero_point_candidates(forms)
-            except DegenerateBoundaryError:
-                # F is self-reciprocal for every a: there is no isolated
-                # interior event, so the only edge is a_min and the probes
-                # decide, the last one too.
+        # An R that vanishes identically (at order 2, b2 = 0) makes F
+        # self-reciprocal for every a: a root pair stays on the circle, there
+        # is no isolated interior event and no limit, so the only edge is
+        # a_min and the probes decide, the last one too.
+        limit = None if forms is None else _LIMIT_COUNTS[n][ints[-1] < 0]
+        # A constant R (always at orders 1 and 2) has no root: no interior event.
+        if forms:
+            candidates, beyond, slopes = _zero_point_candidates(forms)
+            if beyond:
+                # A valid event past the float range is no edge, so the
+                # limit need not hold past the last one: the probe decides.
                 limit = None
-            else:
-                if beyond:
-                    # A valid event past the float range is no edge, so the
-                    # limit need not hold past the last one: the probe decides.
-                    limit = None
         # turns[a]: the roots entering the circle as a grows past the edge a.
         # Exactly equal events meet in one key: an interior event at a_min is
         # one edge.  A crossing with no sign (a tangency, or a double root at

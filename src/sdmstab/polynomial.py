@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 __all__ = ["Poly"]
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 from .polynomial import _compile, record
 from .transfer import _check_coeffs, _check_count, _check_scalar
@@ -181,9 +181,10 @@ def _kernel(n: int, sine: bool, trace: bool):
 
 def _simulate(g, x, samples, threshold, initial_state, emit=None) -> SimResult:
     """Check the inputs of :func:`run` or :func:`trace_run` and run the loop;
-    ``x`` is a :class:`DcInput` or :class:`SineInput`, bare numbers are DC."""
+    ``x`` is a :class:`DcInput` or :class:`SineInput`, bare numbers are DC;
+    a traced run keeps one state per sample, so its ``samples`` are rows."""
     g = _check_coeffs(g, "g")
-    samples = _check_count(samples, "samples")
+    samples = _check_count(samples, "samples", rows=emit is not None)
     threshold = _check_scalar(threshold, "threshold", positive=True)
     if initial_state is None:
         s0 = (0.0,) * len(g)
@@ -298,7 +299,7 @@ def sweep(
     amp_hi = _check_scalar(amp_hi, "amp_hi")
     if not amp_lo < amp_hi:
         raise ValueError("need amp_lo < amp_hi")
-    steps = _check_count(steps, "steps", 2)
+    steps = _check_count(steps, "steps", 2, rows=True)
     grid: list[GridPoint] = []
     for amp in _linspace(amp_lo, amp_hi, steps):
         res = run(g, DcInput(level=amp), samples, threshold)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Sequence
+from collections.abc import Sequence
 
 from .polynomial import MAX_ORDER, SHIFTED_ROWS, Poly
 
@@ -29,9 +29,13 @@ __all__ = [
 # simulator, and for every count (samples, steps, terms); each failure is a
 # ValueError (CLI exit 2).  The cap keeps fsum of MAX_ORDER values and
 # a*(z-1)**n (binomials <= 10) far from overflow; a positive value is at
-# least 1/MAX_MAGNITUDE, so its reciprocal is in range.
+# least 1/MAX_MAGNITUDE, so its reciprocal is in range.  A count that sizes
+# a result held in memory (a table's rows, a trace, a grid, a series) is at
+# most MAX_ROWS, refused before any of it is built; a run's samples cost
+# time, not memory, and have no cap.
 
 MAX_MAGNITUDE = 1e300
+MAX_ROWS = 10**6
 
 
 def _check_scalar(v: float, name: str, *, nonnegative=False, positive=False) -> float:
@@ -46,8 +50,9 @@ def _check_scalar(v: float, name: str, *, nonnegative=False, positive=False) -> 
     return v
 
 
-def _check_count(v: int, name: str, minimum: int = 1) -> int:
-    """``v`` as an int ``>= minimum``; bools and non-integral values are refused."""
+def _check_count(v: int, name: str, minimum: int = 1, *, rows=False) -> int:
+    """``v`` as an int ``>= minimum``, and ``<= MAX_ROWS`` for ``rows``;
+    bools and non-integral values are refused."""
     if isinstance(v, bool):
         raise ValueError(f"{name} must be an integer, got {v!r}")
     try:
@@ -56,6 +61,8 @@ def _check_count(v: int, name: str, minimum: int = 1) -> int:
         raise ValueError(f"{name} must be an integer, got {v!r}") from None
     if v < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {v}")
+    if rows and v > MAX_ROWS:
+        raise ValueError(f"{name} must be <= {MAX_ROWS} (the row cap), got {v}")
     return v
 
 
@@ -137,7 +144,7 @@ def ntf_series(b: Sequence[float], n: int, terms: int) -> list[float]:
     ``B`` is monic by construction so the leading coefficient is always 1.
     """
     b = _check_coeffs(b, "b", n)
-    terms = _check_count(terms, "terms")
+    terms = _check_count(terms, "terms", rows=True)
     beta = _char_poly(b, n, 1.0).coeffs[::-1]  # descending powers, beta[0] = 1
     cdesc = SHIFTED_ROWS[n][::-1]
     h = [0.0] * terms

@@ -369,7 +369,7 @@ def _count_at(b: tuple[float, ...], n: int, a: float) -> RootCountResult:
 def contour_table(f: Poly, samples: int) -> list[tuple[float, float, float]]:
     """Sampled contour image rows ``(phi, Re W, Im W)`` at uniform angles.
     Raises ``ValueError`` when ``W`` at a sample leaves the float range."""
-    samples = _check_count(samples, "samples")
+    samples = _check_count(samples, "samples", rows=True)
     f = _normalized(f)
     n = f.degree
     step = 2.0 * math.pi / samples

@@ -613,15 +613,16 @@ def bounds_mix_corpus(seed, count):
 
 
 # The kernel's output on each design of ``TestEventKernel``'s lower
-# branches, as ``generic_event_poly`` and ``_prem`` make it.
+# branches, as ``generic_event_poly`` and ``_prem`` make it: () where that
+# R is a nonzero constant (3, -2, 1, 1 and 1 in turn).
 LOWER_BRANCH_FORMS = {
-    (1.0, 2.0, 0.0): ([3], [], []),
-    (1.0, -2.0, 3.0, 0.0): ([-2], [], []),
+    (1.0, 2.0, 0.0): (),
+    (1.0, -2.0, 3.0, 0.0): (),
     (1.0, -2.0, 3.0, 0.5, 0.0): ([-1, 6], [312], [400]),
-    (1.0, 1.0, 0.0, -1.0, 0.0): ([1], [], []),
+    (1.0, 1.0, 0.0, -1.0, 0.0): (),
     (1.0, 2.0, -2.0, -1.0, 0.0): None,
-    (1.0,): ([1], [], []),
-    (1.0, -0.5): ([1], [], []),
+    (1.0,): (),
+    (1.0, -0.5): (),
     (1.0, 0.0): None,
     (1.0, 0.5, 1.0, 0.0): None,
 }
@@ -632,7 +633,7 @@ class TestEventKernel:
         # R, A mod R and den mod R, integer for integer, at every order, on
         # the benchmark's design mix and on every family of the pinned
         # corpus, b_n = 0 and reciprocal designs among them: None exactly
-        # when R vanishes, and ([r0], [], []) for a constant R.
+        # when R vanishes, and () for a nonzero constant R.
         families = classify_pin_corpus()
         families["bounds mix"] = bounds_mix_corpus(2604, 3000)
         families["lower branches"] = list(LOWER_BRANCH_FORMS)
@@ -645,7 +646,7 @@ class TestEventKernel:
                 if not event:
                     assert forms is None, (name, b)
                 elif len(event) == 1:
-                    assert forms == (event, [], []), (name, b)
+                    assert forms == (), (name, b)
                 else:
                     assert forms == (event, _prem(num, event), _prem(den, event)), (name, b)
                 shapes.add((n, len(event)))
@@ -1199,11 +1200,9 @@ class TestClassifyIntervals:
             _, count = boundary._probe(*_scaled(b), n, last.witness_a)
             assert (last.witness_count, last.stable) == (count, count == n), (b, n)
             checked += 1
-            if n > 2 and rep.sum_b > 0.0:
-                try:
-                    beyond += boundary._zero_point_candidates(boundary._kernel(n)(b)[1])[1]
-                except DegenerateBoundaryError:
-                    pass
+            forms = boundary._kernel(n)(b)[1]
+            if rep.sum_b > 0.0 and forms is not None:
+                beyond += boundary._zero_point_candidates(forms)[1]
         assert checked > 5000 and beyond > 100
         last = classify_intervals(OVERFLOW_EVENT_B, 3).intervals[-1]
         assert (last.lo, last.hi, last.stable, last.witness_count) == (2.2499999999999994e299, math.inf, True, 3)
@@ -1268,17 +1267,22 @@ CLASSIFY_PINS = {
 }
 
 
-def test_classify_intervals_repr_pinned():
-    def report(b):
-        try:
-            return classify_intervals(b, len(b))
-        except ValueError as exc:
-            return exc
+def _pinned_report(b):
+    try:
+        return classify_intervals(b, len(b))
+    except ValueError as exc:
+        return exc
 
+
+def _shown(report):
+    return f"{type(report).__name__}: {report}" if isinstance(report, ValueError) else repr(report)
+
+
+def test_classify_intervals_repr_pinned():
     got, finer, refused = {}, 0, 0
     for name, designs in classify_pin_corpus().items():
-        reports = [report(b) for b in designs]
-        shown = [f"{type(r).__name__}: {r}" if isinstance(r, ValueError) else repr(r) for r in reports]
+        reports = [_pinned_report(b) for b in designs]
+        shown = [_shown(r) for r in reports]
         got[name] = hashlib.sha256("\n".join(shown).encode()).hexdigest()
         for b, rep in zip(designs, reports):
             if isinstance(rep, ValueError):
@@ -1289,6 +1293,25 @@ def test_classify_intervals_repr_pinned():
             finer += sum(iv.witness_a.as_integer_ratio()[1] > bits for iv in rep.intervals)
     assert finer > 100 and refused > 0
     assert got == CLASSIFY_PINS
+
+
+def test_classify_intervals_reads_the_forms_alone(monkeypatch):
+    # An R that vanishes identically is a form like any other: classifying
+    # builds no DegenerateBoundaryError, and every pinned design, the
+    # reciprocal ones and order 2's b2 = 0 among them, gets the same report.
+    designs = [b for family in classify_pin_corpus().values() for b in family]
+    expected = [_shown(_pinned_report(b)) for b in designs]
+
+    class Unbuilt(ValueError):
+        def __init__(self, *args):
+            raise AssertionError("classify_intervals built a DegenerateBoundaryError")
+
+    monkeypatch.setattr(boundary, "DegenerateBoundaryError", Unbuilt)
+    assert sum(boundary._kernel(len(b))(b)[1] is None for b in designs) > 60
+    assert (1.0, 0.0) in designs
+    assert [_shown(_pinned_report(b)) for b in designs] == expected
+    with pytest.raises(AssertionError):
+        zero_point_candidates((1.0, 0.0), 2)
 
 
 class TestBisectBoundary:

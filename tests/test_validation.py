@@ -256,6 +256,11 @@ REGRESSIONS = {
     "poly-call-overflow-complex": lambda: Poly([1e308] * 3)(1 + 0j),  # (inf+nanj)
     "simulate-negative-trace-len": lambda: execute(parse(["simulate", "--g=1", "--trace-len=-3"])),
     "g_from_b-past-the-cap": lambda: transfer.g_from_b((1e300,) * 5),  # g5 = 5e300
+    # One past the row cap: refused before a row is built, not run out of memory.
+    "contour_table-samples-past-the-row-cap": lambda: contour_table(Poly([1.0, 2.0]), transfer.MAX_ROWS + 1),
+    "sweep-steps-past-the-row-cap": lambda: simulator.sweep((1.0,), 0.0, 1.0, transfer.MAX_ROWS + 1, 10),
+    "trace_run-samples-past-the-row-cap": lambda: simulator.trace_run((1.0,), 0.0, transfer.MAX_ROWS + 1),
+    "ntf_series-terms-past-the-row-cap": lambda: transfer.ntf_series((1.0,), 1, transfer.MAX_ROWS + 1),
 }
 
 
@@ -292,6 +297,27 @@ def test_usage_errors_are_found_before_any_work(argv):
     with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
         parse(argv)
     assert exc.value.code == 2
+
+
+# Each count the row cap bounds, one past it on the command line: exit 2
+# with the cap in the message.  A run's samples are not capped.
+ROW_CAP = str(transfer.MAX_ROWS + 1)
+ROW_CAP_ARGV = {
+    "contour-samples": ["contour", "--b=3,-3,1", "--i-abs=1.5", "--samples=" + ROW_CAP],
+    "sweep-amp-steps": ["sweep", "--g=1", "--amp-hi=0.5", "--amp-steps=" + ROW_CAP, "--samples=1"],
+    "simulate-trace-len": ["simulate", "--g=1", "--samples=" + ROW_CAP, "--trace-len=" + ROW_CAP],
+}
+
+
+@pytest.mark.parametrize("argv", ROW_CAP_ARGV.values(), ids=ROW_CAP_ARGV.keys())
+def test_a_count_past_the_row_cap_exits_2(argv):
+    code, out, err = cli(argv)
+    assert code == 2 and out == "" and f"<= {transfer.MAX_ROWS} (the row cap), got {ROW_CAP}" in err
+
+
+def test_counts_at_the_row_cap_pass_validation():
+    assert transfer._check_count(transfer.MAX_ROWS, "samples", rows=True) == transfer.MAX_ROWS
+    assert transfer._check_count(transfer.MAX_ROWS + 1, "samples") == transfer.MAX_ROWS + 1
 
 
 def test_no_nan_looks_inside_records():
