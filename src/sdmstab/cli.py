@@ -6,13 +6,14 @@ Commands: ``bounds``, ``check``, ``contour``, ``from-g``, ``simulate``,
 order inferred from the list length.  Formats: ``bounds``, ``check`` and
 ``from-g`` write text or json; ``contour`` csv (its default), text or json;
 ``simulate`` and ``sweep`` text, json or csv (``simulate`` csv only for a
-trace, ``--trace-len`` > 0).  ``check`` counts the exact ``F(z; a)`` at
-every ``a >= 0``: ``F = D`` at ``a = 0``, and above it the ``F`` that
-``bounds`` probes, so its answer is the verdict of the ``bounds`` interval
-holding ``a``.  ``execute`` checks ``a`` (``0 <= a <= 1e300``) before
-``check`` counts ``F`` or ``contour`` samples it.  Exit codes: 0 success,
-1 a refusal by ``check`` (a root exactly on the unit circle), 2 usage and
-validation errors.
+trace, ``--trace-len`` > 0); json is strict, each non-finite value (such
+as an interval's ``inf`` edge) written as ``null``.  ``check`` counts the
+exact ``F(z; a)`` at every ``a >= 0``: ``F = D`` at ``a = 0``, and above
+it the ``F`` that ``bounds`` probes, so its answer is the verdict of the
+``bounds`` interval holding ``a``.  ``execute`` checks ``a``
+(``0 <= a <= 1e300``) before ``check`` counts ``F`` or ``contour`` samples
+it.  Exit codes: 0 success, 1 a refusal by ``check`` (a root exactly on
+the unit circle), 2 usage and validation errors.
 
 Each command imports the analytic or simulator modules it uses when it
 runs, and ``json`` is imported only for ``--format json``, so one process
@@ -22,12 +23,14 @@ loads only what its command needs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from functools import partial
 
 from . import __version__
 from .polynomial import record
-from .transfer import _char_poly, _check_coeffs, _check_count, _check_scalar, b_from_g, g_from_b, ntf_series
+from .transfer import (MAX_ROWS, _char_poly, _check_coeffs, _check_count, _check_scalar,
+                       b_from_g, g_from_b, ntf_series)
 
 __all__ = ["RunConfig", "Report", "asdict", "replace", "parse", "execute", "render", "main"]
 
@@ -202,7 +205,10 @@ def execute(cfg: RunConfig) -> tuple[Report, int]:
         inputs["samples"] = cfg.samples
         inputs["threshold"] = cfg.threshold
         if _check_count(cfg.trace_len, "trace_len", minimum=0) > 0:
-            payload = trace_run(g, signal, min(cfg.trace_len, cfg.samples), cfg.threshold)[1]
+            rows = min(cfg.trace_len, cfg.samples)
+            if rows > MAX_ROWS:  # so trace_len is past the cap too: name it
+                _check_count(cfg.trace_len, "trace_len", rows=True)
+            payload = trace_run(g, signal, rows, cfg.threshold)[1]
         else:
             payload = run(g, signal, cfg.samples, cfg.threshold)
     elif cfg.command == "sweep":
@@ -295,6 +301,18 @@ def _csv_rows(rows) -> list[str]:
     return [",".join(map(_cell, row)) for row in rows]
 
 
+def _strict(v):
+    """``v`` with each non-finite float in it, at any depth of dicts, lists
+    and tuples, as ``None``: strict JSON has no ``Infinity`` or ``NaN``."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _strict(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_strict(x) for x in v]
+    return v
+
+
 def render(report: Report, fmt: str) -> str:
     """Deterministic serialization of a report in the requested format."""
     if fmt == "json":
@@ -306,7 +324,7 @@ def render(report: Report, fmt: str) -> str:
             "version": report.version,
             "result": asdict(report.payload),
         }
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(_strict(doc), indent=2, allow_nan=False) + "\n"
     if fmt == "csv":
         header, rows = _table(report.command, report.payload)
         return "\n".join([",".join(header), *_csv_rows(rows)]) + "\n"

@@ -76,9 +76,10 @@ def record(cls):
     ``==``, ``hash`` and the ``Name(field=value, ...)`` repr are those of
     a frozen dataclass, setting or deleting an attribute raises
     ``AttributeError``, and ``__reduce__`` rebuilds the record through
-    ``__init__`` for ``pickle`` and ``copy``.  Any of these five methods
-    that the class body defines stays in place; such an ``__init__`` sets
-    the fields with ``object.__setattr__``.  The field names are in
+    ``__init__`` for ``pickle`` and ``copy``.  Every ``__init__`` sets each
+    field once, through its slot descriptor (``Cls.field.__set__``).  Any
+    of these five methods that the class body defines stays in place; such
+    an ``__init__`` sets the fields the same way.  The field names are in
     ``_fields``.
     """
     fields = tuple(cls.__annotations__)
@@ -120,17 +121,22 @@ def record(cls):
 @record
 class Poly:
     """Immutable dense polynomial with real coefficients, ascending powers;
-    its own ``__init__`` makes them finite floats with no trailing zero."""
+    its own ``__init__`` makes them finite floats with no trailing zero, in
+    one pass for finite ones, and sets ``coeffs`` through its slot."""
 
     coeffs: tuple[float, ...]
 
     def __init__(self, coeffs: Iterable[float] = ()):
-        cs = list(map(float, coeffs))
-        if not all(map(math.isfinite, cs)):
+        cs = tuple(map(float, coeffs))
+        # A finite sum clears them all at once; one of finite values may overflow.
+        if not math.isfinite(sum(cs)) and not all(map(math.isfinite, cs)):
             raise ValueError("polynomial coefficients must be finite")
-        while cs and cs[-1] == 0.0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        if cs and cs[-1] == 0.0:
+            k = len(cs) - 1
+            while k and cs[k - 1] == 0.0:
+                k -= 1
+            cs = cs[:k]
+        _set_coeffs(self, cs)
 
     @property
     def degree(self) -> int:
@@ -161,6 +167,9 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)})"
+
+
+_set_coeffs = Poly.coeffs.__set__
 
 
 def _chebyshev(first: list[int], second: list[int]) -> list[list[int]]:

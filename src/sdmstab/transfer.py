@@ -32,7 +32,11 @@ __all__ = [
 # least 1/MAX_MAGNITUDE, so its reciprocal is in range.  A count that sizes
 # a result held in memory (a table's rows, a trace, a grid, a series) is at
 # most MAX_ROWS, refused before any of it is built; a run's samples cost
-# time, not memory, and have no cap.
+# time, not memory, and have no cap.  A coefficient list is checked in one
+# pass over the whole tuple (float conversion, then one sum of magnitudes
+# against the cap, which a NaN or an infinity fails); only a list that fails
+# it is checked value by value, which names the first bad value, or accepts
+# a list whose magnitudes alone sum past the cap.
 
 MAX_MAGNITUDE = 1e300
 MAX_ROWS = 10**6
@@ -68,7 +72,13 @@ def _check_count(v: int, name: str, minimum: int = 1, *, rows=False) -> int:
 
 def _check_coeffs(seq: Sequence[float], name: str, n: int | None = None) -> tuple[float, ...]:
     """``seq`` as 1..MAX_ORDER checked scalars; exactly ``n`` of them when given."""
-    vals = tuple(_check_scalar(v, name) for v in seq)
+    vals = tuple(seq)
+    try:
+        floats = tuple(map(float, vals))
+        ok = sum(map(abs, floats)) <= MAX_MAGNITUDE  # False for a NaN or an infinity
+    except (TypeError, ValueError, OverflowError):  # float() of a bad value
+        ok = False
+    vals = floats if ok else tuple(_check_scalar(v, name) for v in vals)
     order = len(vals) if n is None else n
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")

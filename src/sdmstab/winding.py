@@ -326,7 +326,9 @@ def count_inside_e1(f: Poly) -> RootCountResult:
     with ``|b|`` far below ``a`` every coefficient rounds to those of
     ``a*(z-1)**n``, whose roots are all at ``z = 1``, so it is refused.
     """
-    n = _degree(f)
+    n = len(f.coeffs) - 1
+    if not 0 < n <= MAX_ORDER:
+        _degree(f)  # raises
     inside = _kernel(n, True)(f.coeffs)
     if inside == -1:
         inside = _count_generic(_integers(f)[0])

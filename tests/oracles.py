@@ -11,7 +11,8 @@ package does not.  The float identities of the acceptance criteria live
 here too: the crossing parameter at one angle (``crossing_value``), the
 image coefficients ``d_k`` (``d_coeffs``), the order-5 remainder factor
 (``t2_order5``) and the simulator loop with its quantizer linearized
-(``linearized_impulse``).
+(``linearized_impulse``).  So do the per-value references of the one-pass
+input checks, ``check_coeffs_per_value`` and ``poly_coeffs_per_value``.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ __all__ = [
     "d_coeffs",
     "t2_order5",
     "linearized_impulse",
+    "check_coeffs_per_value",
+    "poly_coeffs_per_value",
 ]
 
 # Default refusal distance of the eigenvalue oracle ``count_inside_eig``.
@@ -423,3 +426,27 @@ def linearized_impulse(g: Sequence[float], terms: int) -> list[float]:
         out.append(v)
     _check_result(out, "the impulse response")
     return out
+
+
+def check_coeffs_per_value(seq, name: str, n: int | None = None) -> tuple[float, ...]:
+    """``transfer._check_coeffs`` one value at a time: each item through
+    ``_check_scalar`` in order, so the first bad one is named, then the
+    order and the length."""
+    vals = tuple(_check_scalar(v, name) for v in seq)
+    order = len(vals) if n is None else n
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
+    if len(vals) != order:
+        raise ValueError(f"len({name}) must equal order {order}, got {len(vals)}")
+    return vals
+
+
+def poly_coeffs_per_value(coeffs) -> tuple[float, ...]:
+    """The coefficients ``Poly(coeffs)`` holds, one value at a time: each a
+    float, all finite, trailing zeros dropped."""
+    cs = [float(c) for c in coeffs]
+    if not all(math.isfinite(c) for c in cs):
+        raise ValueError("polynomial coefficients must be finite")
+    while cs and cs[-1] == 0.0:
+        cs.pop()
+    return tuple(cs)

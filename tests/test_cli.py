@@ -1,5 +1,4 @@
 import json
-import math
 import pathlib
 import random
 
@@ -110,6 +109,18 @@ def golden_cases():
 def test_golden_output(argv, code, stdout, capsys):
     assert main(argv) == code
     assert capsys.readouterr().out == stdout
+
+
+def _no_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@pytest.mark.parametrize("argv", [c.values[0] for c in golden_cases() if "--format=json" in c.values[0]],
+                         ids=lambda argv: " ".join(argv))
+def test_json_output_is_strict(argv, capsys):
+    # RFC 8259 has no Infinity or NaN: an interval's inf edge is null.
+    assert main(argv) == 0
+    json.loads(capsys.readouterr().out, parse_constant=_no_constant)
 
 
 @pytest.mark.parametrize("g", [(1.0, 3.0, 3.0), (0.5, 0.25, 1.0, -0.125, 2.0)], ids=["order-3", "order-5"])
@@ -226,7 +237,7 @@ class TestRender:
         assert set(res["intervals"][0]) == {
             "lo", "hi", "stable", "witness_a", "witness_count"
         }
-        assert res["intervals"][-1]["hi"] == math.inf
+        assert res["intervals"][-1]["hi"] is None
 
     def test_sim_result_text_fields(self):
         report, _ = execute(

@@ -116,6 +116,71 @@ def test_transfer_functions(design, a, terms):
     result_or_value_error(transfer.ntf_series, b, n, terms)
 
 
+# --- the one-pass input checks ----------------------------------------------
+#
+# _check_coeffs and Poly accept a valid input in one pass over the whole
+# tuple; each must give what the per-value references in oracles give, the
+# same tuple or the same exception, whatever the values and the container.
+
+# Anything a caller may pass: the float edges, ints (some past the float
+# range), bools, numpy scalars, numeric and other strings, None.
+mixed = st.one_of(
+    st.sampled_from(EDGES),
+    ordinary,
+    st.integers(-10**6, 10**6),
+    st.sampled_from((10**400, -(10**400))),
+    st.booleans(),
+    st.sampled_from((np.float64(1.5), np.float64(nan), np.float32(-2.0), np.int64(3), np.float64(-0.0))),
+    st.sampled_from(("1.5", "-0.0", "1e300", "2e300", "inf", "nan", "x", "")),
+    st.none(),
+)
+# Half the lists hold floats alone, most of them valid: the one pass is the
+# path those take.
+mixed_lists = st.lists(mixed, max_size=7) | st.lists(floats, max_size=7)
+CONTAINERS = {"tuple": tuple, "list": list, "generator": lambda vals: (v for v in vals)}
+
+
+def outcome(fn, vals, kind, *args):
+    """``fn`` on ``vals`` in a fresh container of ``kind``: the repr of its
+    result, or the type and message of what it raised."""
+    try:
+        return repr(fn(CONTAINERS[kind](vals), *args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@POLY_FUZZ
+@given(mixed_lists, st.sampled_from(sorted(CONTAINERS)), st.none() | st.integers(0, 6))
+def test_check_coeffs_matches_the_per_value_check(vals, kind, n):
+    want = outcome(oracles.check_coeffs_per_value, vals, "tuple", "b", n)
+    assert outcome(transfer._check_coeffs, vals, kind, "b", n) == want
+
+
+@POLY_FUZZ
+@given(mixed_lists, st.sampled_from(sorted(CONTAINERS)))
+def test_poly_matches_the_per_value_check(vals, kind):
+    want = outcome(oracles.poly_coeffs_per_value, vals, "tuple")
+    got = outcome(lambda cs: Poly(cs).coeffs, vals, kind)
+    assert got == want
+
+
+def test_one_pass_checks_pinned_cases():
+    # Each value is under the cap though their magnitudes sum past it; the
+    # cap itself is in, one value past it is out.
+    assert transfer._check_coeffs((9e299,) * 5, "b", 5) == (9e299,) * 5
+    assert transfer._check_coeffs((-1e300,), "b") == (-1e300,)
+    with pytest.raises(ValueError, match=r"^b must be finite with magnitude <= 1e\+300, got 1.5e\+300$"):
+        transfer._check_coeffs((1.0, 1.5e300), "b")
+    # The first bad value is named, before a value float cannot read.
+    with pytest.raises(ValueError, match=r"^b must be finite with magnitude <= 1e\+300, got nan$"):
+        transfer._check_coeffs((nan, "x"), "b")
+    # Finite coefficients whose sum overflows are finite coefficients.
+    assert Poly([1e308, 1e308]).coeffs == (1e308, 1e308)
+    for coeffs in ([1.0, inf], [nan]):
+        with pytest.raises(ValueError, match="^polynomial coefficients must be finite$"):
+            Poly(coeffs)
+
+
 # --- boundary ---------------------------------------------------------------
 
 
@@ -300,19 +365,27 @@ def test_usage_errors_are_found_before_any_work(argv):
 
 
 # Each count the row cap bounds, one past it on the command line: exit 2
-# with the cap in the message.  A run's samples are not capped.
+# with the count's name and the cap in the message.  A run's samples are not
+# capped, so a trace past the cap names trace_len.
 ROW_CAP = str(transfer.MAX_ROWS + 1)
 ROW_CAP_ARGV = {
-    "contour-samples": ["contour", "--b=3,-3,1", "--i-abs=1.5", "--samples=" + ROW_CAP],
-    "sweep-amp-steps": ["sweep", "--g=1", "--amp-hi=0.5", "--amp-steps=" + ROW_CAP, "--samples=1"],
-    "simulate-trace-len": ["simulate", "--g=1", "--samples=" + ROW_CAP, "--trace-len=" + ROW_CAP],
+    "contour-samples": ("samples", ["contour", "--b=3,-3,1", "--i-abs=1.5", "--samples=" + ROW_CAP]),
+    "sweep-amp-steps": ("steps", ["sweep", "--g=1", "--amp-hi=0.5", "--amp-steps=" + ROW_CAP, "--samples=1"]),
+    "simulate-trace-len": ("trace_len", ["simulate", "--g=1", "--samples=" + ROW_CAP, "--trace-len=" + ROW_CAP]),
 }
 
 
-@pytest.mark.parametrize("argv", ROW_CAP_ARGV.values(), ids=ROW_CAP_ARGV.keys())
-def test_a_count_past_the_row_cap_exits_2(argv):
+@pytest.mark.parametrize("name, argv", ROW_CAP_ARGV.values(), ids=ROW_CAP_ARGV.keys())
+def test_a_count_past_the_row_cap_exits_2(name, argv):
     code, out, err = cli(argv)
-    assert code == 2 and out == "" and f"<= {transfer.MAX_ROWS} (the row cap), got {ROW_CAP}" in err
+    assert code == 2 and out == ""
+    assert err == f"error: {name} must be <= {transfer.MAX_ROWS} (the row cap), got {ROW_CAP}\n"
+
+
+def test_a_trace_len_past_the_row_cap_with_few_samples_runs():
+    # The trace has min(trace_len, samples) rows: under the cap, it runs.
+    code, out, err = cli(["simulate", "--g=1", "--samples=3", "--trace-len=" + ROW_CAP])
+    assert code == 0 and err == "" and out.count("state: k=") == 3
 
 
 def test_counts_at_the_row_cap_pass_validation():
